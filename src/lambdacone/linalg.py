@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: RREF, kernels, solving.
+"""Exact linear algebra over the rationals: RREF, kernels, inversion.
 
 Matrices are lists of lists of Fraction.  Everything is small (at most a few
 hundred rows) and exact, so plain fraction-free-ish Gauss-Jordan is enough.
@@ -67,25 +67,6 @@ def kernel_basis(matrix: list, n_cols: int) -> list:
     # possible with coefficient 1 (deterministic representatives).
     pivots, rank = rref(vectors)
     return vectors[:rank]
-
-
-def solve(matrix: list, rhs: list) -> list | None:
-    """Solve ``matrix @ x = rhs`` exactly; None if inconsistent.
-
-    When the solution is not unique the free coordinates are set to zero.
-    The input matrix is not modified.
-    """
-    if not matrix:
-        return [] if not any(rhs) else None
-    n_cols = len(matrix[0])
-    work = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots, rank = rref(work)
-    if n_cols in pivots:
-        return None
-    x = [Fraction(0)] * n_cols
-    for r, p in enumerate(pivots):
-        x[p] = work[r][n_cols]
-    return x
 
 
 def invert(matrix: list) -> list:

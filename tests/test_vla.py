@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from lambdacone import vla
 from lambdacone import (
     BracketTable,
     ConeSeries,
@@ -39,6 +40,23 @@ def _broken_table():
         (2, 1): LambdaPoly(vs, 3, {2: vs.one}),
     }
     return BracketTable(1, ("e", "h", "f"), entries)
+
+
+def _d2_fixture():
+    """The current-like D = 2 action (2 + T1 z1 + T2 z2) L (z^2)^{-1}."""
+    vs = pseudo_space(2)
+    el = lambda p: ModuleElement(vs, 1, {0: p})
+    action = ConeSeries(2, "z", {
+        (-1, 0, 1): el(vs.const(2)),
+        (-1, 1, 1): el(vs.var("T", 1)),
+        (-1, 1, 2): el(vs.var("T", 2)),
+    })
+    return VLAStructure(2, ("L",), {(0, 0): action})
+
+
+def _kernels(D):
+    """F = 1, z_1 and ((z-w)^2)^{-1} in dimension D."""
+    return (Kernel.one(D), Kernel(D, z_exps=(1,) + (0,) * (D - 1)), Kernel(D, zw_pole=1))
 
 
 # ----------------------------------------------------------------------
@@ -152,14 +170,7 @@ def test_skew_deep_violation_needs_a_deep_window():
     # The current-like singular pattern (2 + sum T_a z_a) L (z^2)^{-1} in
     # D = 2 satisfies skewsymmetry through second order but breaks at third;
     # small windows honestly report pass, a window >= 3 exposes the witness.
-    vs = pseudo_space(2)
-    el = lambda p: ModuleElement(vs, 1, {0: p})
-    action = ConeSeries(2, "z", {
-        (-1, 0, 1): el(vs.const(2)),
-        (-1, 1, 1): el(vs.var("T", 1)),
-        (-1, 1, 2): el(vs.var("T", 2)),
-    })
-    S = VLAStructure(2, ("L",), {(0, 0): action})
+    S = _d2_fixture()
     assert all(skew_check_vla(S, w).passed for w in (0, 1, 2))
     report = skew_check_vla(S, 3)
     assert not report.passed
@@ -233,3 +244,57 @@ def test_borcherds_polynomial_kernels_pass_on_valid_structures():
     assert borcherds_check(Sw, 3, Kernel(1, z_exps=(1,)), 4).passed
     report = borcherds_check(S, 2, Kernel(1, zw_pole=1), 4)
     assert report.checked == 27
+
+
+def test_identity_reports_do_not_depend_on_L():
+    # L only has to bound the pole order: the locality factor it stands for
+    # cancels exactly, so every report is a function of (S, F, window).
+    for S in (d1_bridge(build_wd(1)), d1_bridge(_broken_table()), _d2_fixture()):
+        p = S.max_pole()
+        for F in _kernels(S.D):
+            for window in (0, 2):
+                reports = set()
+                for L in (p, p + 1, p + 2):
+                    if F == Kernel.one(S.D):
+                        r = jacobi_check_vla(S, L, window)
+                    else:
+                        r = borcherds_check(S, L, F, window)
+                    reports.add((r.passed, r.failures, r.records))
+                assert len(reports) == 1
+
+
+def test_jacobi_d2_fixture_fails_with_witness():
+    S = _d2_fixture()
+    for window in (0, 2):
+        report = jacobi_check_vla(S, 1, window)
+        assert not report.passed
+        for failure in report.failures:
+            assert failure.label.startswith("(L,L,L)")
+            assert failure.witness
+        assert borcherds_check(S, 1, Kernel.one(2), window).failures == report.failures
+
+
+def _checker_depth(S, window):
+    """The depth the identity checkers derive: window + 2 * u_pole_bound + 2."""
+    t_degree = max(
+        (p.total_degree() for series in S.actions.values()
+         for el in series.coeffs.values() for p in el.coords.values()),
+        default=0,
+    )
+    return window + 2 * (S.max_pole() + t_degree) + 2
+
+
+def test_borcherds_rhs_windows_are_honest():
+    # A deeper expansion agrees with a shallower one on everything the
+    # shallower one claims to know.
+    for S in (d1_bridge(build_wd(1)), _d2_fixture()):
+        for F in _kernels(S.D):
+            for window in (0, 2):
+                depth = _checker_depth(S, window)
+                shallow = vla._borcherds_rhs(S, 0, 0, 0, F, depth)
+                deep = vla._borcherds_rhs(S, 0, 0, 0, F, depth + 6)
+                restricted = deep.restrict(shallow.windows)
+                assert restricted.windows == shallow.windows
+                assert restricted.coeffs == shallow.coeffs
+                if F == Kernel.one(S.D):
+                    assert all(w.degmax >= window + 2 for w in shallow.windows)
