@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
-from .linalg import invert, kernel_basis
+from .linalg import kernel_basis
 from .rings import Poly, VarSpace
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
@@ -66,13 +66,14 @@ def _raw_mul(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _raw_x2(D: int) -> dict:
-    out = {}
-    for alpha in range(D):
-        exps = [0] * D
-        exps[alpha] = 2
-        out[tuple(exps)] = Fraction(1)
-    return out
+def _raw_laplacian(raw: dict) -> dict:
+    out: dict = {}
+    for exps, c in raw.items():
+        for alpha, e in enumerate(exps):
+            if e >= 2:
+                low = exps[:alpha] + (e - 2,) + exps[alpha + 1:]
+                out[low] = out.get(low, Fraction(0)) + c * e * (e - 1)
+    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -85,12 +86,8 @@ def _harmonic_raw(D: int, m: int) -> tuple:
     index = {e: i for i, e in enumerate(target)}
     matrix = [[Fraction(0)] * len(monos) for _ in target]
     for col, exps in enumerate(monos):
-        for alpha in range(D):
-            e = exps[alpha]
-            if e >= 2:
-                low = list(exps)
-                low[alpha] -= 2
-                matrix[index[tuple(low)]][col] += e * (e - 1)
+        for low, c in _raw_laplacian({exps: 1}).items():
+            matrix[index[low]][col] = c
     basis = []
     for vector in kernel_basis(matrix, len(monos)):
         basis.append({monos[i]: c for i, c in enumerate(vector) if c})
@@ -99,50 +96,53 @@ def _harmonic_raw(D: int, m: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _gauss_solver(D: int, m: int) -> tuple:
-    """Inverse of the map  (h_j)_j  ->  sum_j (x^2)^j h_j  at degree m.
+def _projector(D: int, d: int) -> tuple:
+    """The sigma-coordinates of the harmonic part of a degree-d polynomial q.
 
-    Returns (columns, inverse) where columns is the ordered list of
-    (j, m - 2j, sigma) targets and inverse maps degree-m monomial coordinates
-    to decomposition coefficients.
+    That part is K_d[q] = sum_i c_i (x^2)^i Delta^i q, with c_0 = 1 and
+    c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)) (Axler, Bourdon and Ramey,
+    Harmonic Function Theory, ch. 5).  Each canonical basis vector is 1 at
+    its own pivot and 0 at the others, so coordinate sigma is K_d[q] at pivot
+    sigma.  Returns one stencil per sigma: triples (i, exps, weight) with
+    that coordinate = sum weight * (Delta^i q)[exps].
     """
-    monos = _monomials(D, m)
-    index = {e: i for i, e in enumerate(monos)}
-    x2 = _raw_x2(D)
-    columns = []
-    vectors = []
-    for j in range(m // 2 + 1):
-        mm = m - 2 * j
-        power = {(0,) * D: Fraction(1)}
-        for _ in range(j):
+    x2 = {tuple(2 * (a == b) for b in range(D)): 1 for a in range(D)}
+    terms = []
+    c, power = Fraction(1), {(0,) * D: Fraction(1)}
+    for i in range(d // 2 + 1):
+        if i:
+            c = -c / (2 * i * (D + 2 * d - 2 * i - 2))
             power = _raw_mul(power, x2)
-        for sigma, h in enumerate(_harmonic_raw(D, mm), start=1):
-            columns.append((j, mm, sigma))
-            product = _raw_mul(power, h)
-            vec = [Fraction(0)] * len(monos)
-            for exps, c in product.items():
-                vec[index[exps]] = c
-            vectors.append(vec)
-    assert len(columns) == len(monos), "Gauss decomposition matrix is not square"
-    matrix = [[vectors[c][r] for c in range(len(columns))] for r in range(len(monos))]
-    return columns, invert(matrix)
+        terms.extend((i, exps, c * a) for exps, a in power.items())
+    stencils = []
+    for h in _harmonic_raw(D, d):
+        pivot = next(iter(h))
+        lows = ((i, tuple(x - y for x, y in zip(pivot, e)), w) for i, e, w in terms)
+        stencils.append(tuple(t for t in lows if min(t[1]) >= 0))
+    return tuple(stencils)
 
 
 def _decompose_raw(D: int, m: int, raw: dict) -> dict:
-    """Decompose a degree-m raw polynomial into {(j, m', sigma): Fraction}."""
-    if not raw:
-        return {}
-    monos = _monomials(D, m)
-    index = {e: i for i, e in enumerate(monos)}
-    vec = [Fraction(0)] * len(monos)
-    for exps, c in raw.items():
-        vec[index[exps]] = c
-    columns, inverse = _gauss_solver(D, m)
+    """Decompose a degree-m raw polynomial into {(j, m', sigma): Fraction}.
+
+    With p = sum_j (x^2)^j p_j and p_j harmonic of degree d = m - 2j,
+    Delta^j p = prod_{k=1..j} 2k(2k + D - 2 + 2d) p_j + (x^2)(...), so p_j is
+    the harmonic part of Delta^j p divided by that product.
+    """
+    laplacians = [raw]
+    for _ in range(m // 2):
+        laplacians.append(_raw_laplacian(laplacians[-1]))
     out = {}
-    for row, column in enumerate(columns):
-        value = sum((inverse[row][i] * vec[i] for i in range(len(vec))), Fraction(0))
-        if value:
-            out[column] = value
+    for j in range(m // 2 + 1):
+        if not laplacians[j]:
+            break
+        d = m - 2 * j
+        scale = prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
+        for sigma, stencil in enumerate(_projector(D, d), start=1):
+            value = sum((w * laplacians[j + i][e] for i, e, w in stencil
+                         if e in laplacians[j + i]), Fraction(0))
+            if value:
+                out[(j, d, sigma)] = value / scale
     return out
 
 
@@ -209,23 +209,24 @@ class HarmonicBasis:
         return self.polys[i]
 
 
+def _raw_poly(vs: VarSpace, family: str, raw: dict) -> Poly:
+    """A raw {exps: coefficient} dict as one polynomial in ``family`` variables."""
+    return Poly(vs, {
+        tuple(((family, i + 1), e) for i, e in enumerate(exps) if e): c
+        for exps, c in raw.items()
+    })
+
+
 def harmonic_basis(D: int, m: int) -> HarmonicBasis:
     vs = _z_space(D)
-    polys = []
-    for raw in _harmonic_raw(D, m):
-        poly = vs.zero
-        for exps, c in raw.items():
-            poly = poly + vs.from_exps("z", exps, c)
-        polys.append(poly)
-    return HarmonicBasis(D, m, tuple(polys))
+    polys = tuple(_raw_poly(vs, "z", raw) for raw in _harmonic_raw(D, m))
+    return HarmonicBasis(D, m, polys)
 
 
 def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace, family: str) -> Poly:
     """h_{m,sigma} written in ``family`` variables of an arbitrary workspace."""
-    poly = vs.zero
-    for exps, c in _harmonic_raw(D, m)[sigma - 1].items():
-        poly = poly + vs.from_exps(family, exps, c)
-    return poly
+    vs.check_var(family, D)
+    return _raw_poly(vs, family, _harmonic_raw(D, m)[sigma - 1])
 
 
 def _poly_raw_by_degree(p: Poly, family: str) -> dict:
@@ -262,10 +263,7 @@ def gauss_decompose(p: Poly, family: Optional[str] = None) -> list:
                 level[exps] = level.get(exps, Fraction(0)) + value * c
     out = []
     for j in sorted(levels):
-        poly = p.vs.zero
-        for exps, c in levels[j].items():
-            if c:
-                poly = poly + p.vs.from_exps(family, exps, c)
+        poly = _raw_poly(p.vs, family, levels[j])
         if poly:
             out.append((j, poly))
     return out

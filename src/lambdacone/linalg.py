@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals: RREF, kernels, inversion.
+"""Exact linear algebra over the rationals: RREF and kernels.
 
 Matrices are lists of lists of Fraction.  Everything is small (at most a few
 hundred rows) and exact, so plain fraction-free-ish Gauss-Jordan is enough.
@@ -31,11 +31,12 @@ def rref(matrix: list) -> tuple:
             continue
         matrix[row], matrix[pivot_row] = matrix[pivot_row], matrix[row]
         inv = Fraction(1) / matrix[row][col]
-        matrix[row] = [x * inv for x in matrix[row]]
+        matrix[row] = [x * inv if x else x for x in matrix[row]]
         for r in range(n_rows):
             if r != row and matrix[r][col]:
                 factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[row])]
+                matrix[r] = [a - factor * b if b else a
+                             for a, b in zip(matrix[r], matrix[row])]
         pivots.append(col)
         row += 1
         if row == n_rows:
@@ -48,32 +49,21 @@ def kernel_basis(matrix: list, n_cols: int) -> list:
 
     Each basis vector has a leading 1 at a distinct column and zeros at the
     leading columns of the other vectors; vectors are ordered by leading
-    column.  The input matrix is not modified.
+    column.  The input matrix is not modified.  Reducing with the columns
+    reversed makes the free columns the leftmost possible ones, and the vector
+    of free column f is nonzero only at f and at pivot columns right of f, so
+    one RREF gives the reduced echelon basis of the kernel.
     """
-    work = [list(row) for row in matrix]
+    work = [row[::-1] for row in matrix]
     pivots, _ = rref(work)
     pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
     vectors = []
-    for f in free:
+    for f in reversed(range(n_cols)):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * n_cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
             v[p] = -work[r][f]
-        vectors.append(v)
-    if not vectors:
-        return []
-    # Echelonize the kernel itself so leading entries sit as far left as
-    # possible with coefficient 1 (deterministic representatives).
-    pivots, rank = rref(vectors)
-    return vectors[:rank]
-
-
-def invert(matrix: list) -> list:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    n = len(matrix)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    pivots, rank = rref(work)
-    if rank != n or pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in work]
+        vectors.append(v[::-1])
+    return vectors

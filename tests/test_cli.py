@@ -180,6 +180,28 @@ def test_emit_harmonic_basis_content(tmp_path):
     assert polys[1] == [[[1, 1], ["1", "1"]]]
 
 
+# sha256 of the emitted bytes, pinned so that the canonical harmonic basis and
+# the iota coefficients cannot drift unseen.
+GOLDEN_EMITS = [
+    (["harmonic-basis", "--dim", "4", "--m", "8"],
+     "c5f9d1cfbf09e925b09f990e2bda1b4a339c71b30f1c3db36ed8403ee8319f3b"),
+    (["harmonic-basis", "--dim", "5", "--m", "6"],
+     "1f2d3e83b361bc3ee88c4f2f91c509b94628f7fcbea98b1ffdf78b8d3da6fe4f"),
+    (["iota-expansion", "--dim", "3", "--k", "2", "--window", "6"],
+     "b4ab8ccd5d67d0731d234892ae7fc52f0631633adca0c2925e1aa7046127b135"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_EMITS,
+                         ids=[" ".join(args) for args, _ in GOLDEN_EMITS])
+def test_emit_golden_digest(tmp_path, args, digest):
+    import hashlib
+
+    path = tmp_path / "emit.json"
+    assert run_cli("emit", *args, "--out", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_emit_bracket_h2_content(tmp_path):
     path = tmp_path / "h2.json"
     code, _, _ = run_cli("emit", "bracket", "H", "--dim", "2", "--out", str(path))

@@ -31,6 +31,7 @@ from lambdacone import (
     singular_part,
     wick_extract,
 )
+from lambdacone.cone import _decompose_raw
 from lambdacone.linalg import rref
 
 
@@ -131,6 +132,42 @@ def test_gauss_roundtrip_random():
             assert not pj.laplacian("z")
             rebuilt = rebuilt + (z2 ** j) * pj
         assert rebuilt == p
+
+
+def test_decompose_raw_edge_cases():
+    for D in (1, 2, 3):
+        for m in (0, 1, 4):
+            assert _decompose_raw(D, m, {}) == {}
+    assert _decompose_raw(3, 0, {(0, 0, 0): Fraction(5)}) == {(0, 0, 1): 5}
+    # Degree-1 harmonics are z1..zD in order, so z2 is sigma = 2.
+    assert _decompose_raw(3, 1, {(0, 1, 0): Fraction(2)}) == {(0, 1, 2): 2}
+    assert _decompose_raw(2, 1, {(1, 0): Fraction(3), (0, 1): Fraction(-1)}) == {
+        (0, 1, 1): 3, (0, 1, 2): -1,
+    }
+    # In one dimension z^4 = (z^2)^2 and there are no harmonics of degree > 1.
+    assert _decompose_raw(1, 4, {(4,): Fraction(1)}) == {(2, 0, 1): 1}
+    assert _decompose_raw(1, 5, {(5,): Fraction(3)}) == {(2, 1, 1): 3}
+
+
+def test_decompose_raw_roundtrip_by_ring_arithmetic():
+    rng = random.Random(77)
+    for D in range(1, 6):
+        vs = _zspace(D)
+        z2 = sum((vs.var("z", a) ** 2 for a in range(1, D + 1)), vs.zero)
+        for m in range(9 if D < 5 else 7):
+            monos = vs.monomials_of_degree("z", m)
+            raw = {e: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for e in rng.sample(monos, min(len(monos), 6))}
+            p = sum((vs.from_exps("z", e, c) for e, c in raw.items()), vs.zero)
+            pieces: dict = {}
+            for (j, d, sigma), value in _decompose_raw(D, m, raw).items():
+                assert 2 * j + d == m
+                pieces[j] = pieces.get(j, vs.zero) + harmonic_basis(D, d)[sigma - 1] * value
+            rebuilt = vs.zero
+            for j, pj in pieces.items():
+                assert not pj.laplacian("z")
+                rebuilt = rebuilt + z2 ** j * pj
+            assert rebuilt == p
 
 
 # ----------------------------------------------------------------------
