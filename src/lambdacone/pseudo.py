@@ -185,12 +185,9 @@ class LambdaPoly:
         out: dict = {}
         for k, poly in self.coords.items():
             for lam_mono, cofactor in poly.coefficients_in(("lam",)).items():
-                bucket = out.setdefault(lam_mono, {})
-                bucket[k] = bucket.get(k, self.vs.zero) + cofactor
+                out.setdefault(lam_mono, {})[k] = cofactor
         return {
-            mono: ModuleElement(self.vs, self.r, coords)
-            for mono, coords in out.items()
-            if any(coords.values())
+            mono: ModuleElement(self.vs, self.r, coords) for mono, coords in out.items()
         }
 
     def format(self, names=None) -> str:
@@ -432,6 +429,15 @@ def _shift_T_by(vs: VarSpace, family: str) -> dict:
     }
 
 
+def _neg_lam(vs: VarSpace) -> dict:
+    return {("T", a): -vs.var("lam", a) for a in range(1, vs.D + 1)}
+
+
+def _images(element: ModuleElement, assignment: dict) -> list:
+    """The (generator index, substituted coordinate) pairs of an element."""
+    return [(k, poly.subst(assignment)) for k, poly in element.coords.items()]
+
+
 def bracket_extend(table: BracketTable, x: ModuleElement, y: ModuleElement) -> LambdaPoly:
     """Bracket of arbitrary module elements via sesquilinearity.
 
@@ -441,15 +447,22 @@ def bracket_extend(table: BracketTable, x: ModuleElement, y: ModuleElement) -> L
     vs = table.vs
     if x.vs != vs or y.vs != vs or x.r != table.r or y.r != table.r:
         raise WorkspaceError("elements do not live over this bracket table")
-    neg_lam = {("T", a): -vs.var("lam", a) for a in range(1, vs.D + 1)}
-    shift = _shift_T_by(vs, "lam")
-    result = LambdaPoly.zero(vs, table.r)
-    for i, P in x.coords.items():
-        P_neg = P.subst(neg_lam)
-        for j, Q in y.coords.items():
-            factor = P_neg * Q.subst(shift)
-            result = result + table.entry(i, j).scale(factor)
-    return result
+    return _bracket_of_images(
+        table, _images(x, _neg_lam(vs)), _images(y, _shift_T_by(vs, "lam"))
+    )
+
+
+def _bracket_of_images(table: BracketTable, x_images: list, y_images: list) -> LambdaPoly:
+    """The bracket from the images P(-lam) of x and Q(T+lam) of y."""
+    coords: dict = {}
+    for i, P_neg in x_images:
+        for j, Q_shift in y_images:
+            factor = P_neg * Q_shift
+            for k, poly in table.entry(i, j).coords.items():
+                term = poly * factor
+                total = coords.get(k)
+                coords[k] = term if total is None else total + term
+    return LambdaPoly(table.vs, table.r, coords)
 
 
 def skew_check(table: BracketTable) -> CheckReport:
@@ -476,7 +489,8 @@ def jacobi_check(table: BracketTable) -> CheckReport:
     All three terms are assembled in C[T, lam, mu] by polynomial substitution:
     second-slot sesquilinearity shifts T by the outer bracket variable, and
     the first slot of the composed bracket evaluates its T-coefficients at
-    -(lam+mu).
+    -(lam+mu).  Each of the five substitutions is applied to every table
+    entry once per check, before the loop over generator triples.
     """
     vs = table.vs
     r = table.r
@@ -489,6 +503,18 @@ def jacobi_check(table: BracketTable) -> CheckReport:
     lam_plus_mu = {
         ("lam", a): vs.var("lam", a) + vs.var("mu", a) for a in range(1, vs.D + 1)
     }
+
+    def substituted(assignment):
+        return {
+            key: [(k, p.subst(assignment)) for k, p in entry.coords.items()]
+            for key, entry in table.entries.items()
+        }
+
+    inner_lam = substituted({**rename_mu, **shift_lam})
+    inner_mu = substituted(shift_mu)
+    outer_mu = substituted(rename_mu)
+    inner_sum = substituted(neg_numu)
+    outer_sum = substituted(lam_plus_mu)
     failures = []
     records = []
     for i in range(r):
@@ -500,20 +526,17 @@ def jacobi_check(table: BracketTable) -> CheckReport:
                     residual[l] = residual.get(l, vs.zero) + poly
 
                 # [a_i lam [a_j mu a_k]]
-                for kp, Q in table.entry(j, k).coords.items():
-                    factor = Q.subst({**rename_mu, **shift_lam})
+                for kp, factor in inner_lam[(j, k)]:
                     for l, pol in table.entry(i, kp).coords.items():
                         bump(l, factor * pol)
                 # - [a_j mu [a_i lam a_k]]
-                for kp, P in table.entry(i, k).coords.items():
-                    factor = P.subst(shift_mu)
-                    for l, pol in table.entry(j, kp).coords.items():
-                        bump(l, -factor * pol.subst(rename_mu))
+                for kp, factor in inner_mu[(i, k)]:
+                    for l, pol in outer_mu[(j, kp)]:
+                        bump(l, -factor * pol)
                 # - [[a_i lam a_j]_(lam+mu) a_k]
-                for kp, R in table.entry(i, j).coords.items():
-                    factor = R.subst(neg_numu)
-                    for l, pol in table.entry(kp, k).coords.items():
-                        bump(l, -factor * pol.subst(lam_plus_mu))
+                for kp, factor in inner_sum[(i, j)]:
+                    for l, pol in outer_sum[(kp, k)]:
+                        bump(l, -factor * pol)
 
                 gi, gj, gk = (table.generators[t] for t in (i, j, k))
                 label = f"({gi},{gj},{gk})"
@@ -588,16 +611,25 @@ def sd_divergence(table: BracketTable, x: ModuleElement, chi: ChiVector) -> Poly
         raise ValueError("divergence is defined on the W(D) presentation")
     if len(chi) != D:
         raise ValueError(f"chi must have length {D}")
-    vs = table.vs
-    total = vs.zero
-    for a in range(D):
-        P = x.coords.get(a, vs.zero)
-        total = total + P * (vs.var("T", a + 1) + vs.const(chi[a]))
+    return _divergence(x, _symbol_factors(table.vs, chi))
+
+
+def _symbol_factors(vs: VarSpace, chi: ChiVector) -> list:
+    """The factors T_a + chi_a of the divergence symbol, a = 1..D."""
+    return [vs.var("T", a + 1) + vs.const(chi[a]) for a in range(vs.D)]
+
+
+def _divergence(x: ModuleElement, factors: list) -> Poly:
+    total = x.vs.zero
+    for a, P in x.coords.items():
+        total = total + P * factors[a]
     return total
 
 
 def sd_basis(D: int, chi: ChiVector, degmax: int) -> list:
     """Canonical basis of divergence-free elements of T-degree <= degmax."""
+    if len(chi) != D:
+        raise ValueError(f"chi must have length {D}")
     table = build_wd(D)
     vs = table.vs
     monos = []
@@ -632,21 +664,28 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     """Check that brackets of divergence-free elements stay divergence-free.
 
     Every lam-coefficient of every pairwise bracket of basis elements of
-    T-degree <= degmax must have zero divergence.
+    T-degree <= degmax must have zero divergence.  Both sesquilinear images
+    of each basis element, P(-lam) and Q(T+lam), are substituted once per
+    check, not once per pair.
     """
     if degmax < 1:
         raise ValueError("degmax must be >= 1")
     table = build_wd(D)
+    vs = table.vs
     basis = sd_basis(D, chi, degmax)
+    neg_lam, shift = _neg_lam(vs), _shift_T_by(vs, "lam")
+    factors = _symbol_factors(vs, chi)
+    firsts = [_images(x, neg_lam) for x in basis]
+    seconds = [_images(y, shift) for y in basis]
     failures = []
     records = []
-    for i, x in enumerate(basis):
-        for j, y in enumerate(basis):
+    for i, x_images in enumerate(firsts):
+        for j, y_images in enumerate(seconds):
             label = f"pair ({i},{j})"
-            bracket = bracket_extend(table, x, y)
+            bracket = _bracket_of_images(table, x_images, y_images)
             ok = True
             for lam_mono, element in bracket.lambda_terms().items():
-                div = sd_divergence(table, element, chi)
+                div = _divergence(element, factors)
                 if div:
                     ok = False
                     failures.append(

@@ -2,16 +2,26 @@
 
 Variables come in named *families* (T, lam, mu, nu, z, w, u), each of arity D,
 so a variable is a pair ``(family, index)`` with ``1 <= index <= D``.  A
-monomial is a sorted tuple of ``((family, index), exponent)`` pairs with no
-zero exponents; a polynomial maps monomials to ``Fraction`` coefficients with
-no zero coefficients stored.  Everything is immutable and hashable, and
-equality is exact term-map equality, so "symbolic zero" is a hard assertion.
+monomial is a tuple of ``((family, index), exponent)`` pairs, sorted by
+(family order, index), with no zero exponents; a polynomial maps monomials to
+coefficients that are nonzero ``Fraction`` values.  Everything is immutable and
+hashable, and equality is exact term-map equality, so "symbolic zero" is a
+hard assertion.
+
+The public constructor ``Poly(vs, terms)`` coerces every coefficient to
+``Fraction`` and drops zeros.  The arithmetic inside this module builds its
+results with ``Poly._trusted(vs, terms)`` instead, which wraps the dict as it
+is: a caller of ``_trusted`` guarantees sorted monomials and nonzero
+``Fraction`` coefficients, and hands the dict over (it is never copied or
+written again).  ``VarSpace.var`` returns one shared instance per variable;
+that is safe because nothing writes to a polynomial after it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
 
@@ -25,9 +35,20 @@ Monomial = tuple  # sorted tuple of (Var, exponent) pairs, exponents > 0
 _FAMILY_POS = {name: pos for pos, name in enumerate(FAMILIES)}
 
 
-def _var_key(var: Var) -> tuple:
-    family, index = var
-    return (_FAMILY_POS[family], index)
+class _VarKeys(dict):
+    """Sort key (family position, index) of each variable, filled on demand."""
+
+    def __missing__(self, var: Var) -> tuple:
+        family, index = var
+        key = self[var] = (_FAMILY_POS[family], index)
+        return key
+
+
+_VAR_KEYS = _VarKeys()
+
+
+def _item_key(item) -> tuple:
+    return _VAR_KEYS[item[0]]
 
 
 def mono_degree(mono: Monomial) -> int:
@@ -39,15 +60,21 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
+    keys = _VAR_KEYS
+    # Disjoint, ordered variable ranges (a T part times a lam part) concatenate.
+    if keys[a[-1][0]] < keys[b[0][0]]:
+        return a + b
+    if keys[b[-1][0]] < keys[a[0][0]]:
+        return b + a
     exps: dict = dict(a)
     for var, e in b:
         exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items(), key=lambda item: _var_key(item[0])))
+    return tuple(sorted(exps.items(), key=_item_key))
 
 
 def mono_sort_key(mono: Monomial) -> tuple:
     # Graded, then lexicographic in (family order, index); deterministic.
-    return (mono_degree(mono), tuple((_var_key(v), -e) for v, e in mono))
+    return (mono_degree(mono), tuple((_VAR_KEYS[v], -e) for v, e in mono))
 
 
 def _mono_str(mono: Monomial) -> str:
@@ -87,18 +114,15 @@ class VarSpace:
             raise WorkspaceError(f"index {index} out of range 1..{self.D}")
 
     def var(self, family: str, index: int) -> "Poly":
-        self.check_var(family, index)
-        return Poly(self, {(((family, index), 1),): Fraction(1)})
+        return _var(self, family, index)
 
     def const(self, value) -> "Poly":
         c = Fraction(value)
-        if c == 0:
-            return Poly(self, {})
-        return Poly(self, {(): c})
+        return Poly._trusted(self, {(): c} if c else {})
 
     @property
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return Poly._trusted(self, {})
 
     @property
     def one(self) -> "Poly":
@@ -113,11 +137,11 @@ class VarSpace:
                 raise ValueError("negative exponent")
             if e:
                 mono.append(((family, index), e))
-        mono.sort(key=lambda item: _var_key(item[0]))
+        mono.sort(key=_item_key)
         c = Fraction(coeff)
         if c == 0:
             return self.zero
-        return Poly(self, {tuple(mono): c})
+        return Poly._trusted(self, {tuple(mono): c})
 
     def monomials_of_degree(self, family: str, degree: int) -> list:
         """All degree-``degree`` monomials in one family, as dense exponent tuples."""
@@ -155,11 +179,20 @@ class Poly:
         self.terms = clean
         self._hash = None
 
+    @classmethod
+    def _trusted(cls, vs: VarSpace, terms: dict) -> "Poly":
+        """Wrap ``terms`` as is: sorted monomials, nonzero ``Fraction`` values."""
+        poly = object.__new__(cls)
+        poly.vs = vs
+        poly.terms = terms
+        poly._hash = None
+        return poly
+
     # -- ring structure -------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.vs != self.vs:
+            if other.vs is not self.vs and other.vs != self.vs:
                 raise WorkspaceError("polynomials live in different workspaces")
             return other
         if isinstance(other, (int, Fraction)):
@@ -172,13 +205,21 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(self.vs, out)
+            total = out.get(mono)
+            if total is None:
+                out[mono] = coeff
+            else:
+                total += coeff
+                if total:
+                    out[mono] = total
+                else:
+                    del out[mono]
+        return Poly._trusted(self.vs, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vs, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.vs, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -197,8 +238,9 @@ class Poly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Poly(self.vs, out)
+                total = out.get(m)
+                out[m] = ca * cb if total is None else total + ca * cb
+        return Poly._trusted(self.vs, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -222,12 +264,17 @@ class Poly:
             other = self.vs.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vs == other.vs and self.terms == other.terms
+        return (self.vs is other.vs or self.vs == other.vs) and self.terms == other.terms
 
     def __hash__(self):
+        # A constant hashes as its value, since it compares equal to it.
         if self._hash is None:
-            items = tuple(sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0])))
-            self._hash = hash((self.vs, items))
+            terms = self.terms
+            if not terms or (len(terms) == 1 and () in terms):
+                self._hash = hash(terms.get((), 0))
+            else:
+                items = tuple(sorted(terms.items(), key=lambda kv: mono_sort_key(kv[0])))
+                self._hash = hash((self.vs, items))
         return self._hash
 
     # -- calculus --------------------------------------------------------
@@ -236,19 +283,16 @@ class Poly:
         """Formal partial derivative with respect to one variable."""
         self.vs.check_var(family, index)
         var = (family, index)
+        # Lowering one exponent is injective on the monomials that contain
+        # var, so no two terms meet and no coefficient cancels.
         out: dict = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            e = exps.get(var, 0)
-            if not e:
-                continue
-            if e == 1:
-                del exps[var]
-            else:
-                exps[var] = e - 1
-            m = tuple(sorted(exps.items(), key=lambda item: _var_key(item[0])))
-            out[m] = out.get(m, Fraction(0)) + coeff * e
-        return Poly(self.vs, out)
+            for pos, (v, e) in enumerate(mono):
+                if v == var:
+                    lowered = ((var, e - 1),) if e > 1 else ()
+                    out[mono[:pos] + lowered + mono[pos + 1:]] = coeff * e
+                    break
+        return Poly._trusted(self.vs, out)
 
     def laplacian(self, family: str) -> "Poly":
         """Sum of second partials over all D indices of one family."""
@@ -263,36 +307,40 @@ class Poly:
         Keys are ``(family, index)`` pairs, values are polynomials over the
         same workspace (or ints/Fractions).
         """
+        vs = self.vs
         images = {}
         for var, value in assignment.items():
-            self.vs.check_var(*var)
+            vs.check_var(*var)
             if not isinstance(value, Poly):
-                value = self.vs.const(value)
-            elif value.vs != self.vs:
+                value = vs.const(value)
+            elif value.vs != vs:
                 raise WorkspaceError("substitution image in a different workspace")
             images[var] = value
-        result = self.vs.zero
-        powers: dict = {}
+        # Each monomial splits into a substituted part, whose image is
+        # computed once per call, and a kept part that multiplies it.
+        part_images: dict = {}
+        out: dict = {}
         for mono, coeff in self.terms.items():
-            term = self.vs.const(coeff)
-            for var, e in mono:
-                if var in images:
-                    key = (var, e)
-                    if key not in powers:
-                        powers[key] = images[var] ** e
-                    factor = powers[key]
-                else:
-                    factor = Poly(self.vs, {((var, e),): Fraction(1)})
-                term = term * factor
-            result = result + term
-        return result
+            part = tuple(item for item in mono if item[0] in images)
+            kept = tuple(item for item in mono if item[0] not in images) if part else mono
+            image = part_images.get(part)
+            if image is None:
+                image = vs.one
+                for var, e in part:
+                    image = image * images[var] ** e
+                image = part_images[part] = image.terms
+            for m, c in image.items():
+                m = mono_mul(kept, m)
+                total = out.get(m)
+                out[m] = coeff * c if total is None else total + coeff * c
+        return Poly._trusted(vs, {m: c for m, c in out.items() if c})
 
     def reinterpret(self, vs: VarSpace) -> "Poly":
         """The same exponent data read in a (larger) workspace."""
         for mono in self.terms:
             for (family, index), _ in mono:
                 vs.check_var(family, index)
-        return Poly(vs, dict(self.terms))
+        return Poly._trusted(vs, dict(self.terms))
 
     # -- structure queries ------------------------------------------------
 
@@ -330,9 +378,9 @@ class Poly:
         for mono, coeff in self.terms.items():
             inside = tuple((v, e) for v, e in mono if v[0] in wanted)
             outside = tuple((v, e) for v, e in mono if v[0] not in wanted)
-            bucket = out.setdefault(inside, {})
-            bucket[outside] = bucket.get(outside, Fraction(0)) + coeff
-        return {key: Poly(self.vs, terms) for key, terms in out.items()}
+            # (inside, outside) determines the monomial, so nothing cancels.
+            out.setdefault(inside, {})[outside] = coeff
+        return {key: Poly._trusted(self.vs, terms) for key, terms in out.items()}
 
     def dense_exps(self, family: str) -> dict:
         """Map monomial -> dense exponent tuple of ``family`` (single-family polys)."""
@@ -371,3 +419,10 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+@lru_cache(maxsize=None)
+def _var(vs: VarSpace, family: str, index: int) -> Poly:
+    # lru_cache stores no exception, so a bad variable raises on every call.
+    vs.check_var(family, index)
+    return Poly._trusted(vs, {(((family, index), 1),): Fraction(1)})

@@ -9,6 +9,7 @@ of lam and mu.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from lambdacone import (
     sd_divergence,
     skew_check,
 )
+from lambdacone.cli import main as cli_main
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +211,18 @@ def test_bracket_extend_workspace_mismatch():
     with pytest.raises(WorkspaceError):
         bracket_extend(build_wd(2), build_wd(3).generator_element(0),
                        build_wd(2).generator_element(0))
+    # Same workspace, another rank: Cur(sl2) has three generators, W(2) two.
+    with pytest.raises(WorkspaceError):
+        bracket_extend(build_wd(2), build_wd(2).generator_element(0),
+                       build_cur(LieStructure.sl2(), 2).generator_element(0))
+
+
+def test_module_element_rejects_lambda_coordinates():
+    vs = pseudo_space(2)
+    with pytest.raises(WorkspaceError):
+        ModuleElement(vs, 2, {0: vs.var("T", 1) * vs.var("lam", 2)})
+    with pytest.raises(WorkspaceError):
+        ModuleElement(vs, 2, {1: pseudo_space(3).var("T", 1)})
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +320,18 @@ def test_sd_divergence_values():
 def test_sd_divergence_requires_wd():
     with pytest.raises(ValueError):
         sd_divergence(build_hd(2), build_hd(2).generator_element(0), ChiVector.zero(2))
+    table = build_wd(2)
+    with pytest.raises(ValueError):
+        sd_divergence(table, table.generator_element(0), ChiVector.zero(3))
+
+
+def test_sd_basis_and_closure_reject_chi_of_wrong_length():
+    # Checked up front, even where the basis is empty (D = 1, degmax = 1).
+    for D, degmax in ((1, 1), (2, 2)):
+        with pytest.raises(ValueError):
+            sd_basis(D, ChiVector.zero(D + 1), degmax)
+        with pytest.raises(ValueError):
+            sd_closure_check(D, ChiVector.zero(D + 1), degmax)
 
 
 def test_sd_basis_members_are_divergence_free():
@@ -401,3 +427,114 @@ def test_current_extend_preserves_axioms():
         assert skew_check(extended).passed == skew_check(table).passed
         assert jacobi_check(extended).passed == jacobi_check(table).passed
     assert jacobi_check(current_extend(build_hd(2), 3)).passed
+
+
+# ----------------------------------------------------------------------
+# golden digests: verdicts, witnesses and records cannot drift unseen
+# ----------------------------------------------------------------------
+
+def _report_digest(report):
+    failures = tuple((f.label, f.witness) for f in report.failures)
+    text = repr((report.checked, report.records, failures, report.detail))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _mutated_w3():
+    """W(3) with the T1 coefficient of [L1 lam L2] changed from 1 to 3."""
+    table = build_wd(3)
+    vs = table.vs
+    entry = table.entry(0, 1)
+    coords = dict(entry.coords)
+    coords[1] = coords[1] + 2 * vs.var("T", 1)
+    entries = dict(table.entries)
+    entries[(0, 1)] = LambdaPoly(vs, 3, coords)
+    return BracketTable(3, table.generators, entries)
+
+
+_GOLDEN_TABLES = {
+    "W1": lambda: build_wd(1),
+    "W2": lambda: build_wd(2),
+    "W3": lambda: build_wd(3),
+    "W4": lambda: build_wd(4),
+    "Cur(sl2),D=2": lambda: build_cur(LieStructure.sl2(), 2),
+    "H2": lambda: build_hd(2),
+    "H4": lambda: build_hd(4),
+    "W3 mutated": _mutated_w3,
+}
+
+# sha256 of (checked, records, (label, witness) failures, detail) per report.
+GOLDEN_REPORTS = {
+    ("closure", 2, 3, "zero"):
+        "7a335b123d3ec221f9a18a527fc467edf3538af39168f1baa0e02134f9d3c9cd",
+    ("closure", 2, 3, "e1"):
+        "73745067ba1b843d7f93048f9e57c92d5b729b9429c4db165f58eac1cd35a924",
+    ("closure", 3, 2, "zero"):
+        "ad87f7500ba462ed829c05c2b9ce29f188fec8ff205cab4a3e55f6f4f54dbae1",
+    ("closure", 3, 2, "e1"):
+        "06b4ada04292df3d89c002b85ea5c9120b71d854379460a6d333bf0482f768a9",
+    ("skew", "W1"):
+        "db83153257ad39572b17ff09670928c9674affe91e957fe73d120c7694f7e703",
+    ("jacobi", "W1"):
+        "a40c22aa3ac581f066d19b4f22a91881b59be295c47d4d9be20c0084fb59aebd",
+    ("skew", "W2"):
+        "1af8131a90a47c7fed18a2c601cf4f817908afc1e8cfe061899edba8f8f48432",
+    ("jacobi", "W2"):
+        "63435bb669cf37373e3e7a21d46e831e9f30baf06648f1d72e99717daac85d28",
+    ("skew", "W3"):
+        "040a372e2aa43d4e178596748e8e0f1b5a32be06d498edb516ce257b7fb87df8",
+    ("jacobi", "W3"):
+        "0c90a3c986bfeb5f6241dacf3ca1232381f92f2f48ce79a14e0c30765b5e5cf2",
+    ("skew", "W4"):
+        "25be35c9db5f5afa6e40632a26eb7d2f6348469fcba21188e19f5d46ea7432db",
+    ("jacobi", "W4"):
+        "a931a56bef954dbbdd42eb8b6612779d6f216eb69d148366330effbe326a79e0",
+    ("skew", "Cur(sl2),D=2"):
+        "5114ffe880423f664ff77880977e59afe6e6bcce1ccc50a796e5a20214ec0c59",
+    ("jacobi", "Cur(sl2),D=2"):
+        "64bc06cfeb763c6919246e904a9d9d16dfa765ee7b8563cc4b6ed08bb227718b",
+    ("skew", "H2"):
+        "54b9ce21b9b8d2e219498001a5a3ba7eeeaeb5ba68c07af5cd1d37a3a26d2dc5",
+    ("jacobi", "H2"):
+        "804f6a5fb0f5f42915d83c3f0e0d45cc7d29a31a6ab9344d8d7a9eae9f3b803e",
+    ("skew", "H4"):
+        "54b9ce21b9b8d2e219498001a5a3ba7eeeaeb5ba68c07af5cd1d37a3a26d2dc5",
+    ("jacobi", "H4"):
+        "804f6a5fb0f5f42915d83c3f0e0d45cc7d29a31a6ab9344d8d7a9eae9f3b803e",
+    ("skew", "W3 mutated"):
+        "2927df4b986723e58d92ef06f37d3650c4da04460d7b27771daed2186d147ac5",
+    ("jacobi", "W3 mutated"):
+        "68544db4dc2e31fa097532a774b401d2a3948bec8eeffb01870f93cc5f353ec6",
+}
+
+
+def _golden_report(case):
+    if case[0] == "closure":
+        _, D, degmax, chi = case
+        chi_vector = ChiVector.zero(D) if chi == "zero" else ChiVector.unit(D, 1)
+        return sd_closure_check(D, chi_vector, degmax)
+    check = {"skew": skew_check, "jacobi": jacobi_check}[case[0]]
+    return check(_GOLDEN_TABLES[case[1]]())
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_REPORTS), ids=lambda case: "-".join(map(str, case)))
+def test_report_golden_digest(case):
+    assert _report_digest(_golden_report(case)) == GOLDEN_REPORTS[case]
+
+
+def test_mutated_w3_fails_with_witnesses():
+    skew, jacobi = skew_check(_mutated_w3()), jacobi_check(_mutated_w3())
+    assert {f.label for f in skew.failures} == {"(L1,L2)", "(L2,L1)"}
+    assert not jacobi.passed
+    assert all(f.witness for f in skew.failures + jacobi.failures)
+
+
+# sha256 of the file written by `lambdacone builtin S --dim 3 --chi=1/2,0,-3`.
+GOLDEN_BUILTIN_S = (
+    "aabe4f88149472a3af15df6c7fafe377b0c3a4c6f12848ab2e1273c5e7bc97a6"
+)
+
+
+def test_builtin_s_file_golden_digest(tmp_path):
+    path = tmp_path / "s3.json"
+    assert cli_main(["builtin", "S", "--dim", "3", "--chi=1/2,0,-3", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BUILTIN_S

@@ -150,3 +150,62 @@ def test_pow_matches_repeated_mul(vs):
     p = vs.var("T", 1) - 2 * vs.var("lam", 1)
     assert p ** 0 == vs.one
     assert p ** 3 == p * p * p
+
+
+def test_constant_hash_matches_its_value(vs):
+    assert vs.const(3) == 3
+    assert hash(vs.const(3)) == hash(3)
+    assert len({vs.const(3), 3}) == 1
+    assert hash(vs.zero) == hash(0)
+    assert len({vs.zero, 0}) == 1
+    half = Fraction(1, 2)
+    assert len({vs.const(half), half}) == 1
+    assert hash(vs.var("T", 1) - vs.var("T", 1)) == hash(vs.zero)
+
+
+def test_bad_variable_raises_on_every_call():
+    vs = VarSpace(2)
+    for family, index in (("x", 1), ("T", 3)):
+        for _ in range(2):
+            with pytest.raises(WorkspaceError):
+                vs.var(family, index)
+    assert vs.var("T", 2) is vs.var("T", 2)
+
+
+def _assert_stored_canonically(p):
+    """Monomials sorted without zero exponents, coefficients nonzero Fractions."""
+    order = {name: pos for pos, name in enumerate(p.vs.families)}
+    for mono, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert all(e > 0 for _, e in mono)
+        keys = [(order[fam], index) for (fam, index), _ in mono]
+        assert keys == sorted(set(keys))
+    assert p.terms == Poly(p.vs, dict(p.terms)).terms
+
+
+def test_results_store_only_nonzero_fractions():
+    vs = VarSpace(2, ("T", "lam", "mu"))
+    t1, l1 = vs.var("T", 1), vs.var("lam", 1)
+    zeros = [
+        t1 - t1,
+        (t1 + l1) * (t1 - l1) + l1 ** 2 - t1 ** 2,
+        (t1 + l1).subst({("T", 1): -l1}),
+        (t1 ** 2 - l1).diff("lam", 2),
+    ]
+    assert not any(p.terms for p in zeros)
+    rng = random.Random(314159)
+    assignment = {
+        ("T", 1): -vs.var("lam", 1) - vs.var("mu", 1),
+        ("lam", 2): vs.var("lam", 2) + vs.var("mu", 2),
+        ("mu", 1): vs.const(Fraction(-3, 2)),
+    }
+    results = zeros + [(t1 + l1) + (-t1)]
+    for _ in range(40):
+        p, q = _random_poly(rng, vs), _random_poly(rng, vs)
+        results += [p + q, p - q, q - p, -p, p - p, p * q, p ** 2, p ** 0]
+        results += [p.subst(assignment), (p - q).subst({("T", 1): vs.var("T", 1)})]
+        results += [p.diff("T", 1), p.diff("mu", 2), p.laplacian("lam")]
+        results += list(p.coefficients_in(("lam",)).values())
+        results += list((p * q - q * p + p).coefficients_in(("T", "mu")).values())
+    for p in results:
+        _assert_stored_canonically(p)
