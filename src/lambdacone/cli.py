@@ -130,7 +130,10 @@ def run_checks(loaded: LoadedAlgebra, axioms, args) -> tuple:
             if obj != build_wd(obj.D):
                 raise CliError("the closure axiom applies to the W(D) presentation only")
             chi = _parse_chi(args.chi, obj.D) if args.chi else (loaded.chi or ChiVector.zero(obj.D))
-            report = sd_closure_check(obj.D, chi, args.degmax)
+            try:
+                report = sd_closure_check(obj.D, chi, args.degmax)
+            except ValueError as exc:
+                raise CliError(str(exc)) from None
         elif axiom == "vla-skew":
             report = skew_check_vla(obj, args.window)
         elif axiom in ("vla-jacobi", "borcherds"):

@@ -619,7 +619,7 @@ def _symbol_factors(vs: VarSpace, chi: ChiVector) -> list:
     return [vs.var("T", a + 1) + vs.const(chi[a]) for a in range(vs.D)]
 
 
-def _divergence(x: ModuleElement, factors: list) -> Poly:
+def _divergence(x: ModuleElement | LambdaPoly, factors: list) -> Poly:
     total = x.vs.zero
     for a, P in x.coords.items():
         total = total + P * factors[a]
@@ -664,9 +664,21 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     """Check that brackets of divergence-free elements stay divergence-free.
 
     Every lam-coefficient of every pairwise bracket of basis elements of
-    T-degree <= degmax must have zero divergence.  Both sesquilinear images
-    of each basis element, P(-lam) and Q(T+lam), are substituted once per
-    check, not once per pair.
+    T-degree <= degmax must have zero divergence.  The factors T_k + chi_k
+    of the divergence contain no lam, so for x = sum_a P_a L^a and
+    y = sum_b Q_b L^b the divergences of the lam-coefficients of [x lam y]
+    are the lam-coefficients of
+
+        R = sum_{a,b} P_a(-lam) Q_b(T+lam) E_ab,
+        E_ab = sum_k [L^a lam L^b]_k (T_k + chi_k).
+
+    The change of variables T -> T - lam is a ring automorphism of
+    C[T, lam], so R = 0 exactly when S = sum_b Q_b(T) A_{x,b} = 0 with
+    A_{x,b} = sum_a P_a(-lam) E_ab(T - lam, lam).  The D^2 entries E_ab are
+    substituted once per check and each A_{x,b} is built once per basis
+    element, so a pair costs at most D products against its unshifted
+    Q_b(T).  The witnesses of a failing pair come from its bracket, one per
+    lam-monomial whose coefficient has nonzero divergence.
     """
     if degmax < 1:
         raise ValueError("degmax must be >= 1")
@@ -674,23 +686,40 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     vs = table.vs
     basis = sd_basis(D, chi, degmax)
     neg_lam, shift = _neg_lam(vs), _shift_T_by(vs, "lam")
+    unshift = {("T", a): vs.var("T", a) - vs.var("lam", a) for a in range(1, D + 1)}
     factors = _symbol_factors(vs, chi)
+    # E_ab(T - lam, lam): the composed divergence of [L^a lam L^b].
+    composed = {
+        key: _divergence(entry, factors).subst(unshift)
+        for key, entry in table.entries.items()
+    }
     firsts = [_images(x, neg_lam) for x in basis]
-    seconds = [_images(y, shift) for y in basis]
+    # A_{x,b} for every basis element x and every generator b.
+    partials = []
+    for x_images in firsts:
+        row = []
+        for b in range(D):
+            total = vs.zero
+            for a, P_neg in x_images:
+                total = total + P_neg * composed[(a, b)]
+            row.append(total)
+        partials.append(row)
     failures = []
     records = []
-    for i, x_images in enumerate(firsts):
-        for j, y_images in enumerate(seconds):
+    for i, row in enumerate(partials):
+        for j, y in enumerate(basis):
             label = f"pair ({i},{j})"
-            bracket = _bracket_of_images(table, x_images, y_images)
-            ok = True
-            for lam_mono, element in bracket.lambda_terms().items():
-                div = _divergence(element, factors)
-                if div:
-                    ok = False
-                    failures.append(
-                        Failure(f"{label} at lam-monomial {_mono_str(lam_mono)}", str(div))
-                    )
-            records.append((label, ok))
+            total = vs.zero
+            for b, Q in y.coords.items():
+                total = total + Q * row[b]
+            records.append((label, not total))
+            if total:
+                bracket = _bracket_of_images(table, firsts[i], _images(y, shift))
+                for lam_mono, element in bracket.lambda_terms().items():
+                    div = _divergence(element, factors)
+                    if div:
+                        failures.append(
+                            Failure(f"{label} at lam-monomial {_mono_str(lam_mono)}", str(div))
+                        )
     detail = f"D={D}, chi={[str(v) for v in chi.values]}, degmax={degmax}, basis={len(basis)}"
     return CheckReport("closure", len(records), tuple(failures), detail, tuple(records))

@@ -259,18 +259,25 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    def _is_constant(self) -> bool:
+        terms = self.terms
+        return not terms or (len(terms) == 1 and () in terms)
+
     def __eq__(self, other) -> bool:
+        if isinstance(other, Poly):
+            if self.vs is other.vs or self.vs == other.vs:
+                return self.terms == other.terms
+            # Constants compare by value in any workspace, as they hash.
+            return self.terms == other.terms and self._is_constant()
         if isinstance(other, (int, Fraction)):
-            other = self.vs.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return (self.vs is other.vs or self.vs == other.vs) and self.terms == other.terms
+            return self.terms == self.vs.const(other).terms
+        return NotImplemented
 
     def __hash__(self):
         # A constant hashes as its value, since it compares equal to it.
         if self._hash is None:
             terms = self.terms
-            if not terms or (len(terms) == 1 and () in terms):
+            if self._is_constant():
                 self._hash = hash(terms.get((), 0))
             else:
                 items = tuple(sorted(terms.items(), key=lambda kv: mono_sort_key(kv[0])))

@@ -88,6 +88,16 @@ def test_closure_axiom_via_cli():
     assert "closure: pass" in out
 
 
+@pytest.mark.parametrize("degmax", ["0", "-1"])
+def test_closure_degmax_below_one_is_a_usage_error(degmax):
+    code, _, err = run_cli(
+        "check", "S", "--dim", "2", "--axioms", "closure", "--degmax", degmax
+    )
+    assert code == 2
+    assert "error: degmax must be >= 1" in err
+    assert "Traceback" not in err
+
+
 def test_vla_axioms_via_cli(tmp_path):
     path = tmp_path / "w1.json"
     path.write_text(serialize_vla(d1_bridge(build_wd(1))))

@@ -34,6 +34,7 @@ from lambdacone import (
     sd_divergence,
     skew_check,
 )
+from lambdacone import pseudo
 from lambdacone.cli import main as cli_main
 
 
@@ -389,6 +390,52 @@ def test_closure_all_unit_vectors_and_rational_chi():
             assert sd_closure_check(D, ChiVector.unit(D, alpha), 2).passed
     half = ChiVector((Fraction(1, 2), Fraction(-3)))
     assert sd_closure_check(2, half, 2).passed
+
+
+@pytest.mark.parametrize("chi", [ChiVector.zero(4), ChiVector.unit(4, 2)], ids=["0", "e2"])
+def test_closure_d4_degmax3(chi):
+    report = sd_closure_check(4, chi, 3)
+    assert report.passed
+    assert report.checked == 5041
+    assert report.detail.endswith("basis=71")
+
+
+# Broken data for the closure check: the S(D, chi) basis plus the element
+# (T1*T2 + 3) L1 + T2 L2, whose divergence is not zero.  Expected failure
+# counts and sha256 of (records, (label, witness) failures) per case.
+BROKEN_CLOSURE = {
+    (2, (0, 0), 2):
+        (73, "24b12ea96a552b0d7565882b29d0d9296fb7a23e23df465466a2e7fafb0be969"),
+    (3, (1, 0, 0), 2):
+        (333, "ac4ac7c5578f53afb471b3f7db8e2b47fe5c2fbb27430dbe92afecbdf5c34b1d"),
+    (2, (Fraction(1, 3), -2), 3):
+        (210, "dd37be50658a4648074f230555de8dd197c13d17f2cc3047a1b31e7e0d85e4d2"),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(BROKEN_CLOSURE),
+    ids=lambda case: f"D{case[0]}-chi{','.join(map(str, case[1]))}-degmax{case[2]}",
+)
+def test_closure_fails_with_witnesses_on_broken_basis(case, monkeypatch):
+    D, chi, degmax = case
+    sd_basis_of = pseudo.sd_basis
+
+    def broken_basis(D, chi, degmax):
+        vs = pseudo_space(D)
+        T1, T2 = vs.var("T", 1), vs.var("T", 2)
+        bad = ModuleElement(vs, D, {0: T1 * T2 + 3, 1: T2})
+        return sd_basis_of(D, chi, degmax) + [bad]
+
+    monkeypatch.setattr(pseudo, "sd_basis", broken_basis)
+    report = sd_closure_check(D, ChiVector(chi), degmax)
+    count, digest = BROKEN_CLOSURE[case]
+    assert not report.passed
+    assert len(report.failures) == count
+    assert all(f.witness for f in report.failures)
+    failures = tuple((f.label, f.witness) for f in report.failures)
+    text = repr((report.records, failures))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

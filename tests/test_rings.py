@@ -163,6 +163,17 @@ def test_constant_hash_matches_its_value(vs):
     assert hash(vs.var("T", 1) - vs.var("T", 1)) == hash(vs.zero)
 
 
+def test_constant_equality_is_transitive_across_workspaces():
+    a, b = VarSpace(2).const(3), VarSpace(3).const(3)
+    assert a == 3
+    assert 3 == b
+    assert a == b
+    assert len({3, a, b}) == len({a, b, 3}) == 1
+    assert VarSpace(2).zero == VarSpace(3).zero
+    assert VarSpace(2).const(3) != VarSpace(3).const(4)
+    assert VarSpace(2).var("T", 1) != VarSpace(3).var("T", 1)
+
+
 def test_bad_variable_raises_on_every_call():
     vs = VarSpace(2)
     for family, index in (("x", 1), ("T", 3)):
