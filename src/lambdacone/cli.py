@@ -135,7 +135,10 @@ def run_checks(loaded: LoadedAlgebra, axioms, args) -> tuple:
             except ValueError as exc:
                 raise CliError(str(exc)) from None
         elif axiom == "vla-skew":
-            report = skew_check_vla(obj, args.window)
+            try:
+                report = skew_check_vla(obj, args.window)
+            except ValueError as exc:
+                raise CliError(str(exc)) from None
         elif axiom in ("vla-jacobi", "borcherds"):
             L = args.L if args.L is not None else obj.max_pole()
             try:

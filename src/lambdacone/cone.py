@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
@@ -218,6 +218,7 @@ def _raw_poly(vs: VarSpace, family: str, raw: dict) -> Poly:
 
 
 def harmonic_basis(D: int, m: int) -> HarmonicBasis:
+    h_dim(D, m)  # rejects D < 1 and m < 0
     vs = _z_space(D)
     polys = tuple(_raw_poly(vs, "z", raw) for raw in _harmonic_raw(D, m))
     return HarmonicBasis(D, m, polys)
@@ -352,14 +353,16 @@ class ConeSeries:
     __slots__ = ("D", "var", "coeffs", "window")
 
     def __init__(self, D: int, var: str, coeffs: Mapping, window: Window = FULL_WINDOW):
-        clean = {}
-        for mode, coeff in coeffs.items():
+        for mode in coeffs:
             _validate_mode(D, mode)
-            if coeff and window.contains(mode[0], mode[1]):
-                clean[mode] = coeff
+        self._fill(D, var, coeffs, window)
+
+    def _fill(self, D: int, var: str, coeffs: Mapping, window: Window) -> None:
         self.D = D
         self.var = var
-        self.coeffs = clean
+        self.coeffs = {
+            mode: c for mode, c in coeffs.items() if c and window.contains(mode[0], mode[1])
+        }
         self.window = window
 
     @classmethod
@@ -367,7 +370,10 @@ class ConeSeries:
         return cls(D, var, {}, window)
 
     def _like(self, coeffs, window) -> "ConeSeries":
-        return ConeSeries(self.D, self.var, coeffs, window)
+        # Series operations only form valid modes, so results skip validation.
+        series = object.__new__(ConeSeries)
+        series._fill(self.D, self.var, coeffs, window)
+        return series
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -536,22 +542,31 @@ def wick_extract(series: ConeSeries):
 # two-variable cone series
 # ----------------------------------------------------------------------
 
+def _below(key: tuple, bound: Optional[tuple]) -> bool:
+    """Whether a bi-mode lies under ``bound``: n_z < bound[0] and n_w < bound[1]."""
+    return bound is None or (key[0][0] < bound[0] and key[1][0] < bound[1])
+
+
 class BiConeSeries:
     """Windowed series over pairs of cone modes in two variables."""
 
     __slots__ = ("D", "vars", "coeffs", "windows")
 
     def __init__(self, D: int, vars: tuple, coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)):
-        clean = {}
-        for (m1, m2), coeff in coeffs.items():
+        for m1, m2 in coeffs:
             _validate_mode(D, m1)
             _validate_mode(D, m2)
-            if coeff and windows[0].contains(m1[0], m1[1]) and windows[1].contains(m2[0], m2[1]):
-                clean[(m1, m2)] = coeff
+        self._fill(D, tuple(vars), coeffs, tuple(windows))
+
+    def _fill(self, D: int, vars: tuple, coeffs: Mapping, windows: tuple) -> None:
+        wz, ww = windows
         self.D = D
-        self.vars = tuple(vars)
-        self.coeffs = clean
-        self.windows = tuple(windows)
+        self.vars = vars
+        self.coeffs = {
+            (m1, m2): c for (m1, m2), c in coeffs.items()
+            if c and wz.contains(m1[0], m1[1]) and ww.contains(m2[0], m2[1])
+        }
+        self.windows = windows
 
     @classmethod
     def zero(cls, D: int, vars: tuple = ("z", "w"), windows=(FULL_WINDOW, FULL_WINDOW)):
@@ -566,7 +581,10 @@ class BiConeSeries:
         return cls(a.D, (a.var, b.var), coeffs, (a.window, b.window))
 
     def _like(self, coeffs, windows) -> "BiConeSeries":
-        return BiConeSeries(self.D, self.vars, coeffs, windows)
+        # Series operations only form valid modes, so results skip validation.
+        series = object.__new__(BiConeSeries)
+        series._fill(self.D, self.vars, coeffs, tuple(windows))
+        return series
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -621,8 +639,13 @@ class BiConeSeries:
         windows[slot] = windows[slot].shift(k, 2 * k)
         return self._like(out, tuple(windows))
 
-    def mul_poly(self, p: Poly) -> "BiConeSeries":
-        """Multiply by a polynomial in the two variable families."""
+    def mul_poly(self, p: Poly, bound: Optional[tuple] = None) -> "BiConeSeries":
+        """Multiply by a polynomial in the two variable families.
+
+        Multiplying only raises n, so with ``bound`` = (bz, bw) only bi-modes
+        with n_z < bz and n_w < bw are formed, from the terms already below
+        it; the windows do not depend on the bound.
+        """
         fam1, fam2 = self.vars
         terms = []
         min_deg = [None, None]
@@ -649,19 +672,30 @@ class BiConeSeries:
             windows.append(
                 FULL_WINDOW if w.degmax is None else Window(None, w.degmax + (min_deg[slot] or 0))
             )
+        items = [(key, c) for key, c in self.coeffs.items() if _below(key, bound)]
         out: dict = {}
         for e1, e2, pc in terms:
-            for ((n1, mm1, s1), (n2, mm2, s2)), coeff in self.coeffs.items():
+            for ((n1, mm1, s1), (n2, mm2, s2)), coeff in items:
                 for (dj1, m1b, s1b), q1 in _times_mono(self.D, mm1, s1, e1):
                     for (dj2, m2b, s2b), q2 in _times_mono(self.D, mm2, s2, e2):
                         key = ((n1 + dj1, m1b, s1b), (n2 + dj2, m2b, s2b))
+                        if not _below(key, bound):
+                            continue
                         value = coeff * (pc * q1 * q2)
                         total = out.get(key)
                         out[key] = value if total is None else total + value
         return self._like(out, tuple(windows))
 
-    def mul_series(self, other: "BiConeSeries") -> "BiConeSeries":
-        """Product with an exactly-known (full-window) finite series."""
+    def mul_series(self, other: "BiConeSeries", bound: Optional[tuple] = None) -> "BiConeSeries":
+        """Product of a series with scalar coefficients and an exactly-known
+        (full-window) finite series.
+
+        Each output bi-mode collects one scalar weight per term of ``other``,
+        so a coefficient of ``other`` is multiplied once per output bi-mode it
+        reaches.  Multiplying only raises n, so with ``bound`` = (bz, bw) only
+        bi-modes with n_z < bz and n_w < bw are formed, and pairs whose n
+        already reaches the bound are skipped; the windows do not depend on it.
+        """
         if not all(w.is_full for w in other.windows):
             raise TruncationError("mul_series needs an exactly-known right factor")
         windows = []
@@ -676,19 +710,29 @@ class BiConeSeries:
                 (2 * key[slot][0] + key[slot][1] for key in other.coeffs), default=0
             )
             windows.append(Window(None, w.degmax + min_hom))
-        out: dict = {}
+        weights: dict = {}  # (output bi-mode, key of other) -> scalar
         for (a1, a2), ca in self.coeffs.items():
-            for (b1, b2), cb in other.coeffs.items():
-                c = ca * cb
+            for bkey in other.coeffs:
+                b1, b2 = bkey
+                n1, n2 = a1[0] + b1[0], a2[0] + b2[0]
+                if bound is not None and (n1 >= bound[0] or n2 >= bound[1]):
+                    continue
                 for (dj1, m1b, s1b), q1 in _times_harm(self.D, a1[1], a1[2], b1[1], b1[2]):
+                    if bound is not None and n1 + dj1 >= bound[0]:
+                        continue
+                    c1 = ca * q1
+                    mode1 = (n1 + dj1, m1b, s1b)
                     for (dj2, m2b, s2b), q2 in _times_harm(self.D, a2[1], a2[2], b2[1], b2[2]):
-                        key = (
-                            (a1[0] + b1[0] + dj1, m1b, s1b),
-                            (a2[0] + b2[0] + dj2, m2b, s2b),
-                        )
-                        value = c * (q1 * q2)
-                        total = out.get(key)
-                        out[key] = value if total is None else total + value
+                        if bound is not None and n2 + dj2 >= bound[1]:
+                            continue
+                        wkey = ((mode1, (n2 + dj2, m2b, s2b)), bkey)
+                        weights[wkey] = weights.get(wkey, 0) + c1 * q2
+        out: dict = {}
+        for (key, bkey), weight in weights.items():
+            if weight:
+                value = other.coeffs[bkey] * weight
+                total = out.get(key)
+                out[key] = value if total is None else total + value
         return self._like(out, tuple(windows))
 
     def singular_joint(self) -> "BiConeSeries":
@@ -729,6 +773,8 @@ class Kernel:
     zw_pole: int = 0
 
     def __post_init__(self):
+        if self.D < 1:
+            raise ValueError("D must be >= 1")
         object.__setattr__(self, "coeff", Fraction(self.coeff))
         object.__setattr__(self, "z_exps", tuple(self.z_exps) or (0,) * self.D)
         object.__setattr__(self, "w_exps", tuple(self.w_exps) or (0,) * self.D)
@@ -749,21 +795,95 @@ def _neg_binom(k: int, t: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def iota_pole(D: int, k: int, side: str, depth: int) -> BiConeSeries:
+def _zonal(D: int, d: int) -> tuple:
+    """The zonal harmonic K_d[(z.w)^d] = sum G[s, s'] h_{d,s}(z) h_{d,s'}(w),
+    as a tuple of ((s, s'), G) with G nonzero.
+
+    K_d is the harmonic projection in z of ``_projector``.  Since
+    Delta_z^i (z.w)^d = d!/(d-2i)! (w^2)^i (z.w)^(d-2i), its coordinate s is
+    a harmonic polynomial in w, whose coordinate s' is its coefficient at
+    the pivot monomial of h_{d,s'}.
+    """
+    pivots = [next(iter(h)) for h in _harmonic_raw(D, d)]
+    out = []
+    for s, stencil in enumerate(_projector(D, d), start=1):
+        for s2, pivot in enumerate(pivots, start=1):
+            value = Fraction(0)
+            for i, exps, weight in stencil:
+                # the coefficient of z^exps w^pivot in d!/(d-2i)! (w^2)^i (z.w)^(d-2i)
+                twice_f = [p - e for p, e in zip(pivot, exps)]
+                if min(twice_f) < 0 or any(x % 2 for x in twice_f):
+                    continue
+                f = [x // 2 for x in twice_f]
+                count = (factorial(d) // prod(map(factorial, exps))
+                         * factorial(i) // prod(map(factorial, f)))
+                value += weight * count
+            if value:
+                out.append(((s, s2), value))
+    return tuple(out)
+
+
+def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
+    """The bi-modes of ((z-w)^2)^(-k) below ``bound``, with ``small`` the slot
+    of the small variable.
+
+    With b = t - a and d = b - 2j,
+    ((z-w)^2)^(-k) = sum_{t,a} binom(-k,t) binom(t,a) (-2)^b
+                     (big^2)^(-k-t) (small^2)^a (z.w)^b,
+    and the Gauss decomposition of (z.w)^b in z is
+    sum_j b!/d! / prod_{i=1..j} 2i(2i + D - 2 + 2d) (z^2 w^2)^j K_d[(z.w)^d]
+    (Delta_z^j (z.w)^b = b!/d! (w^2)^j (z.w)^d).  So each (t, a, j) fills
+    the big mode (-k-t+j, d) and the small mode (a+j, d) with the zonal
+    coefficients, and the small total degree is a + t.
+    """
+    big_bound, small_bound = bound[1 - small], bound[small]
+    coeffs: dict = {}
+    for t in range(depth + 1):
+        c_t = _neg_binom(k, t)
+        for a in range(min(t, depth - t, small_bound - 1) + 1):
+            b = t - a
+            base = c_t * comb(t, a) * (-2) ** b
+            for j in range(min(b // 2, small_bound - 1 - a) + 1):
+                n_big, n_small = -k - t + j, a + j
+                if n_big >= big_bound:
+                    continue
+                n_z, n_w = (n_big, n_small) if small == 1 else (n_small, n_big)
+                d = b - 2 * j
+                scale = base * Fraction(factorial(b), factorial(d)) / prod(
+                    2 * i * (2 * i + D - 2 + 2 * d) for i in range(1, j + 1))
+                for (sz, sw), g in _zonal(D, d):
+                    pair = ((n_z, d, sz), (n_w, d, sw))
+                    coeffs[pair] = coeffs.get(pair, Fraction(0)) + scale * g
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def iota_pole(D: int, k: int, side: str, depth: int, bound: Optional[tuple] = None) -> BiConeSeries:
     """Expansion of ((z-w)^2)^(-k) with the ``side``-second variable small.
 
     For side "zw" the result is exact for every bi-mode whose w total degree
     is at most ``depth`` (and for all z modes there); symmetrically for "wz".
     Series are immutable, so the cached instance is shared.
+
+    Without ``bound`` the expansion is built monomial by monomial.  With
+    ``bound`` = (bz, bw), only the bi-modes with n_z < bz and n_w < bw are
+    formed, read off the zonal harmonics (``_iota_zonal``); the windows are
+    the same either way.
     """
+    if D < 1:
+        raise ValueError("D must be >= 1")
     if side not in ("zw", "wz"):
         raise ValueError("side must be 'zw' or 'wz'")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         one = ((0, 0, 1), (0, 0, 1))
-        return BiConeSeries(D, ("z", "w"), {one: Fraction(1)})
+        return BiConeSeries(D, ("z", "w"), {one: Fraction(1)} if _below(one, bound) else {})
     small = 1 if side == "zw" else 0
+    windows = [FULL_WINDOW, FULL_WINDOW]
+    windows[small] = Window(None, depth)
+    if bound is not None:
+        return BiConeSeries(D, ("z", "w"), _iota_zonal(D, k, small, depth, bound), tuple(windows))
     # cross = -2 z.w, square = small-variable^2; expansion of
     # (big^2)^(-k) * (1 + (small^2 - 2 z.w)/big^2)^(-k).
     coeffs: dict = {}
@@ -803,24 +923,30 @@ def iota_pole(D: int, k: int, side: str, depth: int) -> BiConeSeries:
                     )
                     new[key] = new.get(key, Fraction(0)) + c * bc
             power = new
-    windows = [FULL_WINDOW, FULL_WINDOW]
-    windows[small] = Window(None, depth)
     return BiConeSeries(D, ("z", "w"), coeffs, tuple(windows))
 
 
-def iota_kernel(F: Kernel, side: str, depth: int) -> BiConeSeries:
+def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None) -> BiConeSeries:
     """iota expansion of a full kernel monomial, exact to ``depth`` in the
-    small variable's total degree."""
+    small variable's total degree.
+
+    With ``bound`` = (bz, bw), only bi-modes with n_z < bz and n_w < bw are
+    formed.  Multiplying by the monomial only raises n and the single-variable
+    poles lower it by z_pole and w_pole, so the pole expansion is bounded by
+    the shifted (bz + z_pole, bw + w_pole).  The windows do not depend on it.
+    """
     D = F.D
     small = 1 if side == "zw" else 0
     mono_deg = (sum(F.z_exps), sum(F.w_exps))[small]
     pole = (F.z_pole, F.w_pole)[small]
     pole_depth = max(0, depth - mono_deg + 2 * pole)
-    series = iota_pole(D, F.zw_pole, side, pole_depth)
+    if bound is not None:
+        bound = (bound[0] + F.z_pole, bound[1] + F.w_pole)
+    series = iota_pole(D, F.zw_pole, side, pole_depth, bound)
     vs = VarSpace(D, ("z", "w"))
     mono = vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps)
     if mono != vs.one:
-        series = series.mul_poly(mono)
+        series = series.mul_poly(mono, bound)
     if F.z_pole:
         series = series.mul_x2(0, -F.z_pole)
     if F.w_pole:

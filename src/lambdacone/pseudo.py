@@ -55,6 +55,15 @@ class ModuleElement:
         self.coords = clean
 
     @classmethod
+    def _trusted(cls, vs: VarSpace, r: int, coords: dict) -> "ModuleElement":
+        """Wrap ``coords`` as is: valid indices, nonzero polynomials in T over ``vs``."""
+        element = object.__new__(cls)
+        element.vs = vs
+        element.r = r
+        element.coords = coords
+        return element
+
+    @classmethod
     def generator(cls, vs: VarSpace, r: int, k: int) -> "ModuleElement":
         return cls(vs, r, {k: vs.one})
 
@@ -62,17 +71,28 @@ class ModuleElement:
         _check_compatible(self, other)
         out = dict(self.coords)
         for k, poly in other.coords.items():
-            out[k] = out.get(k, self.vs.zero) + poly
-        return ModuleElement(self.vs, self.r, out)
+            total = out.get(k)
+            total = poly if total is None else total + poly
+            if total:
+                out[k] = total
+            else:
+                del out[k]
+        return ModuleElement._trusted(self.vs, self.r, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ModuleElement(self.vs, self.r, {k: -p for k, p in self.coords.items()})
+        return ModuleElement._trusted(self.vs, self.r, {k: -p for k, p in self.coords.items()})
 
     def scale(self, factor) -> "ModuleElement":
         """Multiply by a scalar or by a polynomial in T (the module action)."""
+        if isinstance(factor, (int, Fraction)):
+            if not factor:
+                return ModuleElement._trusted(self.vs, self.r, {})
+            return ModuleElement._trusted(
+                self.vs, self.r, {k: p * factor for k, p in self.coords.items()}
+            )
         return ModuleElement(
             self.vs, self.r, {k: p * factor for k, p in self.coords.items()}
         )

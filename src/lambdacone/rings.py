@@ -231,6 +231,11 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a nonzero scalar keeps every term nonzero
+            if not other:
+                return Poly._trusted(self.vs, {})
+            return Poly._trusted(self.vs, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

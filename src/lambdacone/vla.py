@@ -10,9 +10,13 @@ The right-hand side of the Jacobi identity is assembled directly: the
 (z-w)-kernels of a(z-w)b are iota-expanded in both regions and subtracted,
 multiplied by the u-field of each coefficient acting on c evaluated at u = w
 (the locality factor ((u+z-w)^2)^L of the textbook derivation cancels there;
-see ``_borcherds_rhs``), and finally restricted to the part singular in both
-z and w (which is how the outermost singular-part operation has to be read
-for the two sides to have the same mode support).
+see ``_borcherds_rhs``).  The two sides are compared on the part singular in
+both z and w (which is how the outermost singular-part operation has to be
+read for them to have the same mode support), and only that part is formed:
+every product here (by monomials, by h(z-w), by the lifted u-field, by a
+kernel) only raises the mode index n, so the iota expansions and the products
+are bounded to n_z, n_w below the poles of the factor still to come, and no
+term that cannot land in the compared region is ever built.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .cone import (
 from .errors import TruncationError, WorkspaceError
 from .pseudo import BracketTable, ModuleElement, pseudo_space
 from .report import CheckReport, Failure
-from .rings import Poly, VarSpace
+from .rings import VarSpace
 
 
 class VLAStructure:
@@ -67,6 +71,15 @@ class VLAStructure:
                         raise WorkspaceError("action coefficients must be module elements")
                 table[(i, j)] = series
         self.actions = table
+        self._generator_elements = tuple(ModuleElement.generator(self.vs, r, k) for k in range(r))
+        # A bound on the pole order of every field x(z)y with x or y an action
+        # coefficient and the other a generator: the action poles plus the
+        # T-degree of the coefficients (every T differentiates once).
+        self.u_pole_bound = self.max_pole() + max(
+            (p.total_degree() for series in table.values()
+             for el in series.coeffs.values() for p in el.coords.values()),
+            default=0,
+        )
 
     @property
     def r(self) -> int:
@@ -78,7 +91,7 @@ class VLAStructure:
     def generator_element(self, k) -> ModuleElement:
         if isinstance(k, str):
             k = self.generators.index(k)
-        return ModuleElement.generator(self.vs, self.r, k)
+        return self._generator_elements[k]
 
     def max_pole(self) -> int:
         return max((s.pole_order() for s in self.actions.values()), default=0)
@@ -180,6 +193,8 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
     compared on the region the truncation still answers for exactly, and the
     report records that region.
     """
+    if window < 0:
+        raise ValueError("window must be >= 0")
     failures = []
     records = []
     for i in range(S.r):
@@ -202,11 +217,27 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
 # ----------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _shifted_harmonic(D: int, m: int, sigma: int, vs: VarSpace) -> Poly:
-    """h_{m,sigma}(z - w) as a polynomial over the (z, w) families."""
-    poly = basis_poly_in(D, m, sigma, vs, "z")
-    shift = {("z", a): vs.var("z", a) - vs.var("w", a) for a in range(1, D + 1)}
-    return poly.subst(shift)
+def _rhs_kernel(F: Kernel, n: int, m: int, sigma: int, depth: int, bound: tuple) -> BiConeSeries:
+    """(iota_zw - iota_wz)(F ((z-w)^2)^n) h_{m,sigma}(z-w), formed below ``bound``."""
+    D = F.D
+    combined = Kernel(
+        D,
+        coeff=F.coeff,
+        z_exps=F.z_exps,
+        w_exps=F.w_exps,
+        z_pole=F.z_pole,
+        w_pole=F.w_pole,
+        zw_pole=F.zw_pole - n,
+    )
+    diff = (iota_kernel(combined, "zw", depth, bound)
+            - iota_kernel(combined, "wz", depth, bound))
+    if m:
+        vs = VarSpace(D, ("z", "w"))
+        harmonic = basis_poly_in(D, m, sigma, vs, "z").subst(
+            {("z", a): vs.var("z", a) - vs.var("w", a) for a in range(1, D + 1)}
+        )
+        diff = diff.mul_poly(harmonic, bound)
+    return diff
 
 
 def _lhs_pair_term(S: VLAStructure, outer: int, series: ConeSeries, swap: bool) -> BiConeSeries:
@@ -223,18 +254,26 @@ def _lhs_pair_term(S: VLAStructure, outer: int, series: ConeSeries, swap: bool) 
 
 
 def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
-    """a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout."""
+    """a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout.
+
+    For F != 1 only the part singular in both z and w is formed: the kernel
+    product raises n, and both field terms have poles of order at most
+    ``S.u_pole_bound`` in z and in w, so only the kernel bi-modes below that
+    bound are expanded.
+    """
     term1 = _lhs_pair_term(S, i, S.action(j, k), swap=False)
     term2 = _lhs_pair_term(S, j, S.action(i, k), swap=True)
     if F == Kernel.one(S.D):
         return term1 - term2
-    left = iota_kernel(F, "zw", depth).mul_series(term1)
-    right = iota_kernel(F, "wz", depth).mul_series(term2)
+    pole = S.u_pole_bound
+    left = iota_kernel(F, "zw", depth, (pole, pole)).mul_series(term1, (0, 0))
+    right = iota_kernel(F, "wz", depth, (pole, pole)).mul_series(term2, (0, 0))
     return left - right
 
 
 def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
-    """Sum over the modes (n, m, sigma) of a(z-w)b, with coefficient x, of
+    """The part singular in both z and w of the sum over the modes
+    (n, m, sigma) of a(z-w)b, with coefficient x, of
     (iota_zw - iota_wz)(F ((z-w)^2)^n) h_{m,sigma}(z-w) x(w)c.
 
     The textbook derivation multiplies by the locality factor
@@ -246,30 +285,25 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     only the precondition L >= max pole order (the identity is stated for
     fields local of that order), checked by the caller.
 
+    No term outside the singular joint region is formed.  Multiplying by
+    h(z-w) and by the lifted u-field only raises n, and the lift leaves z
+    modes alone, so a kernel bi-mode matters only when n_z < 0 and n_w is
+    below the u-field's pole, at most ``S.u_pole_bound``; the iota expansions
+    are bounded there.  In particular the iota_wz half, whose z modes have
+    n >= -z_pole, adds nothing unless F has a z pole.
+
     The z window is ``depth`` (the iota expansions); the w window is
     ``depth`` plus the least total degree of the u-field, whose poles fold
-    into w.
+    into w.  The windows are those of the full product.
     """
-    D = S.D
     gen_k = S.generator_element(k)
-    result = BiConeSeries.zero(D)
+    bound = (0, S.u_pole_bound)
+    result = BiConeSeries.zero(S.D)
     for (n, m, sigma), element in S.action(i, j).coeffs.items():
-        combined = Kernel(
-            D,
-            coeff=F.coeff,
-            z_exps=F.z_exps,
-            w_exps=F.w_exps,
-            z_pole=F.z_pole,
-            w_pole=F.w_pole,
-            zw_pole=F.zw_pole - n,
-        )
-        diff = iota_kernel(combined, "zw", depth) - iota_kernel(combined, "wz", depth)
-        if m:
-            harmonic = _shifted_harmonic(D, m, sigma, VarSpace(D, ("z", "w")))
-            diff = diff.mul_poly(harmonic)
         u_field = extend_action(S, element, gen_k)
         lifted = {((0, 0, 1), mode): coeff for mode, coeff in u_field.coeffs.items()}
-        result = result + diff.mul_series(BiConeSeries(D, ("z", "w"), lifted))
+        kernel = _rhs_kernel(F, n, m, sigma, depth, bound)
+        result = result + kernel.mul_series(BiConeSeries(S.D, ("z", "w"), lifted), (0, 0))
     return result
 
 
@@ -299,17 +333,10 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
         raise ValueError(f"L = {L} is below the largest action pole order {needed}")
     failures = []
     records = []
-    # The u-field pole can exceed the action poles by the T-degree of the
-    # coefficients (every T in the first slot differentiates once).
-    u_pole_bound = S.max_pole() + max(
-        (p.total_degree() for series in S.actions.values()
-         for el in series.coeffs.values() for p in el.coords.values()),
-        default=0,
-    )
     # The u-field poles folded into w cost the RHS w window up to
-    # 2 * u_pole_bound in total degree; this depth keeps both RHS windows at
-    # least window + 2 deep.
-    depth = window + 2 * u_pole_bound + 2
+    # 2 * S.u_pole_bound in total degree; this depth keeps both RHS
+    # windows at least window + 2 deep.
+    depth = window + 2 * S.u_pole_bound + 2
     for i in range(S.r):
         for j in range(S.r):
             for k in range(S.r):

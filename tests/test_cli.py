@@ -109,6 +109,27 @@ def test_vla_axioms_via_cli(tmp_path):
     assert "vla-skew: pass" in out and "vla-jacobi: pass" in out and "borcherds: pass" in out
 
 
+def test_vla_skew_negative_window_is_a_usage_error(tmp_path):
+    path = tmp_path / "w1.json"
+    path.write_text(serialize_vla(d1_bridge(build_wd(1))))
+    code, out, err = run_cli("check", str(path), "--axioms", "vla-skew", "--window", "-1")
+    assert code == 2 and not out
+    assert "error: window must be >= 0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (("harmonic-basis", "--dim", "2", "--m", "-1"), "error: m must be >= 0"),
+    (("harmonic-basis", "--dim", "0", "--m", "1"), "error: D must be >= 1"),
+    (("iota-expansion", "--dim", "0", "--k", "1"), "error: D must be >= 1"),
+], ids=["m-1", "harmonic-dim0", "iota-dim0"])
+def test_emit_bad_degree_or_dimension_is_a_usage_error(args, message):
+    code, out, err = run_cli("emit", *args)
+    assert code == 2 and not out
+    assert message in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # serialization roundtrips
 # ----------------------------------------------------------------------

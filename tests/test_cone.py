@@ -31,7 +31,7 @@ from lambdacone import (
     singular_part,
     wick_extract,
 )
-from lambdacone.cone import _decompose_raw
+from lambdacone.cone import _decompose_raw, iota_pole
 from lambdacone.linalg import rref
 
 
@@ -339,3 +339,49 @@ def test_iota_kernel_with_monomial_factor():
         target = ((ell - ell % 2) // 2, ell % 2, 1)
         if shifted.windows[1].contains(mw[0], mw[1]):
             assert shifted.get(target, mw) == coeff
+
+
+def _below(series, bound):
+    return {key: c for key, c in series.coeffs.items()
+            if key[0][0] < bound[0] and key[1][0] < bound[1]}
+
+
+def test_bounded_iota_is_the_filtered_expansion():
+    # The bounded expansion is read off the zonal harmonics of (z.w)^b, the
+    # unbounded one is built monomial by monomial: below every bound they
+    # agree, and the windows do not depend on the bound.
+    bounds = ((-1, 9), (0, 0), (0, 1), (1, 0), (2, 3), (9, 9))
+    for D, depths in ((1, (0, 3, 6)), (2, (0, 3, 6)), (3, (0, 2, 5)), (4, (3,))):
+        for k in (1, 2, 3):
+            for side in ("zw", "wz"):
+                for depth in depths:
+                    full = iota_pole(D, k, side, depth)
+                    for bound in bounds:
+                        bounded = iota_pole(D, k, side, depth, bound)
+                        assert bounded.coeffs == _below(full, bound)
+                        assert bounded.windows == full.windows
+
+
+def test_bounded_iota_kernel_is_the_filtered_kernel():
+    e1 = (1, 0)
+    for F in (Kernel(2, zw_pole=1), Kernel(2, z_exps=e1, w_exps=(0, 2), zw_pole=2),
+              Kernel(2, z_pole=1, w_pole=2, zw_pole=1, coeff=Fraction(-3, 2))):
+        for side in ("zw", "wz"):
+            full = iota_kernel(F, side, 5)
+            for bound in ((0, 0), (0, 2), (1, 1), (3, -1)):
+                bounded = iota_kernel(F, side, 5, bound)
+                assert bounded.coeffs == _below(full, bound)
+                assert bounded.windows == full.windows
+
+
+def test_kernels_need_a_positive_dimension():
+    with pytest.raises(ValueError, match="D must be >= 1"):
+        Kernel(0)
+    with pytest.raises(ValueError, match="D must be >= 1"):
+        iota_pole(0, 1, "zw", 2)
+    with pytest.raises(ValueError, match="D must be >= 1"):
+        iota_expand(0, 1, "zw", 2)
+    with pytest.raises(ValueError, match="D must be >= 1"):
+        harmonic_basis(0, 1)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        harmonic_basis(2, -1)

@@ -3,10 +3,12 @@ and the D = 1 bridge that lets the pseudoalgebra engine cross-examine them."""
 
 from __future__ import annotations
 
+import hashlib
 
 import pytest
 
 from lambdacone import vla
+from lambdacone.errors import TruncationError
 from lambdacone import (
     BracketTable,
     ConeSeries,
@@ -42,16 +44,27 @@ def _broken_table():
     return BracketTable(1, ("e", "h", "f"), entries)
 
 
+def _current_like_fixture(D):
+    """The current-like action (2 + sum_a T_a z_a) L (z^2)^{-1} in dimension D
+    (h_{1,a} = z_a)."""
+    vs = pseudo_space(D)
+    el = lambda p: ModuleElement(vs, 1, {0: p})
+    coeffs = {(-1, 0, 1): el(vs.const(2))}
+    for a in range(1, D + 1):
+        coeffs[(-1, 1, a)] = el(vs.var("T", a))
+    return VLAStructure(D, ("L",), {(0, 0): ConeSeries(D, "z", coeffs)})
+
+
 def _d2_fixture():
     """The current-like D = 2 action (2 + T1 z1 + T2 z2) L (z^2)^{-1}."""
-    vs = pseudo_space(2)
-    el = lambda p: ModuleElement(vs, 1, {0: p})
-    action = ConeSeries(2, "z", {
-        (-1, 0, 1): el(vs.const(2)),
-        (-1, 1, 1): el(vs.var("T", 1)),
-        (-1, 1, 2): el(vs.var("T", 2)),
-    })
-    return VLAStructure(2, ("L",), {(0, 0): action})
+    return _current_like_fixture(2)
+
+
+def _broken_skew_table():
+    """[L lam L] = (T + 3 lam) L: skewsymmetry fails by -T L."""
+    vs = pseudo_space(1)
+    entry = LambdaPoly(vs, 1, {0: vs.var("T", 1) + 3 * vs.var("lam", 1)})
+    return BracketTable(1, ("L",), {(0, 0): entry})
 
 
 def _kernels(D):
@@ -177,6 +190,13 @@ def test_skew_deep_violation_needs_a_deep_window():
     assert "mode (-1, 3" in report.failures[0].label
 
 
+def test_skew_rejects_a_negative_window():
+    S = d1_bridge(_broken_skew_table())
+    assert not skew_check_vla(S, 1).passed
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        skew_check_vla(S, -1)
+
+
 def test_skew_bridge_agrees_with_pseudo():
     for table in (build_cur(LieStructure.sl2(), 1), build_wd(1), _broken_table()):
         S = d1_bridge(table)
@@ -298,3 +318,195 @@ def test_borcherds_rhs_windows_are_honest():
                 assert restricted.coeffs == shallow.coeffs
                 if F == Kernel.one(S.D):
                     assert all(w.degmax >= window + 2 for w in shallow.windows)
+
+
+def test_identity_failures_need_a_window_reaching_the_singular_region():
+    # The w window of the right-hand side loses the u-field poles; below
+    # degree -1 it cannot see the singular region and the check refuses.
+    for S in (d1_bridge(build_wd(1)), _d2_fixture()):
+        F = Kernel.one(S.D)
+        for depth, w_degmax in ((0, -3), (1, -2), (2, -1)):
+            lhs = vla._borcherds_lhs(S, 0, 0, 0, F, depth)
+            rhs = vla._borcherds_rhs(S, 0, 0, 0, F, depth)
+            assert [w.degmax for w in rhs.windows] == [depth, w_degmax]
+            if w_degmax < -1:
+                with pytest.raises(TruncationError):
+                    vla._identity_failures(S, "(L,L,L)", lhs, rhs)
+            else:
+                vla._identity_failures(S, "(L,L,L)", lhs, rhs)
+
+
+# ----------------------------------------------------------------------
+# golden digests: verdicts, witnesses, records and windows cannot drift
+# ----------------------------------------------------------------------
+
+def _golden_kernels(D):
+    e1 = (1,) + (0,) * (D - 1)
+    return {
+        "1": Kernel.one(D),
+        "z1": Kernel(D, z_exps=e1),
+        "w1^2": Kernel(D, w_exps=(2,) + (0,) * (D - 1)),
+        "(z^2)^-1": Kernel(D, z_pole=1),
+        "(w^2)^-1": Kernel(D, w_pole=1),
+        "((z-w)^2)^-1": Kernel(D, zw_pole=1),
+        "z1((z-w)^2)^-2": Kernel(D, z_exps=e1, zw_pole=2),
+    }
+
+
+_GOLDEN_STRUCTURES = {
+    "Cur(sl2)": lambda: d1_bridge(build_cur(LieStructure.sl2(), 1)),
+    "W(1)": lambda: d1_bridge(build_wd(1)),
+    "broken": lambda: d1_bridge(_broken_table()),
+    "D=2 fixture": _d2_fixture,
+}
+
+
+def _report_text(report):
+    return repr((report.passed, report.failures, report.records, report.lines()))
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# sha256 of the report text at L = max pole (jacobi_check_vla for F = 1,
+# borcherds_check otherwise) followed by repr(_borcherds_rhs(S, 0, 0, 0, F,
+# depth).windows) at the checker's depth, per (structure, F, window).
+GOLDEN_IDENTITIES = {
+    ("Cur(sl2)", "1", 0):
+        "46a096466edf46c421baa871460252724ca7eedd4583f9d47d5df39a7cd7b7c5",
+    ("Cur(sl2)", "1", 2):
+        "c6795a485a53dabb6754c1bec0886c0444bc0463cd8b20bf3f73d34d250208a4",
+    ("Cur(sl2)", "z1", 0):
+        "b7fa828b79c6a3279a5b9ba1845be94c80772681b0e5003ed17510b461666612",
+    ("Cur(sl2)", "z1", 2):
+        "a6e445c37300bb5602048af90eb55313cf34a194fc45acd3992c8cfcc5ebcbfc",
+    ("Cur(sl2)", "w1^2", 0):
+        "b7fa828b79c6a3279a5b9ba1845be94c80772681b0e5003ed17510b461666612",
+    ("Cur(sl2)", "w1^2", 2):
+        "a6e445c37300bb5602048af90eb55313cf34a194fc45acd3992c8cfcc5ebcbfc",
+    ("Cur(sl2)", "(z^2)^-1", 0):
+        "5828b53379fe5addbeac0673938467a7de1ac5f9efcefa25de53d6a371b32504",
+    ("Cur(sl2)", "(z^2)^-1", 2):
+        "f2e1cfb70894ac9fcbfaa2db152d2a2885b4cea23aaa913bf708192c6e3b08ca",
+    ("Cur(sl2)", "(w^2)^-1", 0):
+        "b28205dbcc8b312608ccbb1cf381b50d0cf22ca0419c0b162a839c66049756d1",
+    ("Cur(sl2)", "(w^2)^-1", 2):
+        "945baf5f5dbf602f3455ab0a37a07cdd21b59ae8d534c53f7be87c2ba02f3484",
+    ("Cur(sl2)", "((z-w)^2)^-1", 0):
+        "a199e800431e6bcfca861f4e9528695542f8c43a83cbab31ee203f6b846972a6",
+    ("Cur(sl2)", "((z-w)^2)^-1", 2):
+        "9ca8567a2b5363c3eb27f5be8f80d663b9924eb6f08be259e362d6f47747a7a2",
+    ("Cur(sl2)", "z1((z-w)^2)^-2", 0):
+        "00a7e653b008888bdd0ba4c6f1bbf441582dc986e5d9bab66f4395dac289f212",
+    ("Cur(sl2)", "z1((z-w)^2)^-2", 2):
+        "7fdf07d6913ce21eff06012af81c68f6bedb7dcc9a8721912a1989ba4b12876e",
+    ("W(1)", "1", 0):
+        "28f01f873d6c595757255b3e154f290550d2d223bfa6cfba8fcddd81932d9af5",
+    ("W(1)", "1", 2):
+        "2b16ac1698f818986bbb2d8342ad18b2cbbbfe3f37403f328e0b6ca6dd2c8e47",
+    ("W(1)", "z1", 0):
+        "59090eca975d39d7901d8f60479c56db3e1d088336e1b0de996b4d1ad74851af",
+    ("W(1)", "z1", 2):
+        "0eeae70bdf4f57c8415503b66ecf4c71990554803aa4d0e2cb4ed0a968783f03",
+    ("W(1)", "w1^2", 0):
+        "59090eca975d39d7901d8f60479c56db3e1d088336e1b0de996b4d1ad74851af",
+    ("W(1)", "w1^2", 2):
+        "0eeae70bdf4f57c8415503b66ecf4c71990554803aa4d0e2cb4ed0a968783f03",
+    ("W(1)", "(z^2)^-1", 0):
+        "0a008425d6e5cdb016beb399ea4568f48cd47506fde86633c08bc5451c56d9c4",
+    ("W(1)", "(z^2)^-1", 2):
+        "61f63375b45d850206818fe442ede149708344f088655f26ccdc2da4c61448b7",
+    ("W(1)", "(w^2)^-1", 0):
+        "fce0397f57da4825f1621b5b7b57083be8728980c91b0e1c691cd6ed5f654f74",
+    ("W(1)", "(w^2)^-1", 2):
+        "8450c8bd5ebf95612dae3e9c543739c64c6f467330b1a7304de87085058d55f6",
+    ("W(1)", "((z-w)^2)^-1", 0):
+        "ab7b69f1eae4f18aa289489d6202039516c7c5f090e3bbf365d87e5ddfa178bc",
+    ("W(1)", "((z-w)^2)^-1", 2):
+        "b332f87fbda5dc47b99dc189c9135781b96b4dbbe66e1eec4e3db210f5cf5f99",
+    ("W(1)", "z1((z-w)^2)^-2", 0):
+        "550926d0ca0267b0ed84ef07a521590f629b320d81c6a7a0608d44fa738a632b",
+    ("W(1)", "z1((z-w)^2)^-2", 2):
+        "81fe0a44981b673819a32a95d5f795d045da7bf01d3fa7de397ecf35ffae977e",
+    ("broken", "1", 0):
+        "afbd1638deb494c3df2064f08bf238be2d0ad07242876964d773c54b02311c19",
+    ("broken", "1", 2):
+        "b8ec00b2816bbb53d3040b177b90e05bf284af6ea4324a37ebcf8b1494af498d",
+    ("broken", "z1", 0):
+        "b7fa828b79c6a3279a5b9ba1845be94c80772681b0e5003ed17510b461666612",
+    ("broken", "z1", 2):
+        "a6e445c37300bb5602048af90eb55313cf34a194fc45acd3992c8cfcc5ebcbfc",
+    ("broken", "w1^2", 0):
+        "b7fa828b79c6a3279a5b9ba1845be94c80772681b0e5003ed17510b461666612",
+    ("broken", "w1^2", 2):
+        "a6e445c37300bb5602048af90eb55313cf34a194fc45acd3992c8cfcc5ebcbfc",
+    ("broken", "(z^2)^-1", 0):
+        "b76116e0e4f46f848f90f66747b51ce9e625eec1b6795c072630f748be80453e",
+    ("broken", "(z^2)^-1", 2):
+        "edee06dce8f8f39bcc42db2c7176cf549f6a0563cacf8d095af3d9af14c29984",
+    ("broken", "(w^2)^-1", 0):
+        "9399cceea10dd1bb3977ee84d6f769e40e728e91dff557c09efce6ff7000ffc4",
+    ("broken", "(w^2)^-1", 2):
+        "d381165170dd0ac4a2fa84680193f7191875cae72bfdfb8e1676992ab11161e5",
+    ("broken", "((z-w)^2)^-1", 0):
+        "1580c373cb41556d7d2584c597f46a9afe12b05ef073ff5b45eb96f9d41e290a",
+    ("broken", "((z-w)^2)^-1", 2):
+        "9c074e3868e64d2da1d4dc64c525da51931aa404f7175477431655e5fefcab49",
+    ("broken", "z1((z-w)^2)^-2", 0):
+        "819cb8b3b197db29de2f1c613025ccc12e97ced61673dd80e3938453abf89ef4",
+    ("broken", "z1((z-w)^2)^-2", 2):
+        "ae2f7d417d5047c57501307619f8bd08546a02d9d1673c7f384525d79c21403b",
+    ("D=2 fixture", "1", 0):
+        "4d41213ffee385800bf1008e57439e4d2faf395ca2165484a10b44e70607c1ce",
+    ("D=2 fixture", "1", 2):
+        "d76bd76e10df03c0dbef7c7cc6e109e0787401a8b2e691d05419de29962193f7",
+    ("D=2 fixture", "z1", 0):
+        "ebed5f565bfe7db362f0db0af5f3939402d66d9d41cfd838fb30049f72b259ff",
+    ("D=2 fixture", "z1", 2):
+        "46acef82882db9ea9b2419ef3f7b0dc46f61173bb66ddbfd9aa235e1227f80a1",
+    ("D=2 fixture", "w1^2", 0):
+        "6181116c7bc4e1c0c0ddde98dd1424a55ad050c0c668f5b4587a6b610c84eaf8",
+    ("D=2 fixture", "w1^2", 2):
+        "a0e79a80c71fc066b2262f25b8a986e1153312b67ab02d4f3f16e187e11342cb",
+    ("D=2 fixture", "(z^2)^-1", 0):
+        "33534cee87e8b259b6577976c011ebd70ca2a01cdff60d9c9e4eb4db1210fdf5",
+    ("D=2 fixture", "(z^2)^-1", 2):
+        "f397770e16bbec64f0d3ed438d58178de0ec4c0ff42e3d05d17b6d15b7c8d2ee",
+    ("D=2 fixture", "(w^2)^-1", 0):
+        "9913d953f1b1fd77f80dcbd616bc2b3d385e99a11be430b56dba47ad41063942",
+    ("D=2 fixture", "(w^2)^-1", 2):
+        "d599265315d20331b9ad47462c54c0fb54905786b84c570bc649113b06ba82da",
+    ("D=2 fixture", "((z-w)^2)^-1", 0):
+        "7c7f10c35f5e4388abfad06fdf66947199cf940c7c5fd3f6f26a31d8cf6bc7b9",
+    ("D=2 fixture", "((z-w)^2)^-1", 2):
+        "913984e5aacf605c97e666ca738ab5feabe5972f0baa2b10c0540cde3df5c8ab",
+    ("D=2 fixture", "z1((z-w)^2)^-2", 0):
+        "c7555f6e7c64fe2b1ce91f9bf3bf8f51744f5d69c8f5dcd916176124a1eb9280",
+    ("D=2 fixture", "z1((z-w)^2)^-2", 2):
+        "157fded300f20906c87aafa3ac801558e0c4dad51a097d6bbf6f448f28019958",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_IDENTITIES), ids=lambda case: "-".join(map(str, case)))
+def test_identity_golden_digest(case):
+    name, label, window = case
+    S = _GOLDEN_STRUCTURES[name]()
+    F = _golden_kernels(S.D)[label]
+    L = S.max_pole()
+    if label == "1":
+        report = jacobi_check_vla(S, L, window)
+    else:
+        report = borcherds_check(S, L, F, window)
+    windows = vla._borcherds_rhs(S, 0, 0, 0, F, _checker_depth(S, window)).windows
+    assert _sha256(_report_text(report) + repr(windows)) == GOLDEN_IDENTITIES[case]
+
+
+def test_jacobi_d3_fixture_fails_with_golden_witnesses():
+    report = jacobi_check_vla(_current_like_fixture(3), 1, 2)
+    assert {f.label.split(" modes ")[0] for f in report.failures} == {"(L,L,L)"}
+    assert len(report.failures) == 2375
+    assert all(f.witness for f in report.failures)
+    assert _sha256(_report_text(report)) == (
+        "09f2ba4bd3a51e2236fa7ece719b027303ef64fbadd016b53d23c1f902ab9f79"
+    )

@@ -96,3 +96,25 @@ def test_tensor_and_scale():
     t = BiConeSeries.tensor(a, b)
     assert t.coeffs == {((-1, 0, 1), (0, 1, 1)): 6}
     assert t.scale(Fraction(1, 2)).coeffs == {((-1, 0, 1), (0, 1, 1)): 3}
+
+
+def test_bounded_products_are_the_filtered_products():
+    # Products only raise n, so a bound prunes terms without changing any
+    # coefficient below it or any window.
+    vs = VarSpace(2, ("z", "w"))
+    kernel = iota_expand(2, 1, "zw", 4)
+    poly = (vs.var("z", 1) - vs.var("w", 2)) ** 2 + vs.var("w", 1)
+    exact = BiConeSeries(2, ("z", "w"), {
+        ((-1, 0, 1), (-2, 1, 2)): Fraction(3),
+        ((0, 2, 1), (-1, 0, 1)): Fraction(-1, 2),
+        ((0, 0, 1), (-1, 3, 2)): Fraction(5),
+    })
+    kept = []
+    for bound in ((0, 1), (-2, 1), (1, -1), (-3, 0)):
+        for full, bounded in ((kernel.mul_poly(poly), kernel.mul_poly(poly, bound)),
+                              (kernel.mul_series(exact), kernel.mul_series(exact, bound))):
+            assert bounded.windows == full.windows
+            assert bounded.coeffs == {key: c for key, c in full.coeffs.items()
+                                      if key[0][0] < bound[0] and key[1][0] < bound[1]}
+            kept.append(len(bounded.coeffs))
+    assert 0 in kept and any(kept)
