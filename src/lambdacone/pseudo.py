@@ -87,11 +87,11 @@ class ModuleElement:
 
     def scale(self, factor) -> "ModuleElement":
         """Multiply by a scalar or by a polynomial in T (the module action)."""
-        if isinstance(factor, (int, Fraction)):
+        if type(factor) in (int, Fraction):
             if not factor:
                 return ModuleElement._trusted(self.vs, self.r, {})
             return ModuleElement._trusted(
-                self.vs, self.r, {k: p * factor for k, p in self.coords.items()}
+                self.vs, self.r, {k: p.scale(factor) for k, p in self.coords.items()}
             )
         return ModuleElement(
             self.vs, self.r, {k: p * factor for k, p in self.coords.items()}

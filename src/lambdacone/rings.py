@@ -230,12 +230,13 @@ class Poly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def scale(self, c) -> "Poly":
+        """c * self for an int or Fraction c, without the general product."""
+        if not c:
+            return Poly._trusted(self.vs, {})
+        return Poly._trusted(self.vs, {m: v * c for m, v in self.terms.items()})
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a nonzero scalar keeps every term nonzero
-            if not other:
-                return Poly._trusted(self.vs, {})
-            return Poly._trusted(self.vs, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

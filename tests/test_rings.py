@@ -216,6 +216,8 @@ def test_results_store_only_nonzero_fractions():
         results += [p + q, p - q, q - p, -p, p - p, p * q, p ** 2, p ** 0]
         results += [p.subst(assignment), (p - q).subst({("T", 1): vs.var("T", 1)})]
         results += [p.diff("T", 1), p.diff("mu", 2), p.laplacian("lam")]
+        results += [p.scale(3), p.scale(Fraction(-2, 7)), p.scale(0)]
+        assert p.scale(3) == 3 * p and p.scale(Fraction(-2, 7)) == p * Fraction(-2, 7)
         results += list(p.coefficients_in(("lam",)).values())
         results += list((p * q - q * p + p).coefficients_in(("T", "mu")).values())
     for p in results:

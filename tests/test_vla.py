@@ -8,7 +8,6 @@ import hashlib
 import pytest
 
 from lambdacone import vla
-from lambdacone.errors import TruncationError
 from lambdacone import (
     BracketTable,
     ConeSeries,
@@ -16,6 +15,7 @@ from lambdacone import (
     LambdaPoly,
     LieStructure,
     ModuleElement,
+    TruncationError,
     VLAStructure,
     borcherds_check,
     build_cur,
