@@ -21,6 +21,7 @@ term that cannot land in the compared region is ever built.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -220,15 +221,7 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
 def _rhs_kernel(F: Kernel, n: int, m: int, sigma: int, depth: int, bound: tuple) -> BiConeSeries:
     """(iota_zw - iota_wz)(F ((z-w)^2)^n) h_{m,sigma}(z-w), formed below ``bound``."""
     D = F.D
-    combined = Kernel(
-        D,
-        coeff=F.coeff,
-        z_exps=F.z_exps,
-        w_exps=F.w_exps,
-        z_pole=F.z_pole,
-        w_pole=F.w_pole,
-        zw_pole=F.zw_pole - n,
-    )
+    combined = replace(F, zw_pole=F.zw_pole - n)
     diff = (iota_kernel(combined, "zw", depth, bound)
             - iota_kernel(combined, "wz", depth, bound))
     if m:
