@@ -232,8 +232,13 @@ def _parse_lie(header, body) -> LoadedAlgebra:
         idx = row.get("c")
         if not isinstance(idx, list) or len(idx) != 3 or not all(isinstance(i, int) for i in idx):
             raise AlgebraFileError(f"bad structure-constant index {idx!r}")
-        i, j, k = (x - 1 for x in idx)
-        constants[(i, j, k)] = _frac_in(row.get("value"))
+        for x in idx:
+            if not 1 <= x <= dim:
+                raise AlgebraFileError(f"index {x} out of range for dim {dim}")
+        key = tuple(x - 1 for x in idx)
+        if key in constants:
+            raise AlgebraFileError(f"duplicate structure constant [{','.join(map(str, idx))}]")
+        constants[key] = _frac_in(row.get("value"))
     try:
         g = LieStructure(dim, constants)
     except ValueError as exc:

@@ -21,7 +21,6 @@ from .algfiles import (
 )
 from .cone import Kernel
 from .pseudo import (
-    BracketTable,
     ChiVector,
     LieStructure,
     build_cur,
@@ -29,8 +28,6 @@ from .pseudo import (
     build_wd,
     current_extend,
     jacobi_check,
-    lie_jacobi_report,
-    lie_skew_report,
     sd_closure_check,
     skew_check,
 )
@@ -118,14 +115,15 @@ def run_checks(loaded: LoadedAlgebra, axioms, args) -> tuple:
                 f"axiom {axiom!r} is not applicable to a {loaded.kind} "
                 f"(choose from {', '.join(applicable)})"
             )
-    obj = loaded.obj
+    # A Lie algebra is checked as its D = 0 bracket table.
+    obj = loaded.obj.table if loaded.kind == "lie" else loaded.obj
     lines = []
     ok = True
     for axiom in axioms:
         if axiom == "skew":
-            report = skew_check(obj) if isinstance(obj, BracketTable) else lie_skew_report(obj)
+            report = skew_check(obj)
         elif axiom == "jacobi":
-            report = jacobi_check(obj) if isinstance(obj, BracketTable) else lie_jacobi_report(obj)
+            report = jacobi_check(obj)
         elif axiom == "closure":
             if obj != build_wd(obj.D):
                 raise CliError("the closure axiom applies to the W(D) presentation only")

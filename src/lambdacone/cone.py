@@ -9,8 +9,9 @@ graded-lex pivots, so representatives are deterministic and h_{0,1} = 1.
 Series over these modes carry an explicit truncation window; coefficients
 outside the window are unknown, not zero, and every operation computes the
 exact window it can still answer for.  Expansion of rational kernels
-((z-w)^2)^{-k} in the |w| << |z| region (iota) is exact binomial expansion,
-re-decomposed into bi-cone modes.
+((z-w)^2)^{-k} in the |w| << |z| region (iota) is exact binomial expansion
+in z^2, w^2 and z.w; each power (z.w)^b lands in bi-cone modes through the
+zonal harmonics K_d[(z.w)^d].
 """
 
 from __future__ import annotations
@@ -865,10 +866,10 @@ def iota_pole(D: int, k: int, side: str, depth: int, bound: Optional[tuple] = No
     is at most ``depth`` (and for all z modes there); symmetrically for "wz".
     Series are immutable, so the cached instance is shared.
 
-    Without ``bound`` the expansion is built monomial by monomial.  With
-    ``bound`` = (bz, bw), only the bi-modes with n_z < bz and n_w < bw are
-    formed, read off the zonal harmonics (``_iota_zonal``); the windows are
-    the same either way.
+    The coefficients are read off the zonal harmonics (``_iota_zonal``).
+    With ``bound`` = (bz, bw), only the bi-modes with n_z < bz and n_w < bw
+    are formed; without it, every bi-mode is.  The windows do not depend on
+    the bound.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
@@ -882,48 +883,10 @@ def iota_pole(D: int, k: int, side: str, depth: int, bound: Optional[tuple] = No
     small = 1 if side == "zw" else 0
     windows = [FULL_WINDOW, FULL_WINDOW]
     windows[small] = Window(None, depth)
-    if bound is not None:
-        return BiConeSeries(D, ("z", "w"), _iota_zonal(D, k, small, depth, bound), tuple(windows))
-    # cross = -2 z.w, square = small-variable^2; expansion of
-    # (big^2)^(-k) * (1 + (small^2 - 2 z.w)/big^2)^(-k).
-    coeffs: dict = {}
-    base: dict = {}
-    for alpha in range(D):
-        sq = [[0] * D, [0] * D]
-        sq[small][alpha] = 2
-        key = (tuple(sq[0]), tuple(sq[1]))
-        base[key] = base.get(key, Fraction(0)) + 1
-        cross = [[0] * D, [0] * D]
-        cross[0][alpha] = 1
-        cross[1][alpha] = 1
-        key = (tuple(cross[0]), tuple(cross[1]))
-        base[key] = base.get(key, Fraction(0)) - 2
-    power: dict = {((0,) * D, (0,) * D): Fraction(1)}
-    for t in range(depth + 1):
-        c_t = _neg_binom(k, t)
-        for (ez, ew), c in power.items():
-            exps = (ez, ew)
-            if sum(exps[small]) > depth:
-                continue
-            big_exps = exps[1 - small]
-            for (j1, m1, s1), q1 in _times_mono(D, 0, 1, big_exps):
-                for (j2, m2, s2), q2 in _times_mono(D, 0, 1, exps[small]):
-                    big_mode = (-k - t + j1, m1, s1)
-                    small_mode = (j2, m2, s2)
-                    pair = (big_mode, small_mode) if small == 1 else (small_mode, big_mode)
-                    value = c_t * c * q1 * q2
-                    coeffs[pair] = coeffs.get(pair, Fraction(0)) + value
-        if t < depth:
-            new: dict = {}
-            for (ez, ew), c in power.items():
-                for (bz, bw), bc in base.items():
-                    key = (
-                        tuple(x + y for x, y in zip(ez, bz)),
-                        tuple(x + y for x, y in zip(ew, bw)),
-                    )
-                    new[key] = new.get(key, Fraction(0)) + c * bc
-            power = new
-    return BiConeSeries(D, ("z", "w"), coeffs, tuple(windows))
+    if bound is None:
+        # every formed bi-mode has n_small <= depth and n_big < 0
+        bound = (depth + 1, depth + 1)
+    return BiConeSeries(D, ("z", "w"), _iota_zonal(D, k, small, depth, bound), tuple(windows))
 
 
 def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None) -> BiConeSeries:

@@ -254,8 +254,10 @@ class ChiVector:
 class LieStructure:
     """Finite-dimensional Lie algebra given by structure constants.
 
-    Antisymmetry and the Jacobi identity are validated at construction, so a
-    LieStructure is a certificate, not a claim.
+    ``table`` is its D = 0 bracket table, with generators named "1".."n".
+    Antisymmetry and the Jacobi identity are validated at construction by
+    the skew and Jacobi checks of that table, so a LieStructure is a
+    certificate, not a claim.
     """
 
     def __init__(self, dim: int, constants: Mapping):
@@ -271,33 +273,12 @@ class LieStructure:
             if value:
                 c[(i, j, k)] = value
         self.c = c
-        self._validate()
-
-    def _validate(self):
-        for (i, j, k), value in self.c.items():
-            if self.c.get((j, i, k), Fraction(0)) != -value:
+        self.table = _constant_table(self, 0, tuple(str(i + 1) for i in range(dim)))
+        for report in (skew_check(self.table), jacobi_check(self.table)):
+            if not report.passed:
                 raise ValueError(
-                    f"structure constants not antisymmetric at ({i},{j},{k})"
+                    f"structure constants fail {report.name} at {report.failures[0].label}"
                 )
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        total = Fraction(0)
-                        for m in range(n):
-                            total += self.c.get((i, j, m), 0) * self.c.get((m, k, l), 0)
-                            total += self.c.get((j, k, m), 0) * self.c.get((m, i, l), 0)
-                            total += self.c.get((k, i, m), 0) * self.c.get((m, j, l), 0)
-                        if total:
-                            raise ValueError(
-                                f"Jacobi identity fails at ({i},{j},{k}) -> {l}"
-                            )
-
-    def bracket(self, i: int, j: int) -> dict:
-        return {
-            k: value for (a, b, k), value in self.c.items() if a == i and b == j
-        }
 
     @classmethod
     def abelian(cls, dim: int) -> "LieStructure":
@@ -382,17 +363,21 @@ class BracketTable:
 # constructors for the standard families
 # ----------------------------------------------------------------------
 
+def _constant_table(g: LieStructure, D: int, names: tuple) -> BracketTable:
+    """The table over C[T_1..T_D] whose generator brackets are g's structure constants."""
+    vs = pseudo_space(D)
+    entries: dict = {}
+    for (i, j, k), value in g.c.items():
+        entries.setdefault((i, j), {})[k] = vs.const(value)
+    return BracketTable(
+        D, names, {key: LambdaPoly(vs, g.dim, coords) for key, coords in entries.items()}
+    )
+
+
 def build_cur(g: LieStructure, D: int) -> BracketTable:
     """Current pseudoalgebra over a Lie algebra: generator brackets are constant."""
-    vs = pseudo_space(D)
-    r = g.dim
-    names = tuple(f"x{i + 1}" for i in range(r)) if r != 3 else ("e", "h", "f")
-    entries = {}
-    for i in range(r):
-        for j in range(r):
-            coords = {k: vs.const(value) for k, value in g.bracket(i, j).items()}
-            entries[(i, j)] = LambdaPoly(vs, r, coords)
-    return BracketTable(D, names, entries)
+    names = tuple(f"x{i + 1}" for i in range(g.dim)) if g.dim != 3 else ("e", "h", "f")
+    return _constant_table(g, D, names)
 
 
 def build_wd(D: int) -> BracketTable:
@@ -569,47 +554,6 @@ def jacobi_check(table: BracketTable) -> CheckReport:
                         if p
                     )
                     failures.append(Failure(label, witness))
-    return CheckReport("jacobi", len(records), tuple(failures), records=tuple(records))
-
-
-def lie_skew_report(g: LieStructure) -> CheckReport:
-    """Antisymmetry of structure constants (always true post-construction)."""
-    records = []
-    failures = []
-    for i in range(g.dim):
-        for j in range(g.dim):
-            label = f"({i + 1},{j + 1})"
-            bad = [
-                k
-                for k in range(g.dim)
-                if g.c.get((i, j, k), Fraction(0)) != -g.c.get((j, i, k), Fraction(0))
-            ]
-            records.append((label, not bad))
-            for k in bad:
-                failures.append(Failure(label, f"c[{i + 1},{j + 1}]^{k + 1} not antisymmetric"))
-    return CheckReport("skew", len(records), tuple(failures), records=tuple(records))
-
-
-def lie_jacobi_report(g: LieStructure) -> CheckReport:
-    """Structure-constant Jacobi identity (always true post-construction)."""
-    records = []
-    failures = []
-    n = g.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                label = f"({i + 1},{j + 1},{k + 1})"
-                ok = True
-                for l in range(n):
-                    total = Fraction(0)
-                    for m in range(n):
-                        total += g.c.get((i, j, m), 0) * g.c.get((m, k, l), 0)
-                        total += g.c.get((j, k, m), 0) * g.c.get((m, i, l), 0)
-                        total += g.c.get((k, i, m), 0) * g.c.get((m, j, l), 0)
-                    if total:
-                        ok = False
-                        failures.append(Failure(label, f"component {l + 1}: {total}"))
-                records.append((label, ok))
     return CheckReport("jacobi", len(records), tuple(failures), records=tuple(records))
 
 

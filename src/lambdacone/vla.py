@@ -37,6 +37,7 @@ from .cone import (
     iota_kernel,
 )
 from .errors import TruncationError, WorkspaceError
+from .ope1d import jth_from_lambda
 from .pseudo import BracketTable, ModuleElement, pseudo_space
 from .report import CheckReport, Failure
 from .rings import VarSpace
@@ -172,9 +173,7 @@ def d1_bridge(table: BracketTable) -> VLAStructure:
     actions = {}
     for (i, j), entry in table.entries.items():
         coeffs = {}
-        for mono, element in entry.lambda_terms().items():
-            jj = mono[0][1] if mono else 0
-            c = element.scale(factorial(jj))
+        for jj, c in jth_from_lambda(entry).products.items():
             ell = -jj - 1
             m = ell % 2
             n = (ell - m) // 2

@@ -186,6 +186,17 @@ def test_lie_file_validation():
     empty = '{"kind":"pseudoalgebra","D":1,"generators":[]}\n'
     with pytest.raises(AlgebraFileError):
         parse_algebra_text(empty)
+    header = '{"kind":"lie","dim":3,"generators":["a","b","c"]}\n'
+    duplicate = header + (
+        '{"c":[1,2,3],"value":["5","1"]}\n{"c":[2,1,3],"value":["-1","1"]}\n'
+        '{"c":[1,2,3],"value":["1","1"]}\n'
+    )
+    with pytest.raises(AlgebraFileError, match=r"^duplicate structure constant \[1,2,3\]$"):
+        parse_algebra_text(duplicate)
+    for idx, bad_index in (("[0,1,1]", 0), ("[1,4,1]", 4)):
+        row = '{"c":%s,"value":["1","1"]}\n' % idx
+        with pytest.raises(AlgebraFileError, match=f"^index {bad_index} out of range for dim 3$"):
+            parse_algebra_text(header + row)
 
 
 def test_lie_file_checks_via_cli(tmp_path):
@@ -220,6 +231,12 @@ GOLDEN_EMITS = [
      "1f2d3e83b361bc3ee88c4f2f91c509b94628f7fcbea98b1ffdf78b8d3da6fe4f"),
     (["iota-expansion", "--dim", "3", "--k", "2", "--window", "6"],
      "b4ab8ccd5d67d0731d234892ae7fc52f0631633adca0c2925e1aa7046127b135"),
+    (["iota-expansion", "--dim", "2", "--k", "1", "--side", "wz", "--window", "6"],
+     "be3c70e2a606dc0163abe0c2243ef775a89cceca97e47239962e8447908cb0a6"),
+    (["iota-expansion", "--dim", "4", "--k", "3", "--window", "4"],
+     "a723ccdbfca90637dca474536045f603486ca2786f9d695fa9e738a680d4ad4e"),
+    (["iota-expansion", "--dim", "1", "--k", "2", "--window", "5"],
+     "05c7b903a8c42f7739a484bd00e5eeaf75494ab199bed2e8e3b587afda2a727c"),
 ]
 
 

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from lambdacone import (
+    FULL_WINDOW,
+    BiConeSeries,
     ConeSeries,
     Kernel,
     TruncationError,
@@ -31,7 +34,7 @@ from lambdacone import (
     singular_part,
     wick_extract,
 )
-from lambdacone.cone import _decompose_raw, iota_pole
+from lambdacone.cone import _decompose_raw, _times_mono, iota_pole
 from lambdacone.linalg import rref
 
 
@@ -346,20 +349,63 @@ def _below(series, bound):
             if key[0][0] < bound[0] and key[1][0] < bound[1]}
 
 
+def _monomial_iota(D, k, side, depth):
+    """Reference expansion of ((z-w)^2)^(-k), k >= 1, built monomial by monomial.
+
+    (big^2)^(-k) (1 + (small^2 - 2 z.w)/big^2)^(-k) is expanded in powers t
+    of the bracket; each monomial of the t-th power is Gauss-decomposed in z
+    and in w on its own.
+    """
+    small = 1 if side == "zw" else 0
+    base: dict = {}  # (z exponents, w exponents) of small^2 - 2 z.w
+    for alpha in range(D):
+        sq = [[0] * D, [0] * D]
+        sq[small][alpha] = 2
+        cross = [[0] * D, [0] * D]
+        cross[0][alpha] = cross[1][alpha] = 1
+        for exps, c in ((sq, 1), (cross, -2)):
+            key = (tuple(exps[0]), tuple(exps[1]))
+            base[key] = base.get(key, 0) + c
+    coeffs: dict = {}
+    power = {((0,) * D, (0,) * D): Fraction(1)}
+    for t in range(depth + 1):
+        c_t = (-1) ** t * comb(k + t - 1, t)
+        for exps, c in power.items():
+            if sum(exps[small]) > depth:
+                continue
+            for (j1, m1, s1), q1 in _times_mono(D, 0, 1, exps[1 - small]):
+                for (j2, m2, s2), q2 in _times_mono(D, 0, 1, exps[small]):
+                    big, little = (-k - t + j1, m1, s1), (j2, m2, s2)
+                    pair = (big, little) if small == 1 else (little, big)
+                    coeffs[pair] = coeffs.get(pair, 0) + c_t * c * q1 * q2
+        if t == depth:
+            break
+        new: dict = {}
+        for (ez, ew), c in power.items():
+            for (bz, bw), bc in base.items():
+                key = (tuple(map(sum, zip(ez, bz))), tuple(map(sum, zip(ew, bw))))
+                new[key] = new.get(key, 0) + c * bc
+        power = new
+    windows = [FULL_WINDOW, FULL_WINDOW]
+    windows[small] = Window(None, depth)
+    return BiConeSeries(D, ("z", "w"), coeffs, tuple(windows))
+
+
 def test_bounded_iota_is_the_filtered_expansion():
-    # The bounded expansion is read off the zonal harmonics of (z.w)^b, the
-    # unbounded one is built monomial by monomial: below every bound they
-    # agree, and the windows do not depend on the bound.
-    bounds = ((-1, 9), (0, 0), (0, 1), (1, 0), (2, 3), (9, 9))
+    # iota_pole reads the expansion off the zonal harmonics of (z.w)^b; the
+    # reference builds it monomial by monomial.  They agree without a bound
+    # and below every bound, and the windows do not depend on the bound.
+    bounds = (None, (-1, 9), (0, 0), (0, 1), (1, 0), (2, 3), (9, 9))
     for D, depths in ((1, (0, 3, 6)), (2, (0, 3, 6)), (3, (0, 2, 5)), (4, (3,))):
         for k in (1, 2, 3):
             for side in ("zw", "wz"):
                 for depth in depths:
-                    full = iota_pole(D, k, side, depth)
+                    reference = _monomial_iota(D, k, side, depth)
                     for bound in bounds:
-                        bounded = iota_pole(D, k, side, depth, bound)
-                        assert bounded.coeffs == _below(full, bound)
-                        assert bounded.windows == full.windows
+                        series = iota_pole(D, k, side, depth, bound)
+                        expected = reference.coeffs if bound is None else _below(reference, bound)
+                        assert series.coeffs == expected
+                        assert series.windows == reference.windows
 
 
 def test_bounded_iota_kernel_is_the_filtered_kernel():

@@ -293,9 +293,9 @@ def test_jacobi_detects_broken_constants():
 
 
 def test_lie_structure_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"fail skew at \(1,2\)$"):
         LieStructure(2, {(0, 1, 0): 1})  # not antisymmetric
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"fail jacobi at \(1,2,3\)$"):
         LieStructure(3, {
             (0, 1, 2): 1, (1, 0, 2): -1,
             (1, 2, 0): 1, (2, 1, 0): -1,
