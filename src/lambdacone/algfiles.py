@@ -44,6 +44,11 @@ class LoadedAlgebra:
 # primitives
 # ----------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as bools, which are not indices."""
+    return type(x) is int
+
+
 def _frac_out(value) -> list:
     f = Fraction(value)
     return [str(f.numerator), str(f.denominator)]
@@ -83,7 +88,7 @@ def _poly_in(data, vs, D: int, family: str = "T") -> Poly:
             raise AlgebraFileError(f"bad polynomial term {item!r}")
         exps, coeff = item
         if not isinstance(exps, list) or len(exps) != D or not all(
-            isinstance(e, int) and e >= 0 for e in exps
+            _is_int(e) and e >= 0 for e in exps
         ):
             raise AlgebraFileError(f"bad exponent vector {exps!r}")
         poly = poly + vs.from_exps(family, exps, _frac_in(coeff))
@@ -222,7 +227,7 @@ def _parse_lie(header, body) -> LoadedAlgebra:
     _check_keys(header, {"kind", "dim", "generators"}, "lie header")
     names = _names(header)
     dim = header.get("dim")
-    if dim != len(names):
+    if not _is_int(dim) or dim != len(names):
         raise AlgebraFileError("dim must equal the number of generators")
     constants = {}
     for row in body:
@@ -230,7 +235,7 @@ def _parse_lie(header, body) -> LoadedAlgebra:
             raise AlgebraFileError("body lines must be objects")
         _check_keys(row, {"c", "value"}, "lie entry")
         idx = row.get("c")
-        if not isinstance(idx, list) or len(idx) != 3 or not all(isinstance(i, int) for i in idx):
+        if not isinstance(idx, list) or len(idx) != 3 or not all(map(_is_int, idx)):
             raise AlgebraFileError(f"bad structure-constant index {idx!r}")
         for x in idx:
             if not 1 <= x <= dim:
@@ -246,14 +251,17 @@ def _parse_lie(header, body) -> LoadedAlgebra:
     return LoadedAlgebra("lie", g)
 
 
-def _parse_entry_terms(row, D, vs, names, value_key: str):
+def _parse_entry_terms(row, D, vs, names, value_key: str, seen: dict):
+    """The 0-based key and the parsed terms of an entry line not yet in ``seen``."""
     _check_keys(row, {"entry", "terms"}, "entry line")
     idx = row.get("entry")
-    if not isinstance(idx, list) or len(idx) != 2 or not all(isinstance(i, int) for i in idx):
+    if not isinstance(idx, list) or len(idx) != 2 or not all(map(_is_int, idx)):
         raise AlgebraFileError(f"bad entry index {idx!r}")
     i, j = idx[0] - 1, idx[1] - 1
     if not (0 <= i < len(names) and 0 <= j < len(names)):
         raise AlgebraFileError(f"entry index {idx!r} out of range")
+    if (i, j) in seen:
+        raise AlgebraFileError(f"duplicate entry [{idx[0]},{idx[1]}]")
     terms = row.get("terms")
     if not isinstance(terms, list):
         raise AlgebraFileError("'terms' must be a list")
@@ -274,7 +282,7 @@ def _parse_table(header, body) -> LoadedAlgebra:
     _check_keys(header, {"kind", "D", "generators", "chi"}, "pseudoalgebra header")
     names = _names(header)
     D = header.get("D")
-    if not isinstance(D, int) or D < 0:
+    if not _is_int(D) or D < 0:
         raise AlgebraFileError("D must be a nonnegative integer")
     chi = None
     if "chi" in header:
@@ -288,15 +296,13 @@ def _parse_table(header, body) -> LoadedAlgebra:
     for row in body:
         if not isinstance(row, dict):
             raise AlgebraFileError("body lines must be objects")
-        key, parsed = _parse_entry_terms(row, D, vs, names, "lambda")
-        if key in entries:
-            raise AlgebraFileError(f"duplicate entry {key}")
+        key, parsed = _parse_entry_terms(row, D, vs, names, "lambda", entries)
         value = LambdaPoly.zero(vs, r)
         for lam_exps, gen_index, poly in parsed:
             if (
                 not isinstance(lam_exps, list)
                 or len(lam_exps) != D
-                or not all(isinstance(e, int) and e >= 0 for e in lam_exps)
+                or not all(_is_int(e) and e >= 0 for e in lam_exps)
             ):
                 raise AlgebraFileError(f"bad lambda exponent vector {lam_exps!r}")
             lam = vs.from_exps("lam", lam_exps)
@@ -313,7 +319,7 @@ def _parse_vla(header, body) -> LoadedAlgebra:
     _check_keys(header, {"kind", "D", "generators"}, "vla header")
     names = _names(header)
     D = header.get("D")
-    if not isinstance(D, int) or D < 1:
+    if not _is_int(D) or D < 1:
         raise AlgebraFileError("D must be a positive integer")
     vs = pseudo_space(D)
     r = len(names)
@@ -321,14 +327,10 @@ def _parse_vla(header, body) -> LoadedAlgebra:
     for row in body:
         if not isinstance(row, dict):
             raise AlgebraFileError("body lines must be objects")
-        key, parsed = _parse_entry_terms(row, D, vs, names, "mode")
-        if key in actions:
-            raise AlgebraFileError(f"duplicate entry {key}")
+        key, parsed = _parse_entry_terms(row, D, vs, names, "mode", actions)
         coeffs: dict = {}
         for mode, gen_index, poly in parsed:
-            if not isinstance(mode, list) or len(mode) != 3 or not all(
-                isinstance(x, int) for x in mode
-            ):
+            if not isinstance(mode, list) or len(mode) != 3 or not all(map(_is_int, mode)):
                 raise AlgebraFileError(f"bad mode index {mode!r}")
             mode = tuple(mode)
             element = ModuleElement(vs, r, {gen_index: poly})

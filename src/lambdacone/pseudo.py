@@ -1,12 +1,14 @@
 """Lie pseudoalgebras presented by bracket tables over C[T_1..T_D].
 
-A presentation stores the bracket of every generator pair as a polynomial in
-the lam-family variables with coefficients in the free module over C[T].
-Internally both layers are flattened: a bracket entry is a map
-``generator index -> Poly in (T, lam)``.  With that representation the two
-sesquilinearity rules, the skewsymmetry substitution lam -> -T-lam and the
-Jacobi identity all become plain polynomial substitutions, and every axiom
-check is an exact symbolic-zero assertion.
+A bracket value is a polynomial in the lam-family variables with
+coefficients in the free module over C[T].  One type, :class:`LambdaPoly`,
+holds every such value flattened to ``generator index -> Poly in (T, lam)``;
+a :class:`ModuleElement` is the case with no lam.  Values are validated once,
+when built from outside data; sums and scalar multiples are not re-checked.
+With that representation the two sesquilinearity rules, the skewsymmetry
+substitution lam -> -T-lam and the Jacobi identity all become plain
+polynomial substitutions, and every axiom check is an exact symbolic-zero
+assertion.
 """
 
 from __future__ import annotations
@@ -27,121 +29,16 @@ def pseudo_space(D: int) -> VarSpace:
     return VarSpace(D, PSEUDO_FAMILIES)
 
 
-def _check_compatible(a, b):
-    if a.vs != b.vs or a.r != b.r:
-        raise WorkspaceError("values belong to different pseudoalgebra workspaces")
-
-
-class ModuleElement:
-    """Element of the free module C[T]^r: map generator index -> T-polynomial."""
-
-    __slots__ = ("vs", "r", "coords")
-
-    def __init__(self, vs: VarSpace, r: int, coords: Mapping):
-        clean = {}
-        for k, poly in coords.items():
-            if not 0 <= k < r:
-                raise ValueError(f"generator index {k} out of range")
-            if not isinstance(poly, Poly):
-                poly = vs.const(poly)
-            if poly.vs != vs:
-                raise WorkspaceError("coordinate in a different workspace")
-            if not poly.families_used() <= {"T"}:
-                raise WorkspaceError("module coordinates must be polynomials in T")
-            if poly:
-                clean[k] = poly
-        self.vs = vs
-        self.r = r
-        self.coords = clean
-
-    @classmethod
-    def _trusted(cls, vs: VarSpace, r: int, coords: dict) -> "ModuleElement":
-        """Wrap ``coords`` as is: valid indices, nonzero polynomials in T over ``vs``."""
-        element = object.__new__(cls)
-        element.vs = vs
-        element.r = r
-        element.coords = coords
-        return element
-
-    @classmethod
-    def generator(cls, vs: VarSpace, r: int, k: int) -> "ModuleElement":
-        return cls(vs, r, {k: vs.one})
-
-    def __add__(self, other):
-        _check_compatible(self, other)
-        out = dict(self.coords)
-        for k, poly in other.coords.items():
-            total = out.get(k)
-            total = poly if total is None else total + poly
-            if total:
-                out[k] = total
-            else:
-                del out[k]
-        return ModuleElement._trusted(self.vs, self.r, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return ModuleElement._trusted(self.vs, self.r, {k: -p for k, p in self.coords.items()})
-
-    def scale(self, factor) -> "ModuleElement":
-        """Multiply by a scalar or by a polynomial in T (the module action)."""
-        if type(factor) in (int, Fraction):
-            if not factor:
-                return ModuleElement._trusted(self.vs, self.r, {})
-            return ModuleElement._trusted(
-                self.vs, self.r, {k: p.scale(factor) for k, p in self.coords.items()}
-            )
-        return ModuleElement(
-            self.vs, self.r, {k: p * factor for k, p in self.coords.items()}
-        )
-
-    def __mul__(self, factor):
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    def mul_T(self, alpha: int) -> "ModuleElement":
-        return self.scale(self.vs.var("T", alpha))
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        return self.vs == other.vs and self.r == other.r and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.vs, self.r, tuple(sorted(self.coords.items()))))
-
-    def format(self, names=None) -> str:
-        if not self.coords:
-            return "0"
-        parts = []
-        for k in sorted(self.coords):
-            name = names[k] if names else f"a{k + 1}"
-            poly = self.coords[k]
-            text = str(poly)
-            if text == "1":
-                parts.append(name)
-            else:
-                parts.append(f"({text})*{name}")
-        return " + ".join(parts)
-
-    def __str__(self):
-        return self.format()
-
-    def __repr__(self):
-        return f"ModuleElement({self})"
-
-
 class LambdaPoly:
-    """A bracket value: polynomial in lam with ModuleElement coefficients.
+    """A bracket value [a lam b]: a polynomial in lam over the free module C[T]^r.
 
-    Stored flattened as ``generator index -> Poly in (T, lam)``; the
-    lam-graded view is available through :meth:`lambda_terms`.
+    Stored flattened as ``generator index -> nonzero Poly in (T, lam)``; the
+    lam-graded view is available through :meth:`lambda_terms`.  The public
+    constructor validates indices and workspaces and drops zero coordinates.
+    Sums, negation and scalar multiples are built with :meth:`_trusted`,
+    since they cannot break those invariants; a polynomial factor and a
+    substitution go back through ``type(self)(...)``, so a subclass keeps
+    its own invariant under both.
     """
 
     __slots__ = ("vs", "r", "coords")
@@ -162,33 +59,60 @@ class LambdaPoly:
         self.coords = clean
 
     @classmethod
-    def zero(cls, vs: VarSpace, r: int) -> "LambdaPoly":
-        return cls(vs, r, {})
+    def _trusted(cls, vs: VarSpace, r: int, coords: dict):
+        """Wrap ``coords`` as is: the caller guarantees the invariants of ``cls``."""
+        value = object.__new__(cls)
+        value.vs = vs
+        value.r = r
+        value.coords = coords
+        return value
 
     @classmethod
-    def from_module_element(cls, element: ModuleElement) -> "LambdaPoly":
-        return cls(element.vs, element.r, dict(element.coords))
+    def zero(cls, vs: VarSpace, r: int):
+        return cls._trusted(vs, r, {})
+
+    @classmethod
+    def from_module_element(cls, element: "ModuleElement"):
+        return cls(element.vs, element.r, element.coords)
 
     def __add__(self, other):
-        _check_compatible(self, other)
+        if other.vs != self.vs or other.r != self.r:
+            raise WorkspaceError("values belong to different pseudoalgebra workspaces")
         out = dict(self.coords)
         for k, poly in other.coords.items():
-            out[k] = out.get(k, self.vs.zero) + poly
-        return LambdaPoly(self.vs, self.r, out)
+            total = out.get(k)
+            total = poly if total is None else total + poly
+            if total:
+                out[k] = total
+            else:
+                del out[k]
+        # A sum with a lam-dependent value is no longer a module element.
+        cls = type(self) if type(other) is type(self) else LambdaPoly
+        return cls._trusted(self.vs, self.r, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LambdaPoly(self.vs, self.r, {k: -p for k, p in self.coords.items()})
+        return type(self)._trusted(self.vs, self.r, {k: -p for k, p in self.coords.items()})
 
-    def scale(self, factor) -> "LambdaPoly":
-        return LambdaPoly(
-            self.vs, self.r, {k: p * factor for k, p in self.coords.items()}
-        )
+    def scale(self, factor):
+        """Multiply by a scalar or by a polynomial factor."""
+        if type(factor) in (int, Fraction):
+            if not factor:
+                return type(self)._trusted(self.vs, self.r, {})
+            return type(self)._trusted(
+                self.vs, self.r, {k: p.scale(factor) for k, p in self.coords.items()}
+            )
+        return type(self)(self.vs, self.r, {k: p * factor for k, p in self.coords.items()})
 
-    def subst(self, assignment: Mapping) -> "LambdaPoly":
-        return LambdaPoly(
+    def __mul__(self, factor):
+        return self.scale(factor)
+
+    __rmul__ = __mul__
+
+    def subst(self, assignment: Mapping):
+        return type(self)(
             self.vs, self.r, {k: p.subst(assignment) for k, p in self.coords.items()}
         )
 
@@ -224,7 +148,35 @@ class LambdaPoly:
         return self.format()
 
     def __repr__(self):
-        return f"LambdaPoly({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class ModuleElement(LambdaPoly):
+    """An element of the free module C[T]^r: a bracket value with no lam.
+
+    Its coordinates are checked to be polynomials in T at construction.
+    Every inherited operation keeps that invariant: sums, negation and
+    scalar multiples cannot introduce lam, and a polynomial factor or a
+    substitution is re-checked, so ``scale(lam)`` raises WorkspaceError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, vs: VarSpace, r: int, coords: Mapping):
+        super().__init__(vs, r, coords)
+        for poly in self.coords.values():
+            if not poly.families_used() <= {"T"}:
+                raise WorkspaceError("module coordinates must be polynomials in T")
+
+    @classmethod
+    def generator(cls, vs: VarSpace, r: int, k: int) -> "ModuleElement":
+        return cls(vs, r, {k: vs.one})
+
+    def mul_T(self, alpha: int) -> "ModuleElement":
+        return self.scale(self.vs.var("T", alpha))
+
+    def __hash__(self):
+        return hash((self.vs, self.r, tuple(sorted(self.coords.items()))))
 
 
 @dataclass(frozen=True)
@@ -583,7 +535,7 @@ def _symbol_factors(vs: VarSpace, chi: ChiVector) -> list:
     return [vs.var("T", a + 1) + vs.const(chi[a]) for a in range(vs.D)]
 
 
-def _divergence(x: ModuleElement | LambdaPoly, factors: list) -> Poly:
+def _divergence(x: LambdaPoly, factors: list) -> Poly:
     total = x.vs.zero
     for a, P in x.coords.items():
         total = total + P * factors[a]

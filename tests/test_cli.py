@@ -199,6 +199,35 @@ def test_lie_file_validation():
             parse_algebra_text(header + row)
 
 
+W1_FILE = serialize_table(build_wd(1))
+W1_VLA_FILE = serialize_vla(d1_bridge(build_wd(1)))
+SL2_FILE = serialize_lie(LieStructure.sl2(), ("e", "h", "f"))
+
+
+@pytest.mark.parametrize("text", [W1_FILE, W1_VLA_FILE], ids=["pseudoalgebra", "vla"])
+def test_duplicate_entry_uses_the_file_indices(text):
+    header, entry = text.splitlines()
+    with pytest.raises(AlgebraFileError, match=r"^duplicate entry \[1,1\]$"):
+        parse_algebra_text("\n".join([header, entry, entry]) + "\n")
+
+
+@pytest.mark.parametrize("text,old,new,message", [
+    (SL2_FILE, '"c":[1,3,2]', '"c":[true,3,2]', "bad structure-constant index"),
+    ('{"kind":"lie","dim":1,"generators":["a"]}\n', '"dim":1', '"dim":true',
+     "dim must equal the number of generators"),
+    (W1_FILE, '"D":1', '"D":true', "D must be a nonnegative integer"),
+    (W1_FILE, '"entry":[1,1]', '"entry":[true,true]', "bad entry index"),
+    (W1_FILE, '"lambda":[1]', '"lambda":[true]', "bad lambda exponent vector"),
+    (W1_FILE, '"poly":[[[1]', '"poly":[[[true]', "bad exponent vector"),
+    (W1_VLA_FILE, '"D":1', '"D":true', "D must be a positive integer"),
+    (W1_VLA_FILE, '"mode":[-1,0,1]', '"mode":[-1,0,true]', "bad mode index"),
+], ids=["lie-index", "lie-dim", "table-D", "entry", "lambda", "poly", "vla-D", "mode"])
+def test_json_booleans_are_not_integers(text, old, new, message):
+    assert old in text
+    with pytest.raises(AlgebraFileError, match=f"^{message}"):
+        parse_algebra_text(text.replace(old, new, 1))
+
+
 def test_lie_file_checks_via_cli(tmp_path):
     path = tmp_path / "sl2.json"
     path.write_text(serialize_lie(LieStructure.sl2(), ("e", "h", "f")))

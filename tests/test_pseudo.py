@@ -226,6 +226,46 @@ def test_module_element_rejects_lambda_coordinates():
         ModuleElement(vs, 2, {1: pseudo_space(3).var("T", 1)})
 
 
+def test_bracket_values_keep_their_invariants():
+    rng = random.Random(4711)
+    table = build_wd(2)
+    vs = table.vs
+    T1, T2, lam1 = vs.var("T", 1), vs.var("T", 2), vs.var("lam", 1)
+    flip = {("lam", a): -vs.var("T", a) - vs.var("lam", a) for a in (1, 2)}
+    elements = [_random_element(rng, table) for _ in range(4)]
+    elements = [x for x in elements if x]
+    x = elements[0]
+    # Adding it to x cancels every coordinate x has.
+    elements.append(-x + ModuleElement(vs, 2, {1: T2}))
+    brackets = [bracket_extend(table, a, b) for a in elements for b in elements[:2]]
+
+    def check(value, cls):
+        assert type(value) is cls
+        assert all(value.coords.values())
+        assert value == type(value)(value.vs, value.r, value.coords)
+
+    for a in elements:
+        for result in (a - a, a.scale(0), -a, a.scale(3), Fraction(1, 2) * a,
+                       a.scale(T1 + 1), a.mul_T(2), a.subst({("T", 1): T1 + T2}),
+                       ModuleElement(vs, 2, {0: T1 + 1}).subst({("T", 1): vs.const(-1)})):
+            check(result, ModuleElement)
+        for b in elements:
+            check(a + b, ModuleElement)
+            check(a - b, ModuleElement)
+        with pytest.raises(WorkspaceError):
+            a.scale(lam1)
+        assert type(LambdaPoly.from_module_element(a)) is LambdaPoly
+        assert LambdaPoly.from_module_element(a) == a
+    for v in brackets:
+        for result in (v - v, v.scale(0), -v, v.scale(Fraction(-2, 3)), v.scale(lam1),
+                       v.subst(flip), v + elements[0], elements[0] + v,
+                       LambdaPoly(vs, 2, {0: T1 + lam1}).subst({("lam", 1): -T1})):
+            check(result, LambdaPoly)
+        for w in brackets:
+            check(v + w, LambdaPoly)
+            check(v - w, LambdaPoly)
+
+
 # ----------------------------------------------------------------------
 # skewsymmetry
 # ----------------------------------------------------------------------
