@@ -25,7 +25,7 @@ from .pseudo import (
     ModuleElement,
     pseudo_space,
 )
-from .rings import Poly, mono_sort_key
+from .rings import Poly, dense_key
 from .vla import VLAStructure
 
 
@@ -67,16 +67,12 @@ def _frac_in(pair) -> Fraction:
         raise AlgebraFileError(f"bad rational {pair!r}: {exc}") from None
 
 
-def _poly_out(poly: Poly, D: int, family: str = "T") -> list:
-    out = []
-    for mono, coeff in sorted(poly.terms.items(), key=lambda kv: mono_sort_key(kv[0])):
-        exps = [0] * D
-        for (fam, index), e in mono:
-            if fam != family:
-                raise AlgebraFileError(f"unexpected family {fam!r} in file polynomial")
-            exps[index - 1] = e
-        out.append([exps, _frac_out(coeff)])
-    return out
+def _sorted_dense(terms: dict) -> list:
+    return sorted(terms.items(), key=lambda kv: dense_key(kv[0]))
+
+
+def _poly_out(poly: Poly, family: str = "T") -> list:
+    return [[list(exps), _frac_out(c)] for exps, c in _sorted_dense(poly.dense(family))]
 
 
 def _poly_in(data, vs, D: int, family: str = "T") -> Poly:
@@ -122,18 +118,13 @@ def serialize_table(table: BracketTable, chi: Optional[ChiVector] = None) -> str
         for j in range(table.r):
             entry = table.entry(i, j)
             terms = []
-            for lam_mono, element in sorted(
-                entry.lambda_terms().items(), key=lambda kv: mono_sort_key(kv[0])
-            ):
-                lam_exps = [0] * table.D
-                for (_, index), e in lam_mono:
-                    lam_exps[index - 1] = e
+            for lam_exps, element in _sorted_dense(entry.lambda_terms()):
                 for k in sorted(element.coords):
                     terms.append(
                         {
-                            "lambda": lam_exps,
+                            "lambda": list(lam_exps),
                             "gen": table.generators[k],
-                            "poly": _poly_out(element.coords[k], table.D),
+                            "poly": _poly_out(element.coords[k]),
                         }
                     )
             if terms:
@@ -163,7 +154,7 @@ def serialize_vla(S: VLAStructure) -> str:
                         {
                             "mode": [n, m, sigma],
                             "gen": S.generators[k],
-                            "poly": _poly_out(element.coords[k], S.D),
+                            "poly": _poly_out(element.coords[k]),
                         }
                     )
             if terms:
@@ -176,7 +167,7 @@ def serialize_harmonic_basis(basis: HarmonicBasis) -> str:
     lines = [_dump(header)]
     for sigma, poly in enumerate(basis, start=1):
         lines.append(
-            _dump({"sigma": sigma, "poly": _poly_out(poly, basis.D, family="z")})
+            _dump({"sigma": sigma, "poly": _poly_out(poly, family="z")})
         )
     return "\n".join(lines) + "\n"
 
@@ -345,12 +336,6 @@ def _parse_vla(header, body) -> LoadedAlgebra:
     except ValueError as exc:
         raise AlgebraFileError(str(exc)) from None
     return LoadedAlgebra("vla", S)
-
-
-def parse_algebra(path):
-    """Load and validate an algebra file; returns the in-memory object."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_algebra_text(handle.read()).obj
 
 
 def load_algebra(path) -> LoadedAlgebra:

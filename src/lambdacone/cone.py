@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
 from .linalg import kernel_basis
-from .rings import Poly, VarSpace
+from .rings import Poly, VarSpace, dense_monomials
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
 
@@ -44,18 +43,6 @@ def h_dim(D: int, m: int) -> int:
     if m >= 2:
         total -= comb(m + D - 3, D - 1)
     return total
-
-
-@lru_cache(maxsize=None)
-def _monomials(D: int, m: int) -> tuple:
-    """Dense exponent tuples of degree m, ordered graded-lex (z1-major)."""
-    out = []
-    for combo in combinations_with_replacement(range(D), m):
-        exps = [0] * D
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return tuple(out)
 
 
 def _raw_mul(a: dict, b: dict) -> dict:
@@ -80,10 +67,10 @@ def _raw_laplacian(raw: dict) -> dict:
 @lru_cache(maxsize=None)
 def _harmonic_raw(D: int, m: int) -> tuple:
     """Canonical harmonic basis at degree m, as raw {exps: Fraction} dicts."""
-    monos = _monomials(D, m)
+    monos = dense_monomials(D, m)
     if m < 2:
         return tuple({e: Fraction(1)} for e in monos)
-    target = _monomials(D, m - 2)
+    target = dense_monomials(D, m - 2)
     index = {e: i for i, e in enumerate(target)}
     matrix = [[Fraction(0)] * len(monos) for _ in target]
     for col, exps in enumerate(monos):
@@ -210,33 +197,24 @@ class HarmonicBasis:
         return self.polys[i]
 
 
-def _raw_poly(vs: VarSpace, family: str, raw: dict) -> Poly:
-    """A raw {exps: coefficient} dict as one polynomial in ``family`` variables."""
-    return Poly(vs, {
-        tuple(((family, i + 1), e) for i, e in enumerate(exps) if e): c
-        for exps, c in raw.items()
-    })
-
-
 def harmonic_basis(D: int, m: int) -> HarmonicBasis:
     h_dim(D, m)  # rejects D < 1 and m < 0
     vs = _z_space(D)
-    polys = tuple(_raw_poly(vs, "z", raw) for raw in _harmonic_raw(D, m))
+    polys = tuple(vs.from_dense("z", raw) for raw in _harmonic_raw(D, m))
     return HarmonicBasis(D, m, polys)
 
 
 def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace, family: str) -> Poly:
     """h_{m,sigma} written in ``family`` variables of an arbitrary workspace."""
     vs.check_var(family, D)
-    return _raw_poly(vs, family, _harmonic_raw(D, m)[sigma - 1])
+    pad = (0,) * (vs.D - D)
+    return vs.from_dense(family, {e + pad: c for e, c in _harmonic_raw(D, m)[sigma - 1].items()})
 
 
 def _poly_raw_by_degree(p: Poly, family: str) -> dict:
     """Split a single-family polynomial into {degree: raw dict}."""
     buckets: dict = {}
-    dense = p.dense_exps(family)
-    for mono, coeff in p.terms.items():
-        exps = dense[mono]
+    for exps, coeff in p.dense(family).items():
         buckets.setdefault(sum(exps), {})[exps] = coeff
     return buckets
 
@@ -265,7 +243,7 @@ def gauss_decompose(p: Poly, family: Optional[str] = None) -> list:
                 level[exps] = level.get(exps, Fraction(0)) + value * c
     out = []
     for j in sorted(levels):
-        poly = _raw_poly(p.vs, family, levels[j])
+        poly = p.vs.from_dense(family, levels[j])
         if poly:
             out.append((j, poly))
     return out
@@ -325,18 +303,15 @@ def _validate_mode(D: int, mode: Mode) -> None:
         raise ValueError(f"sigma {sigma} out of range for (D={D}, m={m})")
 
 
-def _mul_window(window: Window, k: int, p: Poly, family: str) -> Window:
-    """Window of a series multiplied by (x^2)^k * p."""
+def _mul_window(window: Window, k: int, terms: dict) -> Window:
+    """Window of a series multiplied by (x^2)^k * p, with ``terms`` = p.dense(var)."""
     if window.n_min is not None:
         raise TruncationError(
             "cannot multiply a series whose window is bounded below in n"
         )
     if window.degmax is None:
         return FULL_WINDOW
-    min_deg = min(
-        (sum(e for (fam, _), e in mono if fam == family) for mono in p.terms),
-        default=0,
-    )
+    min_deg = min((sum(exps) for exps in terms), default=0)
     return Window(None, window.degmax + 2 * k + min_deg)
 
 
@@ -430,13 +405,15 @@ class ConeSeries:
         )
 
     def mul_poly(self, p: Poly, k: int = 0) -> "ConeSeries":
-        """Multiply by (x^2)^k * p, re-decomposing into cone modes."""
-        family = _single_family(p, self.var)
-        window = _mul_window(self.window, k, p, family)
+        """Multiply by (x^2)^k * p, re-decomposing into cone modes.
+
+        p is a polynomial in the series variable; any other variable raises
+        WorkspaceError.
+        """
+        terms = p.dense(self.var)
+        window = _mul_window(self.window, k, terms)
         out: dict = {}
-        dense = p.dense_exps(family)
-        for mono, pc in p.terms.items():
-            exps = dense[mono]
+        for exps, pc in terms.items():
             for (n, m, s), coeff in self.coeffs.items():
                 for (dj, m2, s2), q in _times_mono(self.D, m, s, exps):
                     mode = (n + k + dj, m2, s2)
@@ -470,11 +447,6 @@ class ConeSeries:
     def singular_part(self) -> "ConeSeries":
         return self._like(
             {mode: c for mode, c in self.coeffs.items() if mode[0] < 0}, self.window
-        )
-
-    def regular_part(self) -> "ConeSeries":
-        return self._like(
-            {mode: c for mode, c in self.coeffs.items() if mode[0] >= 0}, self.window
         )
 
     def parity_flip(self) -> "ConeSeries":
@@ -590,6 +562,16 @@ class BiConeSeries:
     def __bool__(self):
         return bool(self.coeffs)
 
+    def __eq__(self, other):
+        if not isinstance(other, BiConeSeries):
+            return NotImplemented
+        return (
+            self.D == other.D
+            and self.vars == other.vars
+            and self.coeffs == other.coeffs
+            and self.windows == other.windows
+        )
+
     def items(self) -> list:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
@@ -647,32 +629,15 @@ class BiConeSeries:
         with n_z < bz and n_w < bw are formed, from the terms already below
         it; the windows do not depend on the bound.
         """
-        fam1, fam2 = self.vars
-        terms = []
-        min_deg = [None, None]
-        for mono, pc in p.terms.items():
-            e1 = [0] * self.D
-            e2 = [0] * self.D
-            for (fam, index), e in mono:
-                if fam == fam1:
-                    e1[index - 1] = e
-                elif fam == fam2:
-                    e2[index - 1] = e
-                else:
-                    raise WorkspaceError(f"unexpected family {fam!r} in bi-variable product")
-            terms.append((tuple(e1), tuple(e2), pc))
-            for slot, exps in ((0, e1), (1, e2)):
-                d = sum(exps)
-                if min_deg[slot] is None or d < min_deg[slot]:
-                    min_deg[slot] = d
+        D = self.D
+        terms = [(exps[:D], exps[D:], pc) for exps, pc in p.dense(*self.vars).items()]
         windows = []
         for slot in range(2):
             w = self.windows[slot]
             if w.n_min is not None:
                 raise TruncationError("cannot multiply: window bounded below in n")
-            windows.append(
-                FULL_WINDOW if w.degmax is None else Window(None, w.degmax + (min_deg[slot] or 0))
-            )
+            min_deg = min((sum(term[slot]) for term in terms), default=0)
+            windows.append(FULL_WINDOW if w.degmax is None else Window(None, w.degmax + min_deg))
         items = [(key, c) for key, c in self.coeffs.items() if _below(key, bound)]
         out: dict = {}
         for e1, e2, pc in terms:

@@ -37,11 +37,6 @@ class JthProductList:
         self.r = r
         self.products = clean
 
-    @property
-    def n_order(self) -> int:
-        """N_ab = 1 + max supported j (0 for the zero family)."""
-        return 1 + max(self.products) if self.products else 0
-
     def __eq__(self, other):
         if not isinstance(other, JthProductList):
             return NotImplemented
@@ -86,8 +81,7 @@ def jth_from_lambda(L: LambdaPoly) -> JthProductList:
     """Read off a_(j) b = j! * (coefficient of lam^j)."""
     _require_d1(L.vs)
     products = {}
-    for mono, element in L.lambda_terms().items():
-        j = mono[0][1] if mono else 0
+    for (j,), element in L.lambda_terms().items():
         products[j] = element.scale(factorial(j))
     return JthProductList(L.vs, L.r, products)
 

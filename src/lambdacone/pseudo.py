@@ -20,7 +20,7 @@ from typing import Mapping
 from .errors import WorkspaceError
 from .linalg import kernel_basis
 from .report import CheckReport, Failure
-from .rings import Poly, VarSpace, _mono_str
+from .rings import Poly, VarSpace
 
 PSEUDO_FAMILIES = ("T", "lam", "mu")
 
@@ -125,13 +125,13 @@ class LambdaPoly:
         return self.vs == other.vs and self.r == other.r and self.coords == other.coords
 
     def lambda_terms(self) -> dict:
-        """Map lam-monomial -> ModuleElement coefficient."""
+        """Map dense lam exponent vector -> ModuleElement coefficient."""
         out: dict = {}
         for k, poly in self.coords.items():
-            for lam_mono, cofactor in poly.coefficients_in(("lam",)).items():
-                out.setdefault(lam_mono, {})[k] = cofactor
+            for lam_exps, cofactor in poly.coefficients_in(("lam",)).items():
+                out.setdefault(lam_exps, {})[k] = cofactor
         return {
-            mono: ModuleElement(self.vs, self.r, coords) for mono, coords in out.items()
+            exps: ModuleElement(self.vs, self.r, coords) for exps, coords in out.items()
         }
 
     def format(self, names=None) -> str:
@@ -173,7 +173,11 @@ class ModuleElement(LambdaPoly):
         return cls(vs, r, {k: vs.one})
 
     def mul_T(self, alpha: int) -> "ModuleElement":
-        return self.scale(self.vs.var("T", alpha))
+        # T_alpha times a nonzero T-polynomial is a nonzero T-polynomial.
+        T = self.vs.var("T", alpha)
+        return ModuleElement._trusted(
+            self.vs, self.r, {k: p * T for k, p in self.coords.items()}
+        )
 
     def __hash__(self):
         return hash((self.vs, self.r, tuple(sorted(self.coords.items()))))
@@ -560,19 +564,16 @@ def sd_basis(D: int, chi: ChiVector, degmax: int) -> list:
     for col, (a, exps) in enumerate(columns):
         poly = vs.from_exps("T", exps)
         image = poly * (vs.var("T", a + 1) + vs.const(chi[a]))
-        for mono, coeff in image.terms.items():
-            dense = [0] * D
-            for (fam, index), e in mono:
-                dense[index - 1] = e
-            matrix[mono_index[tuple(dense)]][col] += coeff
+        for exps, coeff in image.dense("T").items():
+            matrix[mono_index[exps]][col] += coeff
     basis = []
     for vector in kernel_basis(matrix, len(columns)):
         coords: dict = {}
         for col, value in enumerate(vector):
             if value:
                 a, exps = columns[col]
-                coords[a] = coords.get(a, vs.zero) + vs.from_exps("T", exps, value)
-        basis.append(ModuleElement(vs, D, coords))
+                coords.setdefault(a, {})[exps] = value
+        basis.append(ModuleElement(vs, D, {a: vs.from_dense("T", raw) for a, raw in coords.items()}))
     return basis
 
 
@@ -631,11 +632,12 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
             records.append((label, not total))
             if total:
                 bracket = _bracket_of_images(table, firsts[i], _images(y, shift))
-                for lam_mono, element in bracket.lambda_terms().items():
+                for lam_exps, element in bracket.lambda_terms().items():
                     div = _divergence(element, factors)
                     if div:
+                        lam_mono = vs.from_exps("lam", lam_exps)
                         failures.append(
-                            Failure(f"{label} at lam-monomial {_mono_str(lam_mono)}", str(div))
+                            Failure(f"{label} at lam-monomial {lam_mono}", str(div))
                         )
     detail = f"D={D}, chi={[str(v) for v in chi.values]}, degmax={degmax}, basis={len(basis)}"
     return CheckReport("closure", len(records), tuple(failures), detail, tuple(records))

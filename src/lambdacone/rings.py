@@ -2,11 +2,17 @@
 
 Variables come in named *families* (T, lam, mu, nu, z, w, u), each of arity D,
 so a variable is a pair ``(family, index)`` with ``1 <= index <= D``.  A
-monomial is a tuple of ``((family, index), exponent)`` pairs, sorted by
-(family order, index), with no zero exponents; a polynomial maps monomials to
-coefficients that are nonzero ``Fraction`` values.  Everything is immutable and
-hashable, and equality is exact term-map equality, so "symbolic zero" is a
-hard assertion.
+polynomial maps monomials to coefficients that are nonzero ``Fraction``
+values.  Everything is immutable and hashable, and equality is exact term-map
+equality, so "symbolic zero" is a hard assertion.
+
+Other modules read and build exponent data only as dense vectors, through
+``Poly.dense(*families)`` (``{exponent vector: coefficient}``, one length-D
+block per family) and ``VarSpace.from_dense(family, {exps: c})``; the
+canonical term order on those vectors is ``dense_key``.  How a monomial is
+stored inside a polynomial is private to this module: it is a tuple of
+``((family, index), exponent)`` pairs, sorted by (family order, index), with
+no zero exponents.
 
 The public constructor ``Poly(vs, terms)`` coerces every coefficient to
 ``Fraction`` and drops zeros.  The arithmetic inside this module builds its
@@ -77,6 +83,27 @@ def mono_sort_key(mono: Monomial) -> tuple:
     return (mono_degree(mono), tuple((_VAR_KEYS[v], -e) for v, e in mono))
 
 
+def dense_key(exps: tuple) -> tuple:
+    """The canonical term order on dense exponent vectors.
+
+    Graded, then the larger exponent of the earlier variable first: the
+    order of ``mono_sort_key`` and of ``dense_monomials``.
+    """
+    return (sum(exps), tuple(-e for e in exps))
+
+
+@lru_cache(maxsize=None)
+def dense_monomials(D: int, m: int) -> tuple:
+    """All degree-m exponent vectors in D variables, in the canonical order."""
+    out = []
+    for combo in combinations_with_replacement(range(D), m):
+        exps = [0] * D
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return tuple(out)
+
+
 def _mono_str(mono: Monomial) -> str:
     if not mono:
         return "1"
@@ -143,31 +170,37 @@ class VarSpace:
             return self.zero
         return Poly._trusted(self, {tuple(mono): c})
 
-    def monomials_of_degree(self, family: str, degree: int) -> list:
+    def monomials_of_degree(self, family: str, degree: int) -> tuple:
         """All degree-``degree`` monomials in one family, as dense exponent tuples."""
         if family not in self.families:
             raise WorkspaceError(f"family {family!r} not in workspace")
-        if self.D == 0:
-            return [()] if degree == 0 else []
-        out = []
-        for combo in combinations_with_replacement(range(self.D), degree):
-            exps = [0] * self.D
-            for i in combo:
-                exps[i] += 1
-            out.append(tuple(exps))
-        return out
+        return dense_monomials(self.D, degree)
+
+    def from_dense(self, family: str, terms: Mapping) -> "Poly":
+        """The polynomial ``sum c * prod_i family_i^exps[i]`` of ``{exps: c}``.
+
+        Each vector must have length D and nonnegative entries.
+        """
+        if family not in self.families:
+            raise WorkspaceError(f"family {family!r} not in workspace {self.families}")
+        out = {}
+        for exps, coeff in terms.items():
+            if len(exps) != self.D or min(exps, default=0) < 0:
+                raise ValueError(f"bad exponent vector {exps!r} for D = {self.D}")
+            c = Fraction(coeff)
+            if c:
+                out[tuple(((family, i), e) for i, e in enumerate(exps, 1) if e)] = c
+        return Poly._trusted(self, out)
 
     def from_exps(self, family: str, exps: Iterable[int], coeff=1) -> "Poly":
         """Monomial from a dense per-index exponent tuple of one family."""
-        return self.monomial(
-            {(family, i + 1): e for i, e in enumerate(exps) if e}, coeff
-        )
+        return self.from_dense(family, {tuple(exps): coeff})
 
 
 class Poly:
     """Immutable sparse polynomial over a :class:`VarSpace`."""
 
-    __slots__ = ("vs", "terms", "_hash")
+    __slots__ = ("vs", "terms", "_hash", "_dense")
 
     def __init__(self, vs: VarSpace, terms: Mapping):
         clean = {}
@@ -178,6 +211,7 @@ class Poly:
         self.vs = vs
         self.terms = clean
         self._hash = None
+        self._dense = None
 
     @classmethod
     def _trusted(cls, vs: VarSpace, terms: dict) -> "Poly":
@@ -186,6 +220,7 @@ class Poly:
         poly.vs = vs
         poly.terms = terms
         poly._hash = None
+        poly._dense = None
         return poly
 
     # -- ring structure -------------------------------------------------
@@ -363,51 +398,62 @@ class Poly:
     def min_degree(self) -> int:
         return min((mono_degree(m) for m in self.terms), default=0)
 
-    def degree_in(self, family: str) -> int:
-        best = 0
-        for mono in self.terms:
-            d = sum(e for (fam, _), e in mono if fam == family)
-            best = max(best, d)
-        return best
-
     def families_used(self) -> set:
         return {fam for mono in self.terms for (fam, _), _ in mono}
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(mono, Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def _split(self, families: tuple) -> list:
+        """Per term: (dense vector of ``families``, the rest of the monomial, coefficient)."""
+        D = self.vs.D
+        blocks = {family: pos * D - 1 for pos, family in enumerate(families)}
+        out = []
+        for mono, coeff in self.terms.items():
+            exps = [0] * (D * len(blocks))
+            rest = []
+            for item in mono:
+                (family, index), e = item
+                base = blocks.get(family)
+                if base is None:
+                    rest.append(item)
+                else:
+                    exps[base + index] = e
+            out.append((tuple(exps), tuple(rest), coeff))
+        return out
+
+    def dense(self, *families) -> dict:
+        """``{exponent vector: coefficient}``, one length-D block per family.
+
+        The blocks are concatenated in the order given; a variable of any
+        other family raises WorkspaceError.  The map is computed once per
+        polynomial and shared, so callers must not write to it.
+        """
+        cached = self._dense
+        if cached is not None and cached[0] == families:
+            return cached[1]
+        view = {}
+        for exps, rest, coeff in self._split(families):
+            if rest:
+                raise WorkspaceError(
+                    f"polynomial has variables outside the families {families}"
+                )
+            view[exps] = coeff
+        self._dense = (families, view)
+        return view
 
     def coefficients_in(self, families) -> dict:
-        """Group terms by their sub-monomial in ``families``.
+        """Group terms by their exponents in ``families``.
 
-        Returns a map sub-monomial -> Poly (the cofactor in the remaining
-        variables).  Splitting off the lam part of a bracket, or the z part
-        of a mixed kernel, are the two callers.
+        Returns a map from the dense vector of ``families`` (as in
+        :meth:`dense`) to the cofactor Poly in the remaining variables.
+        Splitting off the lam part of a bracket value is the caller.
         """
-        wanted = set(families)
         out: dict = {}
-        for mono, coeff in self.terms.items():
-            inside = tuple((v, e) for v, e in mono if v[0] in wanted)
-            outside = tuple((v, e) for v, e in mono if v[0] not in wanted)
-            # (inside, outside) determines the monomial, so nothing cancels.
-            out.setdefault(inside, {})[outside] = coeff
+        for exps, rest, coeff in self._split(tuple(families)):
+            # (exps, rest) determines the monomial, so nothing cancels.
+            out.setdefault(exps, {})[rest] = coeff
         return {key: Poly._trusted(self.vs, terms) for key, terms in out.items()}
-
-    def dense_exps(self, family: str) -> dict:
-        """Map monomial -> dense exponent tuple of ``family`` (single-family polys)."""
-        out = {}
-        for mono in self.terms:
-            exps = [0] * self.vs.D
-            for (fam, index), e in mono:
-                if fam != family:
-                    raise WorkspaceError(
-                        f"polynomial has variables outside family {family!r}"
-                    )
-                exps[index - 1] = e
-            out[mono] = tuple(exps)
-        return out
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda kv: mono_sort_key(kv[0]))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Mapping
 
 from .cone import (
@@ -112,18 +112,19 @@ def extend_action(S: VLAStructure, x: ModuleElement, y: ModuleElement) -> ConeSe
         raise WorkspaceError("elements do not live over this structure")
     result = ConeSeries.zero(S.D, "z")
     for i, P in x.coords.items():
+        p_terms = P.dense("T")
         for j, Q in y.coords.items():
             base = S.action(i, j)
-            for monoQ, q in Q.terms.items():
+            for q_exps, q in Q.dense("T").items():
                 series = base
-                for (_, alpha), e in monoQ:
+                for alpha, e in enumerate(q_exps, 1):
                     for _ in range(e):
                         series = series.map_coeffs(
                             lambda me, a=alpha: me.mul_T(a)
                         ) - series.diff(alpha)
-                for monoP, p in P.terms.items():
+                for p_exps, p in p_terms.items():
                     term = series
-                    for (_, alpha), e in monoP:
+                    for alpha, e in enumerate(p_exps, 1):
                         for _ in range(e):
                             term = term.diff(alpha)
                     result = result + term.scale(p * q)
@@ -148,13 +149,8 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     vs_mod = next(iter(series.coeffs.values())).vs
     for total in range(zdeg + 1):
         for exps in vs_z.monomials_of_degree(series.var, total):
-            tpoly = vs_mod.one
-            denom = 1
-            for idx, e in enumerate(exps):
-                if e:
-                    tpoly = tpoly * vs_mod.var("T", idx + 1) ** e
-                    denom *= factorial(e)
-            factor = tpoly * Fraction(1, denom)
+            # T^exps / exps!
+            factor = vs_mod.from_dense("T", {exps: Fraction(1, prod(map(factorial, exps)))})
             term = series.map_coeffs(lambda me, f=factor: me.scale(f))
             if total:
                 term = term.mul_poly(vs_z.from_exps(series.var, exps))
@@ -317,10 +313,7 @@ def _identity_failures(S, label: str, lhs: BiConeSeries, rhs: BiConeSeries) -> l
 def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) -> CheckReport:
     if window < 0:
         raise ValueError("window must be >= 0")
-    needed = max(
-        (S.action(i, k).pole_order() for i in range(S.r) for k in range(S.r)),
-        default=0,
-    )
+    needed = S.max_pole()
     if L < needed:
         raise ValueError(f"L = {L} is below the largest action pole order {needed}")
     failures = []

@@ -22,6 +22,7 @@ from lambdacone import (
     TruncationError,
     VarSpace,
     Window,
+    WorkspaceError,
     cone_from_poly,
     cone_mul,
     gauss_decompose,
@@ -196,6 +197,26 @@ def test_cone_mul_examples():
         (1, 0, 1): Fraction(1, 2),
         (0, 2, 1): Fraction(1, 2),
     }
+
+
+def test_cone_mul_rejects_a_polynomial_in_another_family():
+    series = ConeSeries(2, "z", {(0, 0, 1): 1})
+    w1 = VarSpace(2, ("z", "w")).var("w", 1)
+    with pytest.raises(WorkspaceError):
+        series.mul_poly(w1)
+    with pytest.raises(WorkspaceError):
+        cone_mul(series, w1)
+
+
+def test_bicone_series_compare_by_value():
+    F = Kernel(1, zw_pole=1)
+    assert iota_antisym(F, 3) == iota_antisym(F, 3)
+    assert iota_antisym(F, 3) != iota_antisym(F, 4)
+    assert iota_expand(2, 1, "zw", 3) != iota_expand(2, 1, "wz", 3)
+    series = iota_expand(2, 1, "zw", 3)
+    assert series.restrict((Window(None, 5), FULL_WINDOW)) != series
+    assert series.scale(1) == series
+    assert series != BiConeSeries(2, ("z", "u"), series.coeffs, series.windows)
 
 
 def test_cone_mul_shift_roundtrip():

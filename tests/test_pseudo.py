@@ -51,9 +51,9 @@ def skew_partner(table, i, j):
     """
     vs = table.vs
     out = LambdaPoly.zero(vs, table.r)
-    for lam_mono, element in table.entry(j, i).lambda_terms().items():
+    for lam_exps, element in table.entry(j, i).lambda_terms().items():
         op = vs.one
-        for (_, a), e in lam_mono:
+        for a, e in enumerate(lam_exps, 1):
             op = op * (-vs.var("T", a) - vs.var("lam", a)) ** e
         for k, poly in element.coords.items():
             out = out + LambdaPoly(vs, table.r, {k: op * poly})
@@ -246,12 +246,14 @@ def test_bracket_values_keep_their_invariants():
 
     for a in elements:
         for result in (a - a, a.scale(0), -a, a.scale(3), Fraction(1, 2) * a,
-                       a.scale(T1 + 1), a.mul_T(2), a.subst({("T", 1): T1 + T2}),
+                       a.scale(T1 + 1), a.mul_T(2), a.mul_T(1), (a - a).mul_T(1),
+                       a.subst({("T", 1): T1 + T2}),
                        ModuleElement(vs, 2, {0: T1 + 1}).subst({("T", 1): vs.const(-1)})):
             check(result, ModuleElement)
         for b in elements:
             check(a + b, ModuleElement)
             check(a - b, ModuleElement)
+        assert a.mul_T(1) == a.scale(T1) and a.mul_T(2) == a.scale(T2)
         with pytest.raises(WorkspaceError):
             a.scale(lam1)
         assert type(LambdaPoly.from_module_element(a)) is LambdaPoly

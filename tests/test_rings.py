@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lambdacone import Poly, VarSpace, WorkspaceError
+from lambdacone.rings import dense_key
 
 
 @pytest.fixture
@@ -181,6 +182,52 @@ def test_bad_variable_raises_on_every_call():
             with pytest.raises(WorkspaceError):
                 vs.var(family, index)
     assert vs.var("T", 2) is vs.var("T", 2)
+
+
+def test_dense_view_round_trips_in_the_canonical_order():
+    rng = random.Random(2718)
+    families = ("T", "lam", "z")
+    for D in (1, 2, 3):
+        vs = VarSpace(D, families)
+        for _ in range(20):
+            p = _random_poly(rng, vs)
+            ordered = []
+            for exps, c in sorted(p.dense(*families).items(), key=lambda kv: dense_key(kv[0])):
+                assert len(exps) == 3 * D
+                term = vs.const(c)
+                for pos, family in enumerate(families):
+                    term = term * vs.from_exps(family, exps[pos * D:(pos + 1) * D])
+                ordered.append(term)
+            assert ordered == [Poly(vs, {mono: c}) for mono, c in p.sorted_terms()]
+            assert sum(ordered, vs.zero) == p
+    vs = VarSpace(2, ("T", "lam"))
+    t1, l2 = vs.var("T", 1), vs.var("lam", 2)
+    assert (3 * t1 * l2 + 2).dense("lam", "T") == {(0, 1, 1, 0): 3, (0, 0, 0, 0): 2}
+    assert (t1 * l2 - l2).coefficients_in(("lam",)) == {(0, 1): t1 - 1}
+    with pytest.raises(WorkspaceError):
+        (t1 + l2).dense("T")
+    assert [vs.from_exps("T", e) for e in vs.monomials_of_degree("T", 2)] == [
+        t1 ** 2, t1 * vs.var("T", 2), vs.var("T", 2) ** 2
+    ]
+    assert VarSpace(0).const(5).dense("T", "lam") == {(): 5}
+    assert VarSpace(0).monomials_of_degree("T", 0) == ((),)
+    assert VarSpace(0).monomials_of_degree("T", 1) == ()
+
+
+def test_from_dense_checks_every_vector():
+    vs = VarSpace(2, ("z",))
+    z1, z2 = vs.var("z", 1), vs.var("z", 2)
+    for bad in ((1, 0, 0), (1,), (1, -1)):
+        with pytest.raises(ValueError):
+            vs.from_exps("z", bad)
+        with pytest.raises(ValueError):
+            vs.from_dense("z", {(0, 1): 1, bad: 1})
+    with pytest.raises(WorkspaceError):
+        vs.from_exps("w", (1, 0))
+    built = vs.from_dense("z", {(2, 0): 3, (0, 1): 0, (1, 1): Fraction(1, 2)})
+    assert built == 3 * z1 ** 2 + Fraction(1, 2) * z1 * z2
+    _assert_stored_canonically(built)
+    assert vs.from_exps("z", [0, 2], Fraction(-1, 3)) == Fraction(-1, 3) * z2 ** 2
 
 
 def _assert_stored_canonically(p):
