@@ -15,9 +15,6 @@ from lambdacone import (
     harmonic_basis,
     iota_antisym,
     iota_expand,
-    residue,
-    singular_part,
-    wick_extract,
 )
 
 # Dimensions of harmonic spaces, and the canonical echelon bases.
@@ -37,9 +34,9 @@ print("\nz1^4 =", " + ".join(f"(z^2)^{j} * ({pj})" for j, pj in gauss_decompose(
 # The same polynomial as a cone series, and coefficient extraction.
 series = cone_from_poly(p)
 print("cone modes of z1^4:", {mode: str(c) for mode, c in series.items()})
-print("wick coefficient (mode (0,0,1)):", wick_extract(series))
-print("singular part is empty:", not singular_part(series))
-print("residue of (z^2)^(-1), D=2:", residue(cone_from_poly(vs.one, "z").mul_x2(-1)))
+print("wick coefficient (mode (0,0,1)):", series.wick())
+print("singular part is empty:", not series.singular_part())
+print("residue of (z^2)^(-1), D=2:", cone_from_poly(vs.one, "z").mul_x2(-1).residue())
 
 # Expanding ((z-w)^2)^(-1) where |w| << |z|: in D=1 the classical geometric
 # series with coefficients j+1 appears.

@@ -15,16 +15,12 @@ from .cone import (
     Window,
     basis_poly_in,
     cone_from_poly,
-    cone_mul,
     gauss_decompose,
     h_dim,
     harmonic_basis,
     iota_antisym,
     iota_expand,
     iota_kernel,
-    residue,
-    singular_part,
-    wick_extract,
 )
 from .errors import TruncationError, WorkspaceError
 from .ope1d import (
@@ -77,11 +73,11 @@ __all__ = [
     "ModuleElement", "Poly", "TruncationError", "VLAStructure", "VarSpace",
     "Window", "WorkspaceError", "apply_exp_zT", "basis_poly_in",
     "borcherds_check", "bracket_extend", "build_cur", "build_hd", "build_wd",
-    "commutator_from_lambda", "cone_from_poly", "cone_mul", "current_extend",
+    "commutator_from_lambda", "cone_from_poly", "current_extend",
     "d1_bridge", "delta_mul_pow", "delta_pair", "extend_action",
     "gauss_decompose", "h_dim", "harmonic_basis", "iota_antisym",
     "iota_expand", "iota_kernel", "jacobi_check", "jacobi_check_vla",
     "jth_from_lambda", "lambda_from_jth", "locality_check", "pseudo_space",
-    "residue", "sd_basis", "sd_closure_check", "sd_divergence",
-    "singular_part", "skew_check", "skew_check_vla", "wick_extract",
+    "sd_basis", "sd_closure_check", "sd_divergence", "skew_check",
+    "skew_check_vla",
 ]

@@ -78,7 +78,7 @@ def _poly_out(poly: Poly, family: str = "T") -> list:
 def _poly_in(data, vs, D: int, family: str = "T") -> Poly:
     if not isinstance(data, list):
         raise AlgebraFileError("polynomial must be a list of [exps, coeff] pairs")
-    poly = vs.zero
+    terms = {}
     for item in data:
         if not isinstance(item, list) or len(item) != 2:
             raise AlgebraFileError(f"bad polynomial term {item!r}")
@@ -87,8 +87,10 @@ def _poly_in(data, vs, D: int, family: str = "T") -> Poly:
             _is_int(e) and e >= 0 for e in exps
         ):
             raise AlgebraFileError(f"bad exponent vector {exps!r}")
-        poly = poly + vs.from_exps(family, exps, _frac_in(coeff))
-    return poly
+        if tuple(exps) in terms:
+            raise AlgebraFileError(f"duplicate exponent vector {_dump(exps)}")
+        terms[tuple(exps)] = _frac_in(coeff)
+    return vs.from_dense(family, terms)
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:
@@ -257,6 +259,7 @@ def _parse_entry_terms(row, D, vs, names, value_key: str, seen: dict):
     if not isinstance(terms, list):
         raise AlgebraFileError("'terms' must be a list")
     parsed = []
+    term_keys = set()
     for term in terms:
         if not isinstance(term, dict):
             raise AlgebraFileError("terms must be objects")
@@ -264,6 +267,10 @@ def _parse_entry_terms(row, D, vs, names, value_key: str, seen: dict):
         gen = term.get("gen")
         if gen not in names:
             raise AlgebraFileError(f"unknown generator {gen!r}")
+        term_key = _dump({value_key: term.get(value_key), "gen": gen})
+        if term_key in term_keys:
+            raise AlgebraFileError(f"duplicate term {term_key} in entry [{idx[0]},{idx[1]}]")
+        term_keys.add(term_key)
         poly = _poly_in(term.get("poly"), vs, D)
         parsed.append((term.get(value_key), names.index(gen), poly))
     return (i, j), parsed

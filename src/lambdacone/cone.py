@@ -257,39 +257,28 @@ def gauss_decompose(p: Poly, family: Optional[str] = None) -> list:
 class Window:
     """The region of mode space where a series is exactly known.
 
-    A mode (n, m, sigma) is inside iff n >= n_min and 2n + m <= degmax, with
-    None meaning unbounded.  Everything *below* degmax is known; truncation
-    cuts off high total degree, exactly like a Taylor remainder.
+    A mode (n, m, sigma) is inside iff its total degree 2n + m is at most
+    degmax, with None meaning the whole mode space.  Truncation cuts off high
+    total degree, exactly like a Taylor remainder.
     """
 
-    n_min: Optional[int] = None
     degmax: Optional[int] = None
 
     def contains(self, n: int, m: int) -> bool:
-        if self.n_min is not None and n < self.n_min:
-            return False
-        if self.degmax is not None and 2 * n + m > self.degmax:
-            return False
-        return True
+        return self.degmax is None or 2 * n + m <= self.degmax
 
     def intersect(self, other: "Window") -> "Window":
-        n_min = self.n_min if other.n_min is None else (
-            other.n_min if self.n_min is None else max(self.n_min, other.n_min)
-        )
-        degmax = self.degmax if other.degmax is None else (
-            other.degmax if self.degmax is None else min(self.degmax, other.degmax)
-        )
-        return Window(n_min, degmax)
+        if self.degmax is None or other.degmax is None:
+            return other if self.degmax is None else self
+        return Window(min(self.degmax, other.degmax))
 
-    def shift(self, dn: int, ddeg: int) -> "Window":
-        return Window(
-            None if self.n_min is None else self.n_min + dn,
-            None if self.degmax is None else self.degmax + ddeg,
-        )
+    def shift(self, ddeg: int) -> "Window":
+        """The window after a product raising every total degree by ``ddeg``."""
+        return self if self.degmax is None else Window(self.degmax + ddeg)
 
     @property
     def is_full(self) -> bool:
-        return self.n_min is None and self.degmax is None
+        return self.degmax is None
 
 
 FULL_WINDOW = Window()
@@ -301,18 +290,6 @@ def _validate_mode(D: int, mode: Mode) -> None:
         raise ValueError(f"mode degree m must be >= 0, got {m}")
     if not 1 <= sigma <= h_dim(D, m):
         raise ValueError(f"sigma {sigma} out of range for (D={D}, m={m})")
-
-
-def _mul_window(window: Window, k: int, terms: dict) -> Window:
-    """Window of a series multiplied by (x^2)^k * p, with ``terms`` = p.dense(var)."""
-    if window.n_min is not None:
-        raise TruncationError(
-            "cannot multiply a series whose window is bounded below in n"
-        )
-    if window.degmax is None:
-        return FULL_WINDOW
-    min_deg = min((sum(exps) for exps in terms), default=0)
-    return Window(None, window.degmax + 2 * k + min_deg)
 
 
 # ----------------------------------------------------------------------
@@ -401,17 +378,19 @@ class ConeSeries:
         """Multiply by (x^2)^k: a pure mode shift."""
         return self._like(
             {(n + k, m, s): c for (n, m, s), c in self.coeffs.items()},
-            self.window.shift(k, 2 * k),
+            self.window.shift(2 * k),
         )
 
     def mul_poly(self, p: Poly, k: int = 0) -> "ConeSeries":
         """Multiply by (x^2)^k * p, re-decomposing into cone modes.
 
-        p is a polynomial in the series variable; any other variable raises
-        WorkspaceError.
+        p is a polynomial in the series variable; any other variable or
+        dimension raises WorkspaceError.
         """
+        if p.vs.D != self.D:
+            raise WorkspaceError(f"polynomial in D = {p.vs.D}, series in D = {self.D}")
         terms = p.dense(self.var)
-        window = _mul_window(self.window, k, terms)
+        window = self.window.shift(2 * k + min((sum(exps) for exps in terms), default=0))
         out: dict = {}
         for exps, pc in terms.items():
             for (n, m, s), coeff in self.coeffs.items():
@@ -438,11 +417,7 @@ class ConeSeries:
                     bump((n - 1 + dj, m2, s2), coeff * (2 * n * q))
             for (dj, m2, s2), q in dh_part:
                 bump((n + dj, m2, s2), coeff * q)
-        window = Window(
-            None if self.window.n_min is None else self.window.n_min - 1,
-            None if self.window.degmax is None else self.window.degmax - 1,
-        )
-        return self._like(out, window)
+        return self._like(out, self.window.shift(-1))
 
     def singular_part(self) -> "ConeSeries":
         return self._like(
@@ -493,22 +468,6 @@ def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
             mode = (j, mm, sigma)
             coeffs[mode] = coeffs.get(mode, Fraction(0)) + value
     return ConeSeries(D, family, coeffs, FULL_WINDOW)
-
-
-def cone_mul(series: ConeSeries, p: Poly, k: int = 0) -> ConeSeries:
-    return series.mul_poly(p, k)
-
-
-def singular_part(series: ConeSeries) -> ConeSeries:
-    return series.singular_part()
-
-
-def residue(series: ConeSeries):
-    return series.residue()
-
-
-def wick_extract(series: ConeSeries):
-    return series.wick()
 
 
 # ----------------------------------------------------------------------
@@ -608,9 +567,6 @@ class BiConeSeries:
             {key: coeff * factor for key, coeff in self.coeffs.items()}, self.windows
         )
 
-    def map_coeffs(self, fn) -> "BiConeSeries":
-        return self._like({key: fn(c) for key, c in self.coeffs.items()}, self.windows)
-
     def mul_x2(self, slot: int, k: int) -> "BiConeSeries":
         out = {}
         for (m1, m2), c in self.coeffs.items():
@@ -619,7 +575,7 @@ class BiConeSeries:
             modes[slot] = (n + k, m, s)
             out[(modes[0], modes[1])] = c
         windows = list(self.windows)
-        windows[slot] = windows[slot].shift(k, 2 * k)
+        windows[slot] = windows[slot].shift(2 * k)
         return self._like(out, tuple(windows))
 
     def mul_poly(self, p: Poly, bound: Optional[tuple] = None) -> "BiConeSeries":
@@ -630,14 +586,11 @@ class BiConeSeries:
         it; the windows do not depend on the bound.
         """
         D = self.D
+        if p.vs.D != D:
+            raise WorkspaceError(f"polynomial in D = {p.vs.D}, series in D = {D}")
         terms = [(exps[:D], exps[D:], pc) for exps, pc in p.dense(*self.vars).items()]
-        windows = []
-        for slot in range(2):
-            w = self.windows[slot]
-            if w.n_min is not None:
-                raise TruncationError("cannot multiply: window bounded below in n")
-            min_deg = min((sum(term[slot]) for term in terms), default=0)
-            windows.append(FULL_WINDOW if w.degmax is None else Window(None, w.degmax + min_deg))
+        windows = [w.shift(min((sum(term[slot]) for term in terms), default=0))
+                   for slot, w in enumerate(self.windows)]
         items = [(key, c) for key, c in self.coeffs.items() if _below(key, bound)]
         out: dict = {}
         for e1, e2, pc in terms:
@@ -664,18 +617,10 @@ class BiConeSeries:
         """
         if not all(w.is_full for w in other.windows):
             raise TruncationError("mul_series needs an exactly-known right factor")
-        windows = []
-        for slot in range(2):
-            w = self.windows[slot]
-            if w.degmax is None:
-                windows.append(FULL_WINDOW)
-                continue
-            if w.n_min is not None:
-                raise TruncationError("cannot multiply: window bounded below in n")
-            min_hom = min(
-                (2 * key[slot][0] + key[slot][1] for key in other.coeffs), default=0
-            )
-            windows.append(Window(None, w.degmax + min_hom))
+        windows = [
+            w.shift(min((2 * key[slot][0] + key[slot][1] for key in other.coeffs), default=0))
+            for slot, w in enumerate(self.windows)
+        ]
         weights: dict = {}  # (output bi-mode, key of other) -> scalar
         for (a1, a2), ca in self.coeffs.items():
             for bkey in other.coeffs:
@@ -847,7 +792,7 @@ def iota_pole(D: int, k: int, side: str, depth: int, bound: Optional[tuple] = No
         return BiConeSeries(D, ("z", "w"), {one: Fraction(1)} if _below(one, bound) else {})
     small = 1 if side == "zw" else 0
     windows = [FULL_WINDOW, FULL_WINDOW]
-    windows[small] = Window(None, depth)
+    windows[small] = Window(depth)
     if bound is None:
         # every formed bi-mode has n_small <= depth and n_big < 0
         bound = (depth + 1, depth + 1)
@@ -899,5 +844,5 @@ def iota_antisym(F: Kernel, window: int) -> BiConeSeries:
     """
     left = iota_kernel(F, "zw", window)
     right = iota_kernel(F, "wz", window)
-    box = (Window(None, window), Window(None, window))
+    box = (Window(window), Window(window))
     return left.restrict(box) - right.restrict(box)

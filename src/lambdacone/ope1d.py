@@ -91,7 +91,7 @@ def lambda_from_jth(J: JthProductList) -> LambdaPoly:
     vs = J.vs
     result = LambdaPoly.zero(vs, J.r)
     for j, element in J.products.items():
-        factor = vs.monomial({("lam", 1): j}, Fraction(1, factorial(j)))
+        factor = vs.from_exps("lam", (j,), Fraction(1, factorial(j)))
         result = result + LambdaPoly.from_module_element(element).scale(factor)
     return result
 

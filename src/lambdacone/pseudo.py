@@ -441,7 +441,7 @@ def skew_check(table: BracketTable) -> CheckReport:
             records.append((label, not residual))
             if residual:
                 failures.append(Failure(label, residual.format(table.generators)))
-    return CheckReport("skew", len(records), tuple(failures), records=tuple(records))
+    return CheckReport("skew", tuple(failures), records=tuple(records))
 
 
 def jacobi_check(table: BracketTable) -> CheckReport:
@@ -510,7 +510,7 @@ def jacobi_check(table: BracketTable) -> CheckReport:
                         if p
                     )
                     failures.append(Failure(label, witness))
-    return CheckReport("jacobi", len(records), tuple(failures), records=tuple(records))
+    return CheckReport("jacobi", tuple(failures), records=tuple(records))
 
 
 # ----------------------------------------------------------------------
@@ -640,4 +640,4 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
                             Failure(f"{label} at lam-monomial {lam_mono}", str(div))
                         )
     detail = f"D={D}, chi={[str(v) for v in chi.values]}, degmax={degmax}, basis={len(basis)}"
-    return CheckReport("closure", len(records), tuple(failures), detail, tuple(records))
+    return CheckReport("closure", tuple(failures), detail, tuple(records))

@@ -14,10 +14,13 @@ class Failure:
 @dataclass(frozen=True)
 class CheckReport:
     name: str
-    checked: int
     failures: tuple = field(default_factory=tuple)
     detail: str = ""
     records: tuple = field(default_factory=tuple)  # (tuple label, passed) pairs
+
+    @property
+    def checked(self) -> int:
+        return len(self.records)
 
     @property
     def passed(self) -> bool:

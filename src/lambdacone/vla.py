@@ -144,7 +144,7 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     if not series.coeffs:
         return ConeSeries.zero(series.D, series.var)
     degmax = series.min_hom() + zdeg
-    out = ConeSeries.zero(series.D, series.var, Window(None, degmax))
+    out = ConeSeries.zero(series.D, series.var, Window(degmax))
     vs_z = VarSpace(series.D, (series.var,))
     vs_mod = next(iter(series.coeffs.values())).vs
     for total in range(zdeg + 1):
@@ -154,7 +154,7 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
             term = series.map_coeffs(lambda me, f=factor: me.scale(f))
             if total:
                 term = term.mul_poly(vs_z.from_exps(series.var, exps))
-            out = out + term.restrict(Window(None, degmax))
+            out = out + term.restrict(Window(degmax))
     return out
 
 
@@ -203,9 +203,7 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
                 failures.append(
                     Failure(f"{label} mode {mode}", coeff.format(S.generators))
                 )
-    return CheckReport(
-        "vla-skew", len(records), tuple(failures), f"window={window}", tuple(records)
-    )
+    return CheckReport("vla-skew", tuple(failures), f"window={window}", tuple(records))
 
 
 # ----------------------------------------------------------------------
@@ -331,9 +329,7 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
                 found = _identity_failures(S, label, lhs, rhs)
                 records.append((label, not found))
                 failures.extend(found)
-    return CheckReport(
-        name, len(records), tuple(failures), f"L={L}, window={window}", tuple(records)
-    )
+    return CheckReport(name, tuple(failures), f"L={L}, window={window}", tuple(records))
 
 
 def jacobi_check_vla(S: VLAStructure, L: int, window: int) -> CheckReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 
@@ -225,6 +226,24 @@ def test_duplicate_entry_uses_the_file_indices(text):
 def test_json_booleans_are_not_integers(text, old, new, message):
     assert old in text
     with pytest.raises(AlgebraFileError, match=f"^{message}"):
+        parse_algebra_text(text.replace(old, new, 1))
+
+
+W1_LAMBDA_TERM = '{"gen":"L1","lambda":[1],"poly":[[[0],["2","1"]]]}'
+W1_MODE_TERM = '{"gen":"L1","mode":[-1,0,1],"poly":[[[0],["2","1"]]]}'
+
+
+@pytest.mark.parametrize("text,old,new,message", [
+    (W1_FILE, '"poly":[[[0],["2","1"]]]', '"poly":[[[0],["1","1"]],[[0],["1","1"]]]',
+     'duplicate exponent vector [0]'),
+    (W1_FILE, W1_LAMBDA_TERM, ",".join([W1_LAMBDA_TERM.replace('"2"', '"1"')] * 2),
+     'duplicate term {"gen":"L1","lambda":[1]} in entry [1,1]'),
+    (W1_VLA_FILE, W1_MODE_TERM, ",".join([W1_MODE_TERM.replace('"2"', '"1"')] * 2),
+     'duplicate term {"gen":"L1","mode":[-1,0,1]} in entry [1,1]'),
+], ids=["poly", "table-term", "vla-term"])
+def test_repeated_data_is_rejected_not_summed(text, old, new, message):
+    assert old in text
+    with pytest.raises(AlgebraFileError, match=f"^{re.escape(message)}$"):
         parse_algebra_text(text.replace(old, new, 1))
 
 

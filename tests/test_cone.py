@@ -24,16 +24,12 @@ from lambdacone import (
     Window,
     WorkspaceError,
     cone_from_poly,
-    cone_mul,
     gauss_decompose,
     h_dim,
     harmonic_basis,
     iota_antisym,
     iota_expand,
     iota_kernel,
-    residue,
-    singular_part,
-    wick_extract,
 )
 from lambdacone.cone import _decompose_raw, _times_mono, iota_pole
 from lambdacone.linalg import rref
@@ -189,11 +185,11 @@ def test_cone_from_poly_examples():
 def test_cone_mul_examples():
     vs = _zspace(2)
     start = ConeSeries(2, "z", {(-1, 0, 1): Fraction(1)})
-    assert cone_mul(start, vs.one, 1).coeffs == {(0, 0, 1): 1}
+    assert start.mul_poly(vs.one, 1).coeffs == {(0, 0, 1): 1}
     unit = ConeSeries(2, "z", {(0, 0, 1): Fraction(1)})
-    assert cone_mul(unit, vs.var("z", 1)).coeffs == {(0, 1, 1): 1}
+    assert unit.mul_poly(vs.var("z", 1)).coeffs == {(0, 1, 1): 1}
     lin = ConeSeries(2, "z", {(0, 1, 1): Fraction(1)})
-    assert cone_mul(lin, vs.var("z", 1)).coeffs == {
+    assert lin.mul_poly(vs.var("z", 1)).coeffs == {
         (1, 0, 1): Fraction(1, 2),
         (0, 2, 1): Fraction(1, 2),
     }
@@ -204,8 +200,16 @@ def test_cone_mul_rejects_a_polynomial_in_another_family():
     w1 = VarSpace(2, ("z", "w")).var("w", 1)
     with pytest.raises(WorkspaceError):
         series.mul_poly(w1)
+
+
+def test_mul_poly_rejects_a_polynomial_in_another_dimension():
+    series = ConeSeries(2, "z", {(0, 0, 1): 1})
     with pytest.raises(WorkspaceError):
-        cone_mul(series, w1)
+        series.mul_poly(VarSpace(3, ("z",)).var("z", 3))
+    with pytest.raises(WorkspaceError):
+        series.mul_poly(VarSpace(1, ("z",)).var("z", 1))
+    with pytest.raises(WorkspaceError):
+        iota_expand(2, 1, "zw", 3).mul_poly(VarSpace(3, ("z", "w")).var("w", 3))
 
 
 def test_bicone_series_compare_by_value():
@@ -214,7 +218,7 @@ def test_bicone_series_compare_by_value():
     assert iota_antisym(F, 3) != iota_antisym(F, 4)
     assert iota_expand(2, 1, "zw", 3) != iota_expand(2, 1, "wz", 3)
     series = iota_expand(2, 1, "zw", 3)
-    assert series.restrict((Window(None, 5), FULL_WINDOW)) != series
+    assert series.restrict((Window(5), FULL_WINDOW)) != series
     assert series.scale(1) == series
     assert series != BiConeSeries(2, ("z", "u"), series.coeffs, series.windows)
 
@@ -223,31 +227,31 @@ def test_cone_mul_shift_roundtrip():
     series = ConeSeries(3, "z", {(-2, 1, 2): Fraction(5), (0, 0, 1): Fraction(-3)})
     assert series.mul_x2(1).mul_x2(-1).coeffs == series.coeffs
     vs = _zspace(3)
-    assert cone_mul(cone_mul(series, vs.one, 1), vs.one, -1).coeffs == series.coeffs
+    assert series.mul_poly(vs.one, 1).mul_poly(vs.one, -1).coeffs == series.coeffs
 
 
 def test_singular_part():
     series = ConeSeries(2, "z", {(-1, 0, 1): Fraction(1), (0, 0, 1): Fraction(2)})
-    sp = singular_part(series)
+    sp = series.singular_part()
     assert sp.coeffs == {(-1, 0, 1): 1}
-    assert singular_part(sp).coeffs == sp.coeffs
+    assert sp.singular_part().coeffs == sp.coeffs
     vs = _zspace(2)
-    assert not singular_part(cone_from_poly(vs.var("z", 1) ** 3))
+    assert not cone_from_poly(vs.var("z", 1) ** 3).singular_part()
 
 
 def test_residue_and_wick():
-    assert residue(ConeSeries(2, "z", {(-1, 0, 1): Fraction(1)})) == 1
+    assert ConeSeries(2, "z", {(-1, 0, 1): Fraction(1)}).residue() == 1
     vs = _zspace(2)
-    assert residue(cone_from_poly(vs.var("z", 2) ** 2)) == 0
-    assert residue(ConeSeries(4, "z", {(-2, 0, 1): Fraction(7)})) == 7
+    assert cone_from_poly(vs.var("z", 2) ** 2).residue() == 0
+    assert ConeSeries(4, "z", {(-2, 0, 1): Fraction(7)}).residue() == 7
     with pytest.raises(ValueError):
-        residue(ConeSeries(3, "z", {}))
-    assert wick_extract(cone_from_poly(vs.one, "z")) == 1
-    assert wick_extract(cone_from_poly(vs.var("z", 1))) == 0
+        ConeSeries(3, "z", {}).residue()
+    assert cone_from_poly(vs.one, "z").wick() == 1
+    assert cone_from_poly(vs.var("z", 1)).wick() == 0
 
 
 def test_window_refusal():
-    series = ConeSeries(2, "z", {(0, 0, 1): Fraction(1)}, Window(None, 2))
+    series = ConeSeries(2, "z", {(0, 0, 1): Fraction(1)}, Window(2))
     assert series.get((0, 0, 1)) == 1
     assert series.get((-3, 1, 1)) == 0  # deep modes are known zeros
     with pytest.raises(TruncationError):
@@ -262,7 +266,7 @@ def test_d1_laurent_dictionary():
         assert 2 * n + m == k and sigma == 1
     # wick corresponds to the Laurent constant term
     p = vs.const(5) + vs.var("z", 1) ** 2
-    assert wick_extract(cone_from_poly(p, "z")) == 5
+    assert cone_from_poly(p, "z").wick() == 5
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +412,7 @@ def _monomial_iota(D, k, side, depth):
                 new[key] = new.get(key, 0) + c * bc
         power = new
     windows = [FULL_WINDOW, FULL_WINDOW]
-    windows[small] = Window(None, depth)
+    windows[small] = Window(depth)
     return BiConeSeries(D, ("z", "w"), coeffs, tuple(windows))
 
 

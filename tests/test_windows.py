@@ -20,35 +20,28 @@ from lambdacone.cone import FULL_WINDOW
 
 
 def test_window_contains_and_shift():
-    w = Window(None, 3)
+    w = Window(3)
     assert w.contains(-5, 1)           # deep modes are known
     assert w.contains(1, 1)            # degree 3 boundary
     assert not w.contains(1, 2)        # degree 4 is unknown
-    assert w.shift(2, 4) == Window(None, 7)
-    assert Window(0, None).contains(0, 9) and not Window(0, None).contains(-1, 0)
+    assert w.shift(4) == Window(7)
 
 
 def test_window_intersect():
-    assert Window(None, 5).intersect(Window(None, 2)) == Window(None, 2)
-    assert Window(None, 5).intersect(FULL_WINDOW) == Window(None, 5)
-    assert Window(1, None).intersect(Window(None, 4)) == Window(1, 4)
+    assert Window(5).intersect(Window(2)) == Window(2)
+    assert Window(5).intersect(FULL_WINDOW) == Window(5)
+    assert FULL_WINDOW.intersect(Window(5)) == Window(5)
+    assert FULL_WINDOW.shift(-3) == FULL_WINDOW
 
 
 def test_constructor_drops_outside_window():
     series = ConeSeries(2, "z", {(0, 0, 1): Fraction(1), (2, 1, 1): Fraction(1)},
-                        Window(None, 2))
+                        Window(2))
     assert series.coeffs == {(0, 0, 1): 1}
 
 
-def test_mul_refuses_lower_bounded_window():
-    series = ConeSeries(2, "z", {(0, 0, 1): Fraction(1)}, Window(0, 4))
-    vs = VarSpace(2, ("z",))
-    with pytest.raises(TruncationError):
-        series.mul_poly(vs.var("z", 1))
-
-
 def test_residue_and_wick_truncation_errors():
-    deep = ConeSeries(2, "z", {}, Window(None, -4))
+    deep = ConeSeries(2, "z", {}, Window(-4))
     with pytest.raises(TruncationError):
         deep.residue()  # mode (-1, 0, 1) has degree -2 > -4
     with pytest.raises(TruncationError):
@@ -63,10 +56,10 @@ def test_bi_get_respects_box():
 
 
 def test_add_intersects_windows():
-    a = ConeSeries(1, "z", {(0, 0, 1): Fraction(1)}, Window(None, 4))
-    b = ConeSeries(1, "z", {(1, 0, 1): Fraction(2)}, Window(None, 2))
+    a = ConeSeries(1, "z", {(0, 0, 1): Fraction(1)}, Window(4))
+    b = ConeSeries(1, "z", {(1, 0, 1): Fraction(2)}, Window(2))
     total = a + b
-    assert total.window == Window(None, 2)
+    assert total.window == Window(2)
     assert total.coeffs == {(0, 0, 1): 1, (1, 0, 1): 2}
 
 
