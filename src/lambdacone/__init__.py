@@ -14,6 +14,7 @@ from .cone import (
     Kernel,
     Window,
     basis_poly_in,
+    bicone_from_poly,
     cone_from_poly,
     gauss_decompose,
     h_dim,
@@ -72,7 +73,7 @@ __all__ = [
     "JthProductList", "Kernel", "LambdaPoly", "LaurentTerm", "LieStructure",
     "ModuleElement", "Poly", "TruncationError", "VLAStructure", "VarSpace",
     "Window", "WorkspaceError", "apply_exp_zT", "basis_poly_in",
-    "borcherds_check", "bracket_extend", "build_cur", "build_hd", "build_wd",
+    "bicone_from_poly", "borcherds_check", "bracket_extend", "build_cur", "build_hd", "build_wd",
     "commutator_from_lambda", "cone_from_poly", "current_extend",
     "d1_bridge", "delta_mul_pow", "delta_pair", "extend_action",
     "gauss_decompose", "h_dim", "harmonic_basis", "iota_antisym",

@@ -125,7 +125,7 @@ def run_checks(loaded: LoadedAlgebra, axioms, args) -> tuple:
         elif axiom == "jacobi":
             report = jacobi_check(obj)
         elif axiom == "closure":
-            if obj != build_wd(obj.D):
+            if obj.D < 1 or obj != build_wd(obj.D):
                 raise CliError("the closure axiom applies to the W(D) presentation only")
             chi = _parse_chi(args.chi, obj.D) if args.chi else (loaded.chi or ChiVector.zero(obj.D))
             try:

@@ -361,8 +361,11 @@ class ConeSeries:
             out[mode] = coeff if total is None else total + coeff
         return self._like(out, window)
 
+    def __neg__(self):
+        return self._like({mode: -c for mode, c in self.coeffs.items()}, self.window)
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + (-other)
 
     def scale(self, factor) -> "ConeSeries":
         if isinstance(factor, int):
@@ -480,7 +483,11 @@ def _below(key: tuple, bound: Optional[tuple]) -> bool:
 
 
 class BiConeSeries:
-    """Windowed series over pairs of cone modes in two variables."""
+    """Windowed series over pairs of cone modes in two variables.
+
+    The one product is :meth:`mul_series`; a polynomial factor enters it as
+    its exact expansion :func:`bicone_from_poly`.
+    """
 
     __slots__ = ("D", "vars", "coeffs", "windows")
 
@@ -557,8 +564,11 @@ class BiConeSeries:
             out[key] = coeff if total is None else total + coeff
         return self._like(out, windows)
 
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.coeffs.items()}, self.windows)
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + (-other)
 
     def scale(self, factor) -> "BiConeSeries":
         if isinstance(factor, int):
@@ -566,44 +576,6 @@ class BiConeSeries:
         return self._like(
             {key: coeff * factor for key, coeff in self.coeffs.items()}, self.windows
         )
-
-    def mul_x2(self, slot: int, k: int) -> "BiConeSeries":
-        out = {}
-        for (m1, m2), c in self.coeffs.items():
-            modes = [m1, m2]
-            n, m, s = modes[slot]
-            modes[slot] = (n + k, m, s)
-            out[(modes[0], modes[1])] = c
-        windows = list(self.windows)
-        windows[slot] = windows[slot].shift(2 * k)
-        return self._like(out, tuple(windows))
-
-    def mul_poly(self, p: Poly, bound: Optional[tuple] = None) -> "BiConeSeries":
-        """Multiply by a polynomial in the two variable families.
-
-        Multiplying only raises n, so with ``bound`` = (bz, bw) only bi-modes
-        with n_z < bz and n_w < bw are formed, from the terms already below
-        it; the windows do not depend on the bound.
-        """
-        D = self.D
-        if p.vs.D != D:
-            raise WorkspaceError(f"polynomial in D = {p.vs.D}, series in D = {D}")
-        terms = [(exps[:D], exps[D:], pc) for exps, pc in p.dense(*self.vars).items()]
-        windows = [w.shift(min((sum(term[slot]) for term in terms), default=0))
-                   for slot, w in enumerate(self.windows)]
-        items = [(key, c) for key, c in self.coeffs.items() if _below(key, bound)]
-        out: dict = {}
-        for e1, e2, pc in terms:
-            for ((n1, mm1, s1), (n2, mm2, s2)), coeff in items:
-                for (dj1, m1b, s1b), q1 in _times_mono(self.D, mm1, s1, e1):
-                    for (dj2, m2b, s2b), q2 in _times_mono(self.D, mm2, s2, e2):
-                        key = ((n1 + dj1, m1b, s1b), (n2 + dj2, m2b, s2b))
-                        if not _below(key, bound):
-                            continue
-                        value = coeff * (pc * q1 * q2)
-                        total = out.get(key)
-                        out[key] = value if total is None else total + value
-        return self._like(out, tuple(windows))
 
     def mul_series(self, other: "BiConeSeries", bound: Optional[tuple] = None) -> "BiConeSeries":
         """Product of a series with scalar coefficients and an exactly-known
@@ -615,6 +587,8 @@ class BiConeSeries:
         bi-modes with n_z < bz and n_w < bw are formed, and pairs whose n
         already reaches the bound are skipped; the windows do not depend on it.
         """
+        if self.D != other.D or self.vars != other.vars:
+            raise WorkspaceError("series mismatch")
         if not all(w.is_full for w in other.windows):
             raise TruncationError("mul_series needs an exactly-known right factor")
         windows = [
@@ -646,12 +620,6 @@ class BiConeSeries:
                 out[key] = value if total is None else total + value
         return self._like(out, tuple(windows))
 
-    def singular_joint(self) -> "BiConeSeries":
-        return self._like(
-            {key: c for key, c in self.coeffs.items() if key[0][0] < 0 and key[1][0] < 0},
-            self.windows,
-        )
-
     def restrict(self, windows: tuple) -> "BiConeSeries":
         return self._like(
             self.coeffs,
@@ -661,6 +629,18 @@ class BiConeSeries:
     def __repr__(self):
         inner = ", ".join(f"{key}: {c}" for key, c in self.items())
         return f"BiConeSeries({{{inner}}}, windows={self.windows})"
+
+
+def bicone_from_poly(p: Poly) -> BiConeSeries:
+    """Exact bi-cone expansion of a polynomial in z and w (all modes known)."""
+    D = p.vs.D
+    coeffs: dict = {}
+    for exps, pc in p.dense("z", "w").items():
+        for mode1, q1 in _times_mono(D, 0, 1, exps[:D]):
+            for mode2, q2 in _times_mono(D, 0, 1, exps[D:]):
+                key = (mode1, mode2)
+                coeffs[key] = coeffs.get(key, Fraction(0)) + pc * q1 * q2
+    return BiConeSeries(D, ("z", "w"), coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -803,30 +783,27 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     """iota expansion of a full kernel monomial, exact to ``depth`` in the
     small variable's total degree.
 
-    With ``bound`` = (bz, bw), only bi-modes with n_z < bz and n_w < bw are
-    formed.  Multiplying by the monomial only raises n and the single-variable
-    poles lower it by z_pole and w_pole, so the pole expansion is bounded by
-    the shifted (bz + z_pole, bw + w_pole).  The windows do not depend on it.
+    The expansion of ((z-w)^2)^(-zw_pole) is multiplied once by the exact
+    prefactor coeff * z^z_exps * w^w_exps * (z^2)^(-z_pole) * (w^2)^(-w_pole),
+    the expansion of the polynomial part with n lowered by the poles.  With
+    ``bound`` = (bz, bw), only bi-modes with n_z < bz and n_w < bw are
+    formed; the prefactor lowers n by at most z_pole and w_pole, so the pole
+    expansion is bounded by (bz + z_pole, bw + w_pole).  The windows do not
+    depend on the bound.
     """
     D = F.D
     small = 1 if side == "zw" else 0
     mono_deg = (sum(F.z_exps), sum(F.w_exps))[small]
     pole = (F.z_pole, F.w_pole)[small]
     pole_depth = max(0, depth - mono_deg + 2 * pole)
-    if bound is not None:
-        bound = (bound[0] + F.z_pole, bound[1] + F.w_pole)
-    series = iota_pole(D, F.zw_pole, side, pole_depth, bound)
+    pole_bound = None if bound is None else (bound[0] + F.z_pole, bound[1] + F.w_pole)
     vs = VarSpace(D, ("z", "w"))
-    mono = vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps)
-    if mono != vs.one:
-        series = series.mul_poly(mono, bound)
-    if F.z_pole:
-        series = series.mul_x2(0, -F.z_pole)
-    if F.w_pole:
-        series = series.mul_x2(1, -F.w_pole)
-    if F.coeff != 1:
-        series = series.scale(F.coeff)
-    return series
+    poly = bicone_from_poly(vs.from_exps("z", F.z_exps, F.coeff) * vs.from_exps("w", F.w_exps))
+    prefactor = poly._like({
+        ((n1 - F.z_pole, m1, s1), (n2 - F.w_pole, m2, s2)): c
+        for ((n1, m1, s1), (n2, m2, s2)), c in poly.coeffs.items()
+    }, poly.windows)
+    return iota_pole(D, F.zw_pole, side, pole_depth, pole_bound).mul_series(prefactor, bound)
 
 
 def iota_expand(D: int, k: int, side: str, window: int) -> BiConeSeries:

@@ -155,21 +155,6 @@ class VarSpace:
     def one(self) -> "Poly":
         return self.const(1)
 
-    def monomial(self, exps: Mapping, coeff=1) -> "Poly":
-        """Build ``coeff * prod var^e`` from a ``{(family, index): e}`` map."""
-        mono = []
-        for (family, index), e in exps.items():
-            self.check_var(family, index)
-            if e < 0:
-                raise ValueError("negative exponent")
-            if e:
-                mono.append(((family, index), e))
-        mono.sort(key=_item_key)
-        c = Fraction(coeff)
-        if c == 0:
-            return self.zero
-        return Poly._trusted(self, {tuple(mono): c})
-
     def monomials_of_degree(self, family: str, degree: int) -> tuple:
         """All degree-``degree`` monomials in one family, as dense exponent tuples."""
         if family not in self.families:

@@ -99,6 +99,16 @@ def test_closure_degmax_below_one_is_a_usage_error(degmax):
     assert "Traceback" not in err
 
 
+def test_closure_on_a_d0_table_is_a_usage_error(tmp_path):
+    path = tmp_path / "cur0.json"
+    path.write_text(serialize_table(build_cur(LieStructure.sl2(), 0)))
+    for target in (("Cur", "--dim", "0"), (str(path),)):
+        code, _, err = run_cli("check", *target, "--axioms", "closure")
+        assert code == 2
+        assert "the closure axiom applies to the W(D) presentation only" in err
+        assert "Traceback" not in err
+
+
 def test_vla_axioms_via_cli(tmp_path):
     path = tmp_path / "w1.json"
     path.write_text(serialize_vla(d1_bridge(build_wd(1))))

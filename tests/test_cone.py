@@ -8,6 +8,8 @@ through the polynomial Laplacian.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -23,6 +25,7 @@ from lambdacone import (
     VarSpace,
     Window,
     WorkspaceError,
+    bicone_from_poly,
     cone_from_poly,
     gauss_decompose,
     h_dim,
@@ -208,8 +211,28 @@ def test_mul_poly_rejects_a_polynomial_in_another_dimension():
         series.mul_poly(VarSpace(3, ("z",)).var("z", 3))
     with pytest.raises(WorkspaceError):
         series.mul_poly(VarSpace(1, ("z",)).var("z", 1))
+    w3 = VarSpace(3, ("z", "w")).var("w", 3)
     with pytest.raises(WorkspaceError):
-        iota_expand(2, 1, "zw", 3).mul_poly(VarSpace(3, ("z", "w")).var("w", 3))
+        iota_expand(2, 1, "zw", 3).mul_series(bicone_from_poly(w3))
+
+
+def test_mul_series_rejects_a_series_in_another_dimension_or_order():
+    kernel = iota_expand(2, 1, "zw", 3)
+    for other in (BiConeSeries(3, ("z", "w"), {((0, 1, 1), (0, 0, 1)): 1}),
+                  BiConeSeries(3, ("z", "w"), {((0, 1, 3), (0, 0, 1)): 1}),
+                  BiConeSeries(2, ("w", "z"), {((0, 1, 1), (0, 0, 1)): 1})):
+        with pytest.raises(WorkspaceError, match="series mismatch"):
+            kernel.mul_series(other)
+
+
+def test_bicone_from_poly_of_a_product_is_the_tensor_product():
+    for D in (1, 2, 3):
+        vs = VarSpace(D, ("z", "w"))
+        p = vs.var("z", 1) ** 3 - Fraction(2, 3) * vs.var("z", D) * vs.var("z", 1) + 5
+        q = vs.var("w", D) ** 2 * vs.var("w", 1) + Fraction(1, 4) * vs.var("w", 1)
+        cone_p, cone_q = cone_from_poly(p), cone_from_poly(q, "w")
+        assert bicone_from_poly(p * q) == BiConeSeries.tensor(cone_p, cone_q)
+        assert bicone_from_poly(p) == BiConeSeries.tensor(cone_p, cone_from_poly(vs.one, "w"))
 
 
 def test_bicone_series_compare_by_value():
@@ -334,7 +357,7 @@ def test_iota_times_kernel_polynomial_collapses():
             ((vs.var("z", a) - vs.var("w", a)) ** 2 for a in range(1, D + 1)), vs.zero
         )
         for k in (1, 2):
-            product = iota_expand(D, k, "zw", 5).mul_poly(kernel_poly)
+            product = iota_expand(D, k, "zw", 5).mul_series(bicone_from_poly(kernel_poly))
             target = iota_expand(D, k - 1, "zw", 5)
             keys = set(product.coeffs) | {
                 key for key in target.coeffs
@@ -355,7 +378,7 @@ def test_kernel_polynomial_annihilates_antisymmetrization():
         )
         diff = iota_antisym(Kernel(D, zw_pole=1), 6)
         assert diff
-        assert not diff.mul_poly(kernel_poly)
+        assert not diff.mul_series(bicone_from_poly(kernel_poly))
 
 
 def test_iota_kernel_with_monomial_factor():
@@ -443,6 +466,43 @@ def test_bounded_iota_kernel_is_the_filtered_kernel():
                 bounded = iota_kernel(F, side, 5, bound)
                 assert bounded.coeffs == _below(full, bound)
                 assert bounded.windows == full.windows
+
+
+def _golden_monomials(D):
+    """Exponents of degree 0, 1 and 2: 1, x_D and x_1 x_D."""
+    return ((0,) * D,
+            tuple(int(a == D - 1) for a in range(D)),
+            tuple((a == 0) + (a == D - 1) for a in range(D)))
+
+
+def _iota_kernel_text(D, side, depth):
+    lines = []
+    for ze, we, zp, wp, k, bound in itertools.product(
+            _golden_monomials(D), _golden_monomials(D), (0, 1), (0, 1), (0, 1, 2),
+            (None, (0, 0), (-1, 1))):
+        series = iota_kernel(Kernel(D, Fraction(-3, 2), ze, we, zp, wp, k), side, depth, bound)
+        lines.append(f"{ze} {we} {zp} {wp} {k} {bound}: "
+                     f"{[w.degmax for w in series.windows]} {series.items()}")
+    return "\n".join(lines)
+
+
+# sha256 of _iota_kernel_text(D, side, 4): every kernel -3/2 z^a w^b
+# (z^2)^-p (w^2)^-q ((z-w)^2)^-k with |a|, |b| <= 2, p, q <= 1, k <= 2,
+# unbounded and at the bounds (0, 0) and (-1, 1).
+GOLDEN_IOTA_KERNELS = {
+    (1, "zw"): "d1690efebefc4dfc257011ca74b00dacdddfa9f9f7fa893a9af18de344395f3b",
+    (1, "wz"): "3bfffae88623aa38f8d1ed742306b82dad805bce8af4ca7f882b640a5933bff9",
+    (2, "zw"): "e28fa0406a300a3583f8680aa1a8710776677f0838478e1dfb38d5474bbba82a",
+    (2, "wz"): "8d4c8c7c0096fa76ceb5cb8ab583373afc3be818302dcdb33bd73edcd2e61dd7",
+    (3, "zw"): "cc9c1946524e3ab20bc52969bade4d1091eac4770b53e8c35dc5686081535579",
+    (3, "wz"): "356d5dada6c88ae90f2e7625657926d050e7811cd5a298678cff7cac23959dc7",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_IOTA_KERNELS), ids=lambda c: f"D{c[0]}-{c[1]}")
+def test_iota_kernel_golden_digest(case):
+    text = _iota_kernel_text(*case, 4)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_IOTA_KERNELS[case]
 
 
 def test_kernels_need_a_positive_dimension():

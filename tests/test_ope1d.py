@@ -71,7 +71,7 @@ def test_roundtrip_random(vs):
         for j in range(rng.randint(0, 4)):
             c = rng.randint(-6, 6)
             if c:
-                coords = coords + vs.monomial({("lam", 1): j}, c) * (
+                coords = coords + vs.from_exps("lam", (j,), c) * (
                     vs.var("T", 1) ** rng.randint(0, 2)
                 )
         L = LambdaPoly(vs, 1, {0: coords})

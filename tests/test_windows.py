@@ -13,6 +13,7 @@ from lambdacone import (
     TruncationError,
     VarSpace,
     Window,
+    bicone_from_poly,
     iota_expand,
     iota_kernel,
 )
@@ -104,8 +105,8 @@ def test_bounded_products_are_the_filtered_products():
     })
     kept = []
     for bound in ((0, 1), (-2, 1), (1, -1), (-3, 0)):
-        for full, bounded in ((kernel.mul_poly(poly), kernel.mul_poly(poly, bound)),
-                              (kernel.mul_series(exact), kernel.mul_series(exact, bound))):
+        for other in (bicone_from_poly(poly), exact):
+            full, bounded = kernel.mul_series(other), kernel.mul_series(other, bound)
             assert bounded.windows == full.windows
             assert bounded.coeffs == {key: c for key, c in full.coeffs.items()
                                       if key[0][0] < bound[0] and key[1][0] < bound[1]}
