@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
 from .linalg import kernel_basis
-from .rings import Poly, VarSpace, dense_monomials
+from .rings import Poly, VarSpace, _exact, dense_monomials
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
 
@@ -50,7 +50,7 @@ def _raw_mul(a: dict, b: dict) -> dict:
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out.get(key, 0) + ca * cb
     return {k: v for k, v in out.items() if v}
 
 
@@ -60,19 +60,20 @@ def _raw_laplacian(raw: dict) -> dict:
         for alpha, e in enumerate(exps):
             if e >= 2:
                 low = exps[:alpha] + (e - 2,) + exps[alpha + 1:]
-                out[low] = out.get(low, Fraction(0)) + c * e * (e - 1)
+                out[low] = out.get(low, 0) + c * e * (e - 1)
     return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def _harmonic_raw(D: int, m: int) -> tuple:
-    """Canonical harmonic basis at degree m, as raw {exps: Fraction} dicts."""
+    """Canonical harmonic basis at degree m, as raw {exps: coefficient} dicts
+    with int or Fraction coefficients."""
     monos = dense_monomials(D, m)
     if m < 2:
-        return tuple({e: Fraction(1)} for e in monos)
+        return tuple({e: 1} for e in monos)
     target = dense_monomials(D, m - 2)
     index = {e: i for i, e in enumerate(target)}
-    matrix = [[Fraction(0)] * len(monos) for _ in target]
+    matrix = [[0] * len(monos) for _ in target]
     for col, exps in enumerate(monos):
         for low, c in _raw_laplacian({exps: 1}).items():
             matrix[index[low]][col] = c
@@ -96,12 +97,12 @@ def _projector(D: int, d: int) -> tuple:
     """
     x2 = {tuple(2 * (a == b) for b in range(D)): 1 for a in range(D)}
     terms = []
-    c, power = Fraction(1), {(0,) * D: Fraction(1)}
+    c, power = Fraction(1), {(0,) * D: 1}
     for i in range(d // 2 + 1):
         if i:
             c = -c / (2 * i * (D + 2 * d - 2 * i - 2))
             power = _raw_mul(power, x2)
-        terms.extend((i, exps, c * a) for exps, a in power.items())
+        terms.extend((i, exps, _exact(c * a)) for exps, a in power.items())
     stencils = []
     for h in _harmonic_raw(D, d):
         pivot = next(iter(h))
@@ -111,11 +112,12 @@ def _projector(D: int, d: int) -> tuple:
 
 
 def _decompose_raw(D: int, m: int, raw: dict) -> dict:
-    """Decompose a degree-m raw polynomial into {(j, m', sigma): Fraction}.
+    """Decompose a degree-m raw polynomial into {(j, m', sigma): coefficient}.
 
     With p = sum_j (x^2)^j p_j and p_j harmonic of degree d = m - 2j,
     Delta^j p = prod_{k=1..j} 2k(2k + D - 2 + 2d) p_j + (x^2)(...), so p_j is
-    the harmonic part of Delta^j p divided by that product.
+    the harmonic part of Delta^j p divided by that product.  ``raw`` may hold
+    int or Fraction coefficients; an integral result is an int, never a float.
     """
     laplacians = [raw]
     for _ in range(m // 2):
@@ -127,18 +129,21 @@ def _decompose_raw(D: int, m: int, raw: dict) -> dict:
         d = m - 2 * j
         scale = prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
         for sigma, stencil in enumerate(_projector(D, d), start=1):
-            value = sum((w * laplacians[j + i][e] for i, e, w in stencil
-                         if e in laplacians[j + i]), Fraction(0))
+            value = sum(w * laplacians[j + i][e] for i, e, w in stencil
+                        if e in laplacians[j + i])
             if value:
-                out[(j, d, sigma)] = value / scale
+                if scale != 1:
+                    # Fraction(value, scale), not value / scale: int / int is a float.
+                    value = Fraction(value, scale)
+                out[(j, d, sigma)] = _exact(value)
     return out
 
 
 @lru_cache(maxsize=None)
 def _times_mono(D: int, m: int, sigma: int, exps: tuple) -> tuple:
-    """h_{m,sigma} * x^exps decomposed: tuple of ((dj, m', sigma'), Fraction)."""
+    """h_{m,sigma} * x^exps decomposed: tuple of ((dj, m', sigma'), coefficient)."""
     h = _harmonic_raw(D, m)[sigma - 1]
-    product = _raw_mul(h, {exps: Fraction(1)})
+    product = _raw_mul(h, {exps: 1})
     decomp = _decompose_raw(D, m + sum(exps), product)
     return tuple(decomp.items())
 
@@ -169,7 +174,7 @@ def _diff_parts(D: int, m: int, sigma: int, alpha: int) -> tuple:
         if e[alpha - 1]:
             low = list(e)
             low[alpha - 1] -= 1
-            dh[tuple(low)] = dh.get(tuple(low), Fraction(0)) + c * e[alpha - 1]
+            dh[tuple(low)] = dh.get(tuple(low), 0) + c * e[alpha - 1]
     dh = {k: v for k, v in dh.items() if v}
     dh_part = tuple(_decompose_raw(D, m - 1, dh).items()) if dh else ()
     return x_part, dh_part
@@ -240,7 +245,7 @@ def gauss_decompose(p: Poly, family: Optional[str] = None) -> list:
         for (j, mm, sigma), value in _decompose_raw(D, degree, raw).items():
             level = levels.setdefault(j, {})
             for exps, c in _harmonic_raw(D, mm)[sigma - 1].items():
-                level[exps] = level.get(exps, Fraction(0)) + value * c
+                level[exps] = level.get(exps, 0) + value * c
     out = []
     for j in sorted(levels):
         poly = p.vs.from_dense(family, levels[j])
@@ -299,8 +304,8 @@ def _validate_mode(D: int, mode: Mode) -> None:
 class ConeSeries:
     """Windowed series sum a_{n,m,sigma} (x^2)^n h_{m,sigma}(x).
 
-    Coefficients are Fractions or module elements; anything with +, scalar *
-    and truthiness works.
+    Coefficients are exact rationals (int or Fraction) or module elements;
+    anything with +, scalar * and truthiness works.
     """
 
     __slots__ = ("D", "var", "coeffs", "window")
@@ -349,7 +354,7 @@ class ConeSeries:
         _validate_mode(self.D, mode)
         if not self.window.contains(mode[0], mode[1]):
             raise TruncationError(f"mode {mode} lies outside the window {self.window}")
-        return self.coeffs.get(mode, Fraction(0))
+        return self.coeffs.get(mode, 0)
 
     def __add__(self, other):
         if self.D != other.D or self.var != other.var:
@@ -368,8 +373,6 @@ class ConeSeries:
         return self + (-other)
 
     def scale(self, factor) -> "ConeSeries":
-        if isinstance(factor, int):
-            factor = Fraction(factor)
         return self._like(
             {mode: coeff * factor for mode, coeff in self.coeffs.items()}, self.window
         )
@@ -430,7 +433,7 @@ class ConeSeries:
     def parity_flip(self) -> "ConeSeries":
         """x -> -x: each mode picks up (-1)^m."""
         return self._like(
-            {mode: (c if mode[1] % 2 == 0 else c * Fraction(-1)) for mode, c in self.coeffs.items()},
+            {mode: (c if mode[1] % 2 == 0 else -c) for mode, c in self.coeffs.items()},
             self.window,
         )
 
@@ -469,7 +472,7 @@ def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
     for degree, raw in _poly_raw_by_degree(p, family).items():
         for (j, mm, sigma), value in _decompose_raw(D, degree, raw).items():
             mode = (j, mm, sigma)
-            coeffs[mode] = coeffs.get(mode, Fraction(0)) + value
+            coeffs[mode] = coeffs.get(mode, 0) + value
     return ConeSeries(D, family, coeffs, FULL_WINDOW)
 
 
@@ -549,7 +552,7 @@ class BiConeSeries:
             and self.windows[1].contains(mode2[0], mode2[1])
         ):
             raise TruncationError(f"mode {(mode1, mode2)} outside windows {self.windows}")
-        return self.coeffs.get((mode1, mode2), Fraction(0))
+        return self.coeffs.get((mode1, mode2), 0)
 
     def __add__(self, other):
         if self.D != other.D or self.vars != other.vars:
@@ -571,8 +574,6 @@ class BiConeSeries:
         return self + (-other)
 
     def scale(self, factor) -> "BiConeSeries":
-        if isinstance(factor, int):
-            factor = Fraction(factor)
         return self._like(
             {key: coeff * factor for key, coeff in self.coeffs.items()}, self.windows
         )
@@ -639,7 +640,7 @@ def bicone_from_poly(p: Poly) -> BiConeSeries:
         for mode1, q1 in _times_mono(D, 0, 1, exps[:D]):
             for mode2, q2 in _times_mono(D, 0, 1, exps[D:]):
                 key = (mode1, mode2)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + pc * q1 * q2
+                coeffs[key] = coeffs.get(key, 0) + pc * q1 * q2
     return BiConeSeries(D, ("z", "w"), coeffs)
 
 
@@ -725,7 +726,8 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
     sum_j b!/d! / prod_{i=1..j} 2i(2i + D - 2 + 2d) (z^2 w^2)^j K_d[(z.w)^d]
     (Delta_z^j (z.w)^b = b!/d! (w^2)^j (z.w)^d).  So each (t, a, j) fills
     the big mode (-k-t+j, d) and the small mode (a+j, d) with the zonal
-    coefficients, and the small total degree is a + t.
+    coefficients, and the small total degree is a + t.  The sums run in
+    Fraction; an integral result is stored as an int.
     """
     big_bound, small_bound = bound[1 - small], bound[small]
     coeffs: dict = {}
@@ -744,8 +746,8 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
                     2 * i * (2 * i + D - 2 + 2 * d) for i in range(1, j + 1))
                 for (sz, sw), g in _zonal(D, d):
                     pair = ((n_z, d, sz), (n_w, d, sw))
-                    coeffs[pair] = coeffs.get(pair, Fraction(0)) + scale * g
-    return coeffs
+                    coeffs[pair] = coeffs.get(pair, 0) + scale * g
+    return {pair: _exact(c) for pair, c in coeffs.items()}
 
 
 @lru_cache(maxsize=None)
@@ -769,7 +771,7 @@ def iota_pole(D: int, k: int, side: str, depth: int, bound: Optional[tuple] = No
         raise ValueError("k must be >= 0")
     if k == 0:
         one = ((0, 0, 1), (0, 0, 1))
-        return BiConeSeries(D, ("z", "w"), {one: Fraction(1)} if _below(one, bound) else {})
+        return BiConeSeries(D, ("z", "w"), {one: 1} if _below(one, bound) else {})
     small = 1 if side == "zw" else 0
     windows = [FULL_WINDOW, FULL_WINDOW]
     windows[small] = Window(depth)
@@ -789,7 +791,8 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     ``bound`` = (bz, bw), only bi-modes with n_z < bz and n_w < bw are
     formed; the prefactor lowers n by at most z_pole and w_pole, so the pole
     expansion is bounded by (bz + z_pole, bw + w_pole).  The windows do not
-    depend on the bound.
+    depend on the bound.  When the prefactor is 1, the cached pole expansion
+    is the result.
     """
     D = F.D
     small = 1 if side == "zw" else 0
@@ -797,6 +800,8 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     pole = (F.z_pole, F.w_pole)[small]
     pole_depth = max(0, depth - mono_deg + 2 * pole)
     pole_bound = None if bound is None else (bound[0] + F.z_pole, bound[1] + F.w_pole)
+    if F == Kernel(D, zw_pole=F.zw_pole):
+        return iota_pole(D, F.zw_pole, side, pole_depth, pole_bound)
     vs = VarSpace(D, ("z", "w"))
     poly = bicone_from_poly(vs.from_exps("z", F.z_exps, F.coeff) * vs.from_exps("w", F.w_exps))
     prefactor = poly._like({

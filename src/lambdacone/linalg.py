@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals: RREF and kernels.
 
-Matrices are lists of lists of Fraction.  Everything is small (at most a few
-hundred rows) and exact, so plain fraction-free-ish Gauss-Jordan is enough.
+Matrices are lists of lists of exact rationals: int or Fraction, never float.
+``rref`` divides, so the rows it reduces hold Fractions; ``kernel_basis``
+returns an integral entry as an int.  Everything is small (at most a few
+hundred rows) and exact, so plain Gauss-Jordan is enough.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .rings import _exact
 
 
 def rref(matrix: list) -> tuple:
@@ -61,9 +65,9 @@ def kernel_basis(matrix: list, n_cols: int) -> list:
     for f in reversed(range(n_cols)):
         if f in pivot_set:
             continue
-        v = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
+        v = [0] * n_cols
+        v[f] = 1
         for r, p in enumerate(pivots):
-            v[p] = -work[r][f]
+            v[p] = _exact(-work[r][f])
         vectors.append(v[::-1])
     return vectors

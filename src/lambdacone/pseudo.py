@@ -560,7 +560,7 @@ def sd_basis(D: int, chi: ChiVector, degmax: int) -> list:
     image_monos = list(monos)
     image_monos.extend(vs.monomials_of_degree("T", degmax + 1))
     mono_index = {m: idx for idx, m in enumerate(image_monos)}
-    matrix = [[Fraction(0)] * len(columns) for _ in range(len(image_monos))]
+    matrix = [[0] * len(columns) for _ in range(len(image_monos))]
     for col, (a, exps) in enumerate(columns):
         poly = vs.from_exps("T", exps)
         image = poly * (vs.var("T", a + 1) + vs.const(chi[a]))

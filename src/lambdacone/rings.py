@@ -2,9 +2,13 @@
 
 Variables come in named *families* (T, lam, mu, nu, z, w, u), each of arity D,
 so a variable is a pair ``(family, index)`` with ``1 <= index <= D``.  A
-polynomial maps monomials to coefficients that are nonzero ``Fraction``
-values.  Everything is immutable and hashable, and equality is exact term-map
-equality, so "symbolic zero" is a hard assertion.
+polynomial maps monomials to nonzero exact rationals, each an ``int`` or a
+``Fraction`` and never a float.  Constructors store an integral value as an
+``int``, so integer data stays in Python's fast int * int and int + int
+arithmetic; a ``Fraction`` appears only where a denominator does.  Since
+``3 == Fraction(3)`` and the two hash alike, the stored type never changes an
+equality or a hash.  Everything is immutable and hashable, and equality is
+exact term-map equality, so "symbolic zero" is a hard assertion.
 
 Other modules read and build exponent data only as dense vectors, through
 ``Poly.dense(*families)`` (``{exponent vector: coefficient}``, one length-D
@@ -14,13 +18,14 @@ stored inside a polynomial is private to this module: it is a tuple of
 ``((family, index), exponent)`` pairs, sorted by (family order, index), with
 no zero exponents.
 
-The public constructor ``Poly(vs, terms)`` coerces every coefficient to
-``Fraction`` and drops zeros.  The arithmetic inside this module builds its
-results with ``Poly._trusted(vs, terms)`` instead, which wraps the dict as it
-is: a caller of ``_trusted`` guarantees sorted monomials and nonzero
-``Fraction`` coefficients, and hands the dict over (it is never copied or
-written again).  ``VarSpace.var`` returns one shared instance per variable;
-that is safe because nothing writes to a polynomial after it is built.
+The public constructor ``Poly(vs, terms)`` brings every coefficient to that
+exact form (``_exact``) and drops zeros.  The arithmetic inside this module
+builds its results with ``Poly._trusted(vs, terms)`` instead, which wraps the
+dict as it is: a caller of ``_trusted`` guarantees sorted monomials and
+nonzero int or ``Fraction`` coefficients, and hands the dict over (it is
+never copied or written again).  ``VarSpace.var`` returns one shared instance
+per variable; that is safe because nothing writes to a polynomial after it is
+built.
 """
 
 from __future__ import annotations
@@ -51,6 +56,14 @@ class _VarKeys(dict):
 
 
 _VAR_KEYS = _VarKeys()
+
+
+def _exact(value):
+    """``value`` as an exact coefficient: an int if integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    c = value if type(value) is Fraction else Fraction(value)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _item_key(item) -> tuple:
@@ -144,7 +157,7 @@ class VarSpace:
         return _var(self, family, index)
 
     def const(self, value) -> "Poly":
-        c = Fraction(value)
+        c = _exact(value)
         return Poly._trusted(self, {(): c} if c else {})
 
     @property
@@ -172,7 +185,7 @@ class VarSpace:
         for exps, coeff in terms.items():
             if len(exps) != self.D or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps!r} for D = {self.D}")
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c:
                 out[tuple(((family, i), e) for i, e in enumerate(exps, 1) if e)] = c
         return Poly._trusted(self, out)
@@ -190,7 +203,7 @@ class Poly:
     def __init__(self, vs: VarSpace, terms: Mapping):
         clean = {}
         for mono, coeff in terms.items():
-            c = Fraction(coeff)
+            c = _exact(coeff)
             if c:
                 clean[mono] = c
         self.vs = vs
@@ -200,7 +213,7 @@ class Poly:
 
     @classmethod
     def _trusted(cls, vs: VarSpace, terms: dict) -> "Poly":
-        """Wrap ``terms`` as is: sorted monomials, nonzero ``Fraction`` values."""
+        """Wrap ``terms`` as is: sorted monomials, nonzero int or ``Fraction`` values."""
         poly = object.__new__(cls)
         poly.vs = vs
         poly.terms = terms
@@ -254,6 +267,7 @@ class Poly:
         """c * self for an int or Fraction c, without the general product."""
         if not c:
             return Poly._trusted(self.vs, {})
+        c = _exact(c)
         return Poly._trusted(self.vs, {m: v * c for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -386,8 +400,8 @@ class Poly:
     def families_used(self) -> set:
         return {fam for mono in self.terms for (fam, _), _ in mono}
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial):
+        return self.terms.get(mono, 0)
 
     def _split(self, families: tuple) -> list:
         """Per term: (dense vector of ``families``, the rest of the monomial, coefficient)."""
@@ -469,4 +483,4 @@ class Poly:
 def _var(vs: VarSpace, family: str, index: int) -> Poly:
     # lru_cache stores no exception, so a bad variable raises on every call.
     vs.check_var(family, index)
-    return Poly._trusted(vs, {(((family, index), 1),): Fraction(1)})
+    return Poly._trusted(vs, {(((family, index), 1),): 1})

@@ -34,8 +34,15 @@ from lambdacone import (
     iota_expand,
     iota_kernel,
 )
-from lambdacone.cone import _decompose_raw, _times_mono, iota_pole
+from lambdacone.cone import (
+    _decompose_raw,
+    _harmonic_raw,
+    _times_harm,
+    _times_mono,
+    iota_pole,
+)
 from lambdacone.linalg import rref
+from lambdacone.rings import dense_monomials
 
 
 def _zspace(D):
@@ -150,6 +157,52 @@ def test_decompose_raw_edge_cases():
     # In one dimension z^4 = (z^2)^2 and there are no harmonics of degree > 1.
     assert _decompose_raw(1, 4, {(4,): Fraction(1)}) == {(2, 0, 1): 1}
     assert _decompose_raw(1, 5, {(5,): Fraction(3)}) == {(2, 1, 1): 3}
+
+
+def _exact_values(values):
+    """Whether every value is an int or a Fraction: no float, no bool."""
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+def test_decompose_raw_of_int_input_is_exact():
+    # z1^2 = (z^2)/3 + (2 z1^2 - z2^2 - z3^2)/3 in D = 3: int input, thirds out.
+    out = _decompose_raw(3, 2, {(2, 0, 0): 1})
+    assert out[(1, 0, 1)] == Fraction(1, 3) and type(out[(1, 0, 1)]) is Fraction
+    rng = random.Random(12)
+    for D in range(1, 5):
+        for m in range(7):
+            monos = dense_monomials(D, m)
+            raw = {e: rng.choice((-1, 1)) * rng.randint(1, 9)
+                   for e in rng.sample(monos, min(len(monos), 5))}
+            out = _decompose_raw(D, m, raw)
+            assert out == _decompose_raw(D, m, {e: Fraction(c) for e, c in raw.items()})
+            assert _exact_values(out.values())
+
+
+def test_cone_kernels_store_no_float():
+    # The degree-2 harmonics are integral (z1^2 - z3^2, z1 z2, ...): stored as int.
+    assert all(type(c) is int for h in _harmonic_raw(3, 2) for c in h.values())
+    for D in (1, 2, 3, 4):
+        for m in range(5):
+            for h in _harmonic_raw(D, m):
+                assert _exact_values(h.values())
+            for m2 in range(3):
+                for s1 in range(1, h_dim(D, m) + 1):
+                    for s2 in range(1, h_dim(D, m2) + 1):
+                        assert _exact_values(q for _, q in _times_harm(D, m, s1, m2, s2))
+        for k, side in ((0, "zw"), (1, "zw"), (2, "wz")):
+            assert _exact_values(iota_pole(D, k, side, 4).coeffs.values())
+    rng = random.Random(5)
+    for _ in range(10):
+        p = _random_zpoly(rng, rng.randint(1, 4))
+        for _, pj in gauss_decompose(p):
+            assert _exact_values(pj.terms.values())
+        series = cone_from_poly(p)
+        for changed in (series.scale(3), series.parity_flip(), series.scale(Fraction(1, 2))):
+            assert _exact_values(changed.coeffs.values())
+    # 3 z1^2 = 3/2 z^2 + 3/2 (z1^2 - z2^2) in D = 2
+    series = cone_from_poly(_zspace(2).var("z", 1) ** 2 * 3).scale(3)
+    assert series.coeffs == {(1, 0, 1): Fraction(9, 2), (0, 2, 1): Fraction(9, 2)}
 
 
 def test_decompose_raw_roundtrip_by_ring_arithmetic():
@@ -390,6 +443,22 @@ def test_iota_kernel_with_monomial_factor():
         target = ((ell - ell % 2) // 2, ell % 2, 1)
         if shifted.windows[1].contains(mw[0], mw[1]):
             assert shifted.get(target, mw) == coeff
+
+
+def test_unit_kernel_is_the_cached_pole_expansion():
+    # With prefactor 1 the product through mul_series would only copy the
+    # cached expansion: same coefficients, same windows.
+    for D in (1, 2, 3):
+        one = bicone_from_poly(VarSpace(D, ("z", "w")).one)
+        for k in (0, 1, 2):
+            for side in ("zw", "wz"):
+                for bound in (None, (0, 0), (-1, 1), (2, 3)):
+                    pole = iota_pole(D, k, side, 4, bound)
+                    series = iota_kernel(Kernel(D, zw_pole=k), side, 4, bound)
+                    assert series is pole
+                    assert series == pole.mul_series(one, bound)
+    # Any other prefactor still multiplies.
+    assert iota_kernel(Kernel(2, coeff=2, zw_pole=1), "zw", 4) == iota_pole(2, 1, "zw", 4).scale(2)
 
 
 def _below(series, bound):

@@ -231,10 +231,11 @@ def test_from_dense_checks_every_vector():
 
 
 def _assert_stored_canonically(p):
-    """Monomials sorted without zero exponents, coefficients nonzero Fractions."""
+    """Monomials sorted without zero exponents, coefficients nonzero exact
+    rationals: an int or a Fraction, never a float or a bool."""
     order = {name: pos for pos, name in enumerate(p.vs.families)}
     for mono, coeff in p.terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) in (int, Fraction) and coeff != 0
         assert all(e > 0 for _, e in mono)
         keys = [(order[fam], index) for (fam, index), _ in mono]
         assert keys == sorted(set(keys))
@@ -269,3 +270,28 @@ def test_results_store_only_nonzero_fractions():
         results += list((p * q - q * p + p).coefficients_in(("T", "mu")).values())
     for p in results:
         _assert_stored_canonically(p)
+
+
+def test_integer_inputs_stay_int():
+    vs = VarSpace(2, ("T", "lam"))
+    t1, t2, l1 = vs.var("T", 1), vs.var("T", 2), vs.var("lam", 1)
+    p = 3 * t1 ** 2 - 2 * t1 * l1 + 5
+    q = Poly(vs, {((("T", 2), 1),): Fraction(4, 2), (): -1}) + l1
+    results = [p + q, p - q, -p, p * q, (p - q) ** 3, p ** 0, vs.const(True), vs.one]
+    results += [p.subst({("T", 1): t2 - 2 * l1, ("lam", 1): 7}), p.diff("T", 1)]
+    results += [(p * q).laplacian("T"), p.scale(-4), p.scale(Fraction(-2, 1))]
+    results += list((p * q).coefficients_in(("lam",)).values())
+    results += [vs.from_dense("T", {(2, 1): Fraction(6, 3), (0, 1): True})]
+    for r in results:
+        assert r and all(type(c) is int for c in r.terms.values()), r
+        _assert_stored_canonically(r)
+    # An int and its Fraction form are the same value, key and hash.
+    assert q == t2 * 2 - 1 + l1 and q.terms == (2 * t2 - 1 + l1).terms
+    assert p.scale(Fraction(-2, 1)) == p * -2 == p * Fraction(-2)
+    for value in (0, 3, -7):
+        as_fraction = Poly(vs, {(): Fraction(value)})
+        assert as_fraction == vs.const(value) == value == Fraction(value)
+        assert hash(as_fraction) == hash(vs.const(value)) == hash(Fraction(value))
+    # Fraction arithmetic may leave an integral Fraction; it still equals the int.
+    back = p.scale(Fraction(1, 2)).scale(2)
+    assert back == p and back.terms == p.terms and hash(back) == hash(p)
