@@ -10,7 +10,6 @@ from .cone import (
     BiConeSeries,
     ConeSeries,
     FULL_WINDOW,
-    HarmonicBasis,
     Kernel,
     Window,
     basis_poly_in,
@@ -69,7 +68,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BiConeSeries", "BracketTable", "CheckReport", "ChiVector", "ConeSeries",
-    "DeltaDistribution", "FAMILIES", "FULL_WINDOW", "Failure", "HarmonicBasis",
+    "DeltaDistribution", "FAMILIES", "FULL_WINDOW", "Failure",
     "JthProductList", "Kernel", "LambdaPoly", "LaurentTerm", "LieStructure",
     "ModuleElement", "Poly", "TruncationError", "VLAStructure", "VarSpace",
     "Window", "WorkspaceError", "apply_exp_zT", "basis_poly_in",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cone import BiConeSeries, ConeSeries, HarmonicBasis, harmonic_basis, iota_expand
+from .cone import BiConeSeries, ConeSeries, harmonic_basis, iota_expand
 from .pseudo import (
     BracketTable,
     ChiVector,
@@ -107,6 +107,22 @@ def _dump(obj) -> str:
 # writers
 # ----------------------------------------------------------------------
 
+def _entry_lines(generators: tuple, value_key: str, entry_terms) -> list:
+    """One line per nonzero generator pair (i, j), whose ``entry_terms(i, j)``
+    are (key written under ``value_key``, module element) pairs in file order."""
+    lines = []
+    for i in range(len(generators)):
+        for j in range(len(generators)):
+            terms = [
+                {value_key: list(key), "gen": generators[k], "poly": _poly_out(element.coords[k])}
+                for key, element in entry_terms(i, j)
+                for k in sorted(element.coords)
+            ]
+            if terms:
+                lines.append(_dump({"entry": [i + 1, j + 1], "terms": terms}))
+    return lines
+
+
 def serialize_table(table: BracketTable, chi: Optional[ChiVector] = None) -> str:
     header = {
         "kind": "pseudoalgebra",
@@ -115,22 +131,10 @@ def serialize_table(table: BracketTable, chi: Optional[ChiVector] = None) -> str
     }
     if chi is not None:
         header["chi"] = [_frac_out(v) for v in chi.values]
-    lines = [_dump(header)]
-    for i in range(table.r):
-        for j in range(table.r):
-            entry = table.entry(i, j)
-            terms = []
-            for lam_exps, element in _sorted_dense(entry.lambda_terms()):
-                for k in sorted(element.coords):
-                    terms.append(
-                        {
-                            "lambda": list(lam_exps),
-                            "gen": table.generators[k],
-                            "poly": _poly_out(element.coords[k]),
-                        }
-                    )
-            if terms:
-                lines.append(_dump({"entry": [i + 1, j + 1], "terms": terms}))
+    lines = [_dump(header)] + _entry_lines(
+        table.generators, "lambda",
+        lambda i, j: _sorted_dense(table.entry(i, j).lambda_terms()),
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -145,27 +149,14 @@ def serialize_lie(g: LieStructure, names=None) -> str:
 
 def serialize_vla(S: VLAStructure) -> str:
     header = {"kind": "vla", "D": S.D, "generators": list(S.generators)}
-    lines = [_dump(header)]
-    for i in range(S.r):
-        for j in range(S.r):
-            series = S.action(i, j)
-            terms = []
-            for (n, m, sigma), element in series.items():
-                for k in sorted(element.coords):
-                    terms.append(
-                        {
-                            "mode": [n, m, sigma],
-                            "gen": S.generators[k],
-                            "poly": _poly_out(element.coords[k]),
-                        }
-                    )
-            if terms:
-                lines.append(_dump({"entry": [i + 1, j + 1], "terms": terms}))
+    lines = [_dump(header)] + _entry_lines(
+        S.generators, "mode", lambda i, j: S.action(i, j).items()
+    )
     return "\n".join(lines) + "\n"
 
 
-def serialize_harmonic_basis(basis: HarmonicBasis) -> str:
-    header = {"kind": "harmonic-basis", "D": basis.D, "m": basis.m, "count": len(basis)}
+def serialize_harmonic_basis(D: int, m: int, basis: tuple) -> str:
+    header = {"kind": "harmonic-basis", "D": D, "m": m, "count": len(basis)}
     lines = [_dump(header)]
     for sigma, poly in enumerate(basis, start=1):
         lines.append(
@@ -351,7 +342,7 @@ def load_algebra(path) -> LoadedAlgebra:
 
 
 def emit_harmonic_basis(D: int, m: int) -> str:
-    return serialize_harmonic_basis(harmonic_basis(D, m))
+    return serialize_harmonic_basis(D, m, harmonic_basis(D, m))
 
 
 def emit_iota(D: int, k: int, side: str, window: int) -> str:

@@ -119,27 +119,21 @@ def run_checks(loaded: LoadedAlgebra, axioms, args) -> tuple:
     obj = loaded.obj.table if loaded.kind == "lie" else loaded.obj
     lines = []
     ok = True
-    for axiom in axioms:
-        if axiom == "skew":
-            report = skew_check(obj)
-        elif axiom == "jacobi":
-            report = jacobi_check(obj)
-        elif axiom == "closure":
-            if obj.D < 1 or obj != build_wd(obj.D):
-                raise CliError("the closure axiom applies to the W(D) presentation only")
-            chi = _parse_chi(args.chi, obj.D) if args.chi else (loaded.chi or ChiVector.zero(obj.D))
-            try:
+    try:
+        for axiom in axioms:
+            if axiom == "skew":
+                report = skew_check(obj)
+            elif axiom == "jacobi":
+                report = jacobi_check(obj)
+            elif axiom == "closure":
+                if obj.D < 1 or obj != build_wd(obj.D):
+                    raise CliError("the closure axiom applies to the W(D) presentation only")
+                chi = _parse_chi(args.chi, obj.D) if args.chi else (loaded.chi or ChiVector.zero(obj.D))
                 report = sd_closure_check(obj.D, chi, args.degmax)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
-        elif axiom == "vla-skew":
-            try:
+            elif axiom == "vla-skew":
                 report = skew_check_vla(obj, args.window)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
-        elif axiom in ("vla-jacobi", "borcherds"):
-            L = args.L if args.L is not None else obj.max_pole()
-            try:
+            else:
+                L = args.L if args.L is not None else obj.max_pole()
                 if axiom == "vla-jacobi":
                     report = jacobi_check_vla(obj, L, args.window)
                 else:
@@ -152,12 +146,10 @@ def run_checks(loaded: LoadedAlgebra, axioms, args) -> tuple:
                         zw_pole=args.F_k,
                     )
                     report = borcherds_check(obj, L, F, args.window)
-            except ValueError as exc:
-                raise CliError(str(exc)) from None
-        else:  # pragma: no cover - guarded above
-            raise CliError(f"unhandled axiom {axiom!r}")
-        lines.extend(report.lines())
-        ok = ok and report.passed
+            lines.extend(report.lines())
+            ok = ok and report.passed
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     return (0 if ok else 1), lines
 
 
@@ -187,27 +179,22 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    if args.kind == "harmonic-basis":
-        if args.dim is None or args.m is None:
-            raise CliError("harmonic-basis needs --dim and --m")
-        try:
+    try:
+        if args.kind == "harmonic-basis":
+            if args.dim is None or args.m is None:
+                raise CliError("harmonic-basis needs --dim and --m")
             text = emit_harmonic_basis(args.dim, args.m)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    elif args.kind == "iota-expansion":
-        if args.dim is None or args.k is None:
-            raise CliError("iota-expansion needs --dim and --k")
-        try:
+        elif args.kind == "iota-expansion":
+            if args.dim is None or args.k is None:
+                raise CliError("iota-expansion needs --dim and --k")
             text = emit_iota(args.dim, args.k, args.side, args.window)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-    elif args.kind == "bracket":
-        if args.name is None:
-            raise CliError("emit bracket needs a builtin name")
-        loaded = make_builtin(args.name, args.dim, args.chi, args.target_dim)
-        text = serialize_table(loaded.obj, loaded.chi)
-    else:
-        raise CliError(f"unknown emit kind {args.kind!r}")
+        else:
+            if args.name is None:
+                raise CliError("emit bracket needs a builtin name")
+            loaded = make_builtin(args.name, args.dim, args.chi, args.target_dim)
+            text = serialize_table(loaded.obj, loaded.chi)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     _write_output(text, args.out)
     return 0
 

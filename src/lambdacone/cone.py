@@ -180,33 +180,11 @@ def _diff_parts(D: int, m: int, sigma: int, alpha: int) -> tuple:
     return x_part, dh_part
 
 
-def _z_space(D: int) -> VarSpace:
-    return VarSpace(D, ("z",))
-
-
-@dataclass(frozen=True)
-class HarmonicBasis:
-    """The canonical harmonic basis at one degree, as polynomials in z."""
-
-    D: int
-    m: int
-    polys: tuple
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __getitem__(self, i):
-        return self.polys[i]
-
-
-def harmonic_basis(D: int, m: int) -> HarmonicBasis:
+def harmonic_basis(D: int, m: int) -> tuple:
+    """The canonical harmonic basis at degree m, as polynomials in z."""
     h_dim(D, m)  # rejects D < 1 and m < 0
-    vs = _z_space(D)
-    polys = tuple(vs.from_dense("z", raw) for raw in _harmonic_raw(D, m))
-    return HarmonicBasis(D, m, polys)
+    vs = VarSpace(D, ("z",))
+    return tuple(vs.from_dense("z", raw) for raw in _harmonic_raw(D, m))
 
 
 def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace, family: str) -> Poly:
@@ -373,6 +351,7 @@ class ConeSeries:
         return self + (-other)
 
     def scale(self, factor) -> "ConeSeries":
+        factor = _exact(factor)  # rejects a float
         return self._like(
             {mode: coeff * factor for mode, coeff in self.coeffs.items()}, self.window
         )
@@ -387,8 +366,8 @@ class ConeSeries:
             self.window.shift(2 * k),
         )
 
-    def mul_poly(self, p: Poly, k: int = 0) -> "ConeSeries":
-        """Multiply by (x^2)^k * p, re-decomposing into cone modes.
+    def mul_poly(self, p: Poly) -> "ConeSeries":
+        """Multiply by p, re-decomposing into cone modes.
 
         p is a polynomial in the series variable; any other variable or
         dimension raises WorkspaceError.
@@ -396,12 +375,12 @@ class ConeSeries:
         if p.vs.D != self.D:
             raise WorkspaceError(f"polynomial in D = {p.vs.D}, series in D = {self.D}")
         terms = p.dense(self.var)
-        window = self.window.shift(2 * k + min((sum(exps) for exps in terms), default=0))
+        window = self.window.shift(min((sum(exps) for exps in terms), default=0))
         out: dict = {}
         for exps, pc in terms.items():
             for (n, m, s), coeff in self.coeffs.items():
                 for (dj, m2, s2), q in _times_mono(self.D, m, s, exps):
-                    mode = (n + k + dj, m2, s2)
+                    mode = (n + dj, m2, s2)
                     value = coeff * (pc * q)
                     total = out.get(mode)
                     out[mode] = value if total is None else total + value
@@ -470,9 +449,8 @@ def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
     D = p.vs.D
     coeffs: dict = {}
     for degree, raw in _poly_raw_by_degree(p, family).items():
-        for (j, mm, sigma), value in _decompose_raw(D, degree, raw).items():
-            mode = (j, mm, sigma)
-            coeffs[mode] = coeffs.get(mode, 0) + value
+        # a mode (j, m', sigma) has degree 2j + m', so the degrees never share one
+        coeffs.update(_decompose_raw(D, degree, raw))
     return ConeSeries(D, family, coeffs, FULL_WINDOW)
 
 
@@ -480,30 +458,24 @@ def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
 # two-variable cone series
 # ----------------------------------------------------------------------
 
-def _below(key: tuple, bound: Optional[tuple]) -> bool:
-    """Whether a bi-mode lies under ``bound``: n_z < bound[0] and n_w < bound[1]."""
-    return bound is None or (key[0][0] < bound[0] and key[1][0] < bound[1])
-
-
 class BiConeSeries:
-    """Windowed series over pairs of cone modes in two variables.
+    """Windowed series over pairs of cone modes, the first in z, the second in w.
 
     The one product is :meth:`mul_series`; a polynomial factor enters it as
     its exact expansion :func:`bicone_from_poly`.
     """
 
-    __slots__ = ("D", "vars", "coeffs", "windows")
+    __slots__ = ("D", "coeffs", "windows")
 
-    def __init__(self, D: int, vars: tuple, coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)):
+    def __init__(self, D: int, coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)):
         for m1, m2 in coeffs:
             _validate_mode(D, m1)
             _validate_mode(D, m2)
-        self._fill(D, tuple(vars), coeffs, tuple(windows))
+        self._fill(D, coeffs, tuple(windows))
 
-    def _fill(self, D: int, vars: tuple, coeffs: Mapping, windows: tuple) -> None:
+    def _fill(self, D: int, coeffs: Mapping, windows: tuple) -> None:
         wz, ww = windows
         self.D = D
-        self.vars = vars
         self.coeffs = {
             (m1, m2): c for (m1, m2), c in coeffs.items()
             if c and wz.contains(m1[0], m1[1]) and ww.contains(m2[0], m2[1])
@@ -511,21 +483,13 @@ class BiConeSeries:
         self.windows = windows
 
     @classmethod
-    def zero(cls, D: int, vars: tuple = ("z", "w"), windows=(FULL_WINDOW, FULL_WINDOW)):
-        return cls(D, vars, {}, windows)
-
-    @classmethod
-    def tensor(cls, a: ConeSeries, b: ConeSeries) -> "BiConeSeries":
-        coeffs = {}
-        for ma, ca in a.coeffs.items():
-            for mb, cb in b.coeffs.items():
-                coeffs[(ma, mb)] = ca * cb
-        return cls(a.D, (a.var, b.var), coeffs, (a.window, b.window))
+    def zero(cls, D: int, windows=(FULL_WINDOW, FULL_WINDOW)):
+        return cls(D, {}, windows)
 
     def _like(self, coeffs, windows) -> "BiConeSeries":
         # Series operations only form valid modes, so results skip validation.
         series = object.__new__(BiConeSeries)
-        series._fill(self.D, self.vars, coeffs, tuple(windows))
+        series._fill(self.D, coeffs, tuple(windows))
         return series
 
     def __bool__(self):
@@ -536,7 +500,6 @@ class BiConeSeries:
             return NotImplemented
         return (
             self.D == other.D
-            and self.vars == other.vars
             and self.coeffs == other.coeffs
             and self.windows == other.windows
         )
@@ -555,7 +518,7 @@ class BiConeSeries:
         return self.coeffs.get((mode1, mode2), 0)
 
     def __add__(self, other):
-        if self.D != other.D or self.vars != other.vars:
+        if self.D != other.D:
             raise WorkspaceError("series mismatch")
         windows = (
             self.windows[0].intersect(other.windows[0]),
@@ -574,6 +537,7 @@ class BiConeSeries:
         return self + (-other)
 
     def scale(self, factor) -> "BiConeSeries":
+        factor = _exact(factor)  # rejects a float
         return self._like(
             {key: coeff * factor for key, coeff in self.coeffs.items()}, self.windows
         )
@@ -586,9 +550,11 @@ class BiConeSeries:
         so a coefficient of ``other`` is multiplied once per output bi-mode it
         reaches.  Multiplying only raises n, so with ``bound`` = (bz, bw) only
         bi-modes with n_z < bz and n_w < bw are formed, and pairs whose n
-        already reaches the bound are skipped; the windows do not depend on it.
+        already reaches the bound are skipped.  The windows do not depend on
+        the bound, so ``get`` reads 0 at a mode outside it whatever the
+        unbounded product holds there.
         """
-        if self.D != other.D or self.vars != other.vars:
+        if self.D != other.D:
             raise WorkspaceError("series mismatch")
         if not all(w.is_full for w in other.windows):
             raise TruncationError("mul_series needs an exactly-known right factor")
@@ -641,7 +607,7 @@ def bicone_from_poly(p: Poly) -> BiConeSeries:
             for mode2, q2 in _times_mono(D, 0, 1, exps[D:]):
                 key = (mode1, mode2)
                 coeffs[key] = coeffs.get(key, 0) + pc * q1 * q2
-    return BiConeSeries(D, ("z", "w"), coeffs)
+    return BiConeSeries(D, coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -751,18 +717,22 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
 
 
 @lru_cache(maxsize=None)
-def iota_pole(D: int, k: int, side: str, depth: int, bound: Optional[tuple] = None) -> BiConeSeries:
+def iota_expand(D: int, k: int, side: str, window: int, bound: Optional[tuple] = None) -> BiConeSeries:
     """Expansion of ((z-w)^2)^(-k) with the ``side``-second variable small.
 
     For side "zw" the result is exact for every bi-mode whose w total degree
-    is at most ``depth`` (and for all z modes there); symmetrically for "wz".
+    is at most ``window`` (and for all z modes there); symmetrically for
+    "wz".  The k = 0 expansion is the identity embedding, exact everywhere.
     Series are immutable, so the cached instance is shared.
 
     The coefficients are read off the zonal harmonics (``_iota_zonal``).
     With ``bound`` = (bz, bw), only the bi-modes with n_z < bz and n_w < bw
     are formed; without it, every bi-mode is.  The windows do not depend on
-    the bound.
+    the bound, so ``get`` reads 0 at a mode outside it whatever the
+    unbounded expansion holds there.
     """
+    if window < 0:
+        raise ValueError("window must be >= 0")
     if D < 1:
         raise ValueError("D must be >= 1")
     if side not in ("zw", "wz"):
@@ -770,15 +740,16 @@ def iota_pole(D: int, k: int, side: str, depth: int, bound: Optional[tuple] = No
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        one = ((0, 0, 1), (0, 0, 1))
-        return BiConeSeries(D, ("z", "w"), {one: 1} if _below(one, bound) else {})
+        # the constant 1, formed unless the bound excludes n_z = n_w = 0
+        one = {((0, 0, 1), (0, 0, 1)): 1}
+        return BiConeSeries(D, one if bound is None or min(bound) > 0 else {})
     small = 1 if side == "zw" else 0
     windows = [FULL_WINDOW, FULL_WINDOW]
-    windows[small] = Window(depth)
+    windows[small] = Window(window)
     if bound is None:
-        # every formed bi-mode has n_small <= depth and n_big < 0
-        bound = (depth + 1, depth + 1)
-    return BiConeSeries(D, ("z", "w"), _iota_zonal(D, k, small, depth, bound), tuple(windows))
+        # every formed bi-mode has n_small <= window and n_big < 0
+        bound = (window + 1, window + 1)
+    return BiConeSeries(D, _iota_zonal(D, k, small, window, bound), tuple(windows))
 
 
 def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None) -> BiConeSeries:
@@ -791,8 +762,10 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     ``bound`` = (bz, bw), only bi-modes with n_z < bz and n_w < bw are
     formed; the prefactor lowers n by at most z_pole and w_pole, so the pole
     expansion is bounded by (bz + z_pole, bw + w_pole).  The windows do not
-    depend on the bound.  When the prefactor is 1, the cached pole expansion
-    is the result.
+    depend on the bound, so ``get`` reads 0 at a mode outside it: with
+    F = ((z-w)^2)^-1 in D = 2, the bi-mode ((-1, 0, 1), (0, 0, 1)) is 1
+    unbounded and 0 at the bound (0, 0).  When the prefactor is 1, the
+    cached pole expansion is the result.
     """
     D = F.D
     small = 1 if side == "zw" else 0
@@ -800,22 +773,16 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     pole = (F.z_pole, F.w_pole)[small]
     pole_depth = max(0, depth - mono_deg + 2 * pole)
     pole_bound = None if bound is None else (bound[0] + F.z_pole, bound[1] + F.w_pole)
+    expansion = iota_expand(D, F.zw_pole, side, pole_depth, pole_bound)
     if F == Kernel(D, zw_pole=F.zw_pole):
-        return iota_pole(D, F.zw_pole, side, pole_depth, pole_bound)
+        return expansion
     vs = VarSpace(D, ("z", "w"))
     poly = bicone_from_poly(vs.from_exps("z", F.z_exps, F.coeff) * vs.from_exps("w", F.w_exps))
     prefactor = poly._like({
         ((n1 - F.z_pole, m1, s1), (n2 - F.w_pole, m2, s2)): c
         for ((n1, m1, s1), (n2, m2, s2)), c in poly.coeffs.items()
     }, poly.windows)
-    return iota_pole(D, F.zw_pole, side, pole_depth, pole_bound).mul_series(prefactor, bound)
-
-
-def iota_expand(D: int, k: int, side: str, window: int) -> BiConeSeries:
-    """Expansion of ((z-w)^2)^(-k); the k = 0 path is the identity embedding."""
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    return iota_pole(D, k, side, window)
+    return expansion.mul_series(prefactor, bound)
 
 
 def iota_antisym(F: Kernel, window: int) -> BiConeSeries:

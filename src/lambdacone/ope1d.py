@@ -92,7 +92,7 @@ def lambda_from_jth(J: JthProductList) -> LambdaPoly:
     result = LambdaPoly.zero(vs, J.r)
     for j, element in J.products.items():
         factor = vs.from_exps("lam", (j,), Fraction(1, factorial(j)))
-        result = result + LambdaPoly.from_module_element(element).scale(factor)
+        result = result + LambdaPoly(element.vs, element.r, element.coords).scale(factor)
     return result
 
 

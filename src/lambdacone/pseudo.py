@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import WorkspaceError
@@ -25,7 +26,9 @@ from .rings import Poly, VarSpace
 PSEUDO_FAMILIES = ("T", "lam", "mu")
 
 
+@lru_cache(maxsize=None)
 def pseudo_space(D: int) -> VarSpace:
+    """The (T, lam, mu) workspace in D dimensions, one shared instance per D."""
     return VarSpace(D, PSEUDO_FAMILIES)
 
 
@@ -70,10 +73,6 @@ class LambdaPoly:
     @classmethod
     def zero(cls, vs: VarSpace, r: int):
         return cls._trusted(vs, r, {})
-
-    @classmethod
-    def from_module_element(cls, element: "ModuleElement"):
-        return cls(element.vs, element.r, element.coords)
 
     def __add__(self, other):
         if other.vs != self.vs or other.r != self.r:
@@ -280,6 +279,9 @@ class BracketTable:
                     if not poly.families_used() <= {"T", "lam"}:
                         raise WorkspaceError("bracket entries must live in (T, lam)")
                 table[(i, j)] = entry
+        stray = [key for key in entries if key not in table]
+        if stray:
+            raise ValueError(f"entry keys {stray} lie outside range({r})^2")
         self.entries = table
 
     @property

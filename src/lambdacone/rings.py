@@ -1,13 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Variables come in named *families* (T, lam, mu, nu, z, w, u), each of arity D,
+Variables come in named *families* (T, lam, mu, z, w), each of arity D,
 so a variable is a pair ``(family, index)`` with ``1 <= index <= D``.  A
 polynomial maps monomials to nonzero exact rationals, each an ``int`` or a
-``Fraction`` and never a float.  Constructors store an integral value as an
-``int``, so integer data stays in Python's fast int * int and int + int
-arithmetic; a ``Fraction`` appears only where a denominator does.  Since
-``3 == Fraction(3)`` and the two hash alike, the stored type never changes an
-equality or a hash.  Everything is immutable and hashable, and equality is
+``Fraction``; a float is rejected with TypeError.  Constructors store an
+integral value as an ``int``, so integer data stays in Python's fast int * int
+and int + int arithmetic; a ``Fraction`` appears only where a denominator
+does.  Since ``3 == Fraction(3)`` and the two hash alike, the stored type
+never changes an equality or a hash.  Everything is immutable and hashable, and equality is
 exact term-map equality, so "symbolic zero" is a hard assertion.
 
 Other modules read and build exponent data only as dense vectors, through
@@ -38,7 +38,7 @@ from typing import Iterable, Mapping
 
 from .errors import WorkspaceError
 
-FAMILIES = ("T", "lam", "mu", "nu", "z", "w", "u")
+FAMILIES = ("T", "lam", "mu", "z", "w")
 
 Var = tuple  # (family: str, index: int), index is 1-based
 Monomial = tuple  # sorted tuple of (Var, exponent) pairs, exponents > 0
@@ -62,8 +62,11 @@ def _exact(value):
     """``value`` as an exact coefficient: an int if integral, else a Fraction."""
     if type(value) is int:
         return value
-    c = value if type(value) is Fraction else Fraction(value)
-    return c.numerator if c.denominator == 1 else c
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError(f"coefficients are exact rationals; got the float {value!r}")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _item_key(item) -> tuple:
@@ -265,9 +268,9 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         """c * self for an int or Fraction c, without the general product."""
+        c = _exact(c)
         if not c:
             return Poly._trusted(self.vs, {})
-        c = _exact(c)
         return Poly._trusted(self.vs, {m: v * c for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -342,7 +345,11 @@ class Poly:
         return Poly._trusted(self.vs, out)
 
     def laplacian(self, family: str) -> "Poly":
-        """Sum of second partials over all D indices of one family."""
+        """Sum of second partials over all D indices of one family.
+
+        ``cone`` works on raw exponent dicts; the callers of this ring form are
+        the harmonicity oracles, ``_gauss_roundtrip`` in perfbench and the tests.
+        """
         result = self.vs.zero
         for alpha in range(1, self.vs.D + 1):
             result = result + self.diff(family, alpha).diff(family, alpha)
@@ -360,7 +367,7 @@ class Poly:
             vs.check_var(*var)
             if not isinstance(value, Poly):
                 value = vs.const(value)
-            elif value.vs != vs:
+            elif value.vs is not vs and value.vs != vs:
                 raise WorkspaceError("substitution image in a different workspace")
             images[var] = value
         # Each monomial splits into a substituted part, whose image is
@@ -394,14 +401,8 @@ class Poly:
     def total_degree(self) -> int:
         return max((mono_degree(m) for m in self.terms), default=0)
 
-    def min_degree(self) -> int:
-        return min((mono_degree(m) for m in self.terms), default=0)
-
     def families_used(self) -> set:
         return {fam for mono in self.terms for (fam, _), _ in mono}
-
-    def coefficient(self, mono: Monomial):
-        return self.terms.get(mono, 0)
 
     def _split(self, families: tuple) -> list:
         """Per term: (dense vector of ``families``, the rest of the monomial, coefficient)."""

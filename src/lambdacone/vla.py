@@ -73,6 +73,9 @@ class VLAStructure:
                     if not isinstance(coeff, ModuleElement) or coeff.vs != self.vs or coeff.r != r:
                         raise WorkspaceError("action coefficients must be module elements")
                 table[(i, j)] = series
+        stray = [key for key in actions if key not in table]
+        if stray:
+            raise ValueError(f"action keys {stray} lie outside range({r})^2")
         self.actions = table
         self._generator_elements = tuple(ModuleElement.generator(self.vs, r, k) for k in range(r))
         # A bound on the pole order of every field x(z)y with x or y an action
@@ -237,7 +240,7 @@ def _lhs_pair_term(S: VLAStructure, outer: int, series: ConeSeries, swap: bool) 
             key = (mode, emode) if swap else (emode, mode)
             total = out.get(key)
             out[key] = coeff if total is None else total + coeff
-    return BiConeSeries(S.D, ("z", "w"), out)
+    return BiConeSeries(S.D, out)
 
 
 def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
@@ -290,7 +293,7 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
         u_field = extend_action(S, element, gen_k)
         lifted = {((0, 0, 1), mode): coeff for mode, coeff in u_field.coeffs.items()}
         kernel = _rhs_kernel(F, n, m, sigma, depth, bound)
-        result = result + kernel.mul_series(BiConeSeries(S.D, ("z", "w"), lifted), (0, 0))
+        result = result + kernel.mul_series(BiConeSeries(S.D, lifted), (0, 0))
     return result
 
 

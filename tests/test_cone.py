@@ -39,7 +39,6 @@ from lambdacone.cone import (
     _harmonic_raw,
     _times_harm,
     _times_mono,
-    iota_pole,
 )
 from lambdacone.linalg import rref
 from lambdacone.rings import dense_monomials
@@ -93,7 +92,7 @@ def test_harmonic_basis_is_harmonic():
         for m in range(7):
             for h in harmonic_basis(D, m):
                 assert not h.laplacian("z")
-                assert h.total_degree() == m == h.min_degree()
+                assert {sum(exps) for exps in h.dense("z")} == {m}
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +190,7 @@ def test_cone_kernels_store_no_float():
                     for s2 in range(1, h_dim(D, m2) + 1):
                         assert _exact_values(q for _, q in _times_harm(D, m, s1, m2, s2))
         for k, side in ((0, "zw"), (1, "zw"), (2, "wz")):
-            assert _exact_values(iota_pole(D, k, side, 4).coeffs.values())
+            assert _exact_values(iota_expand(D, k, side, 4).coeffs.values())
     rng = random.Random(5)
     for _ in range(10):
         p = _random_zpoly(rng, rng.randint(1, 4))
@@ -241,7 +240,7 @@ def test_cone_from_poly_examples():
 def test_cone_mul_examples():
     vs = _zspace(2)
     start = ConeSeries(2, "z", {(-1, 0, 1): Fraction(1)})
-    assert start.mul_poly(vs.one, 1).coeffs == {(0, 0, 1): 1}
+    assert start.mul_x2(1).mul_poly(vs.one).coeffs == {(0, 0, 1): 1}
     unit = ConeSeries(2, "z", {(0, 0, 1): Fraction(1)})
     assert unit.mul_poly(vs.var("z", 1)).coeffs == {(0, 1, 1): 1}
     lin = ConeSeries(2, "z", {(0, 1, 1): Fraction(1)})
@@ -269,13 +268,18 @@ def test_mul_poly_rejects_a_polynomial_in_another_dimension():
         iota_expand(2, 1, "zw", 3).mul_series(bicone_from_poly(w3))
 
 
-def test_mul_series_rejects_a_series_in_another_dimension_or_order():
+def test_mul_series_rejects_a_series_in_another_dimension():
     kernel = iota_expand(2, 1, "zw", 3)
-    for other in (BiConeSeries(3, ("z", "w"), {((0, 1, 1), (0, 0, 1)): 1}),
-                  BiConeSeries(3, ("z", "w"), {((0, 1, 3), (0, 0, 1)): 1}),
-                  BiConeSeries(2, ("w", "z"), {((0, 1, 1), (0, 0, 1)): 1})):
+    for other in (BiConeSeries(3, {((0, 1, 1), (0, 0, 1)): 1}),
+                  BiConeSeries(3, {((0, 1, 3), (0, 0, 1)): 1})):
         with pytest.raises(WorkspaceError, match="series mismatch"):
             kernel.mul_series(other)
+
+
+def _tensor(a, b):
+    """The bi-cone series of a(z) b(w), from the one-variable series a and b."""
+    coeffs = {(ma, mb): ca * cb for ma, ca in a.coeffs.items() for mb, cb in b.coeffs.items()}
+    return BiConeSeries(a.D, coeffs, (a.window, b.window))
 
 
 def test_bicone_from_poly_of_a_product_is_the_tensor_product():
@@ -284,8 +288,8 @@ def test_bicone_from_poly_of_a_product_is_the_tensor_product():
         p = vs.var("z", 1) ** 3 - Fraction(2, 3) * vs.var("z", D) * vs.var("z", 1) + 5
         q = vs.var("w", D) ** 2 * vs.var("w", 1) + Fraction(1, 4) * vs.var("w", 1)
         cone_p, cone_q = cone_from_poly(p), cone_from_poly(q, "w")
-        assert bicone_from_poly(p * q) == BiConeSeries.tensor(cone_p, cone_q)
-        assert bicone_from_poly(p) == BiConeSeries.tensor(cone_p, cone_from_poly(vs.one, "w"))
+        assert bicone_from_poly(p * q) == _tensor(cone_p, cone_q)
+        assert bicone_from_poly(p) == _tensor(cone_p, cone_from_poly(vs.one, "w"))
 
 
 def test_bicone_series_compare_by_value():
@@ -296,14 +300,14 @@ def test_bicone_series_compare_by_value():
     series = iota_expand(2, 1, "zw", 3)
     assert series.restrict((Window(5), FULL_WINDOW)) != series
     assert series.scale(1) == series
-    assert series != BiConeSeries(2, ("z", "u"), series.coeffs, series.windows)
+    assert series != BiConeSeries(3, series.coeffs, series.windows)
 
 
 def test_cone_mul_shift_roundtrip():
     series = ConeSeries(3, "z", {(-2, 1, 2): Fraction(5), (0, 0, 1): Fraction(-3)})
     assert series.mul_x2(1).mul_x2(-1).coeffs == series.coeffs
     vs = _zspace(3)
-    assert series.mul_poly(vs.one, 1).mul_poly(vs.one, -1).coeffs == series.coeffs
+    assert series.mul_poly(vs.one).coeffs == series.coeffs
 
 
 def test_singular_part():
@@ -402,7 +406,7 @@ def test_iota_antisym_nonzero_for_zw_pole():
 def test_iota_times_kernel_polynomial_collapses():
     # Multiplying the expansion of ((z-w)^2)^(-k) back by (z-w)^2 must give
     # the expansion of ((z-w)^2)^(-(k-1)) on the surviving window; for k = 1
-    # that is the constant 1.  This pins iota_pole and the bi-variable
+    # that is the constant 1.  This pins iota_expand and the bi-variable
     # re-decomposition against each other.
     for D in (1, 2, 3):
         vs = VarSpace(D, ("z", "w"))
@@ -453,12 +457,12 @@ def test_unit_kernel_is_the_cached_pole_expansion():
         for k in (0, 1, 2):
             for side in ("zw", "wz"):
                 for bound in (None, (0, 0), (-1, 1), (2, 3)):
-                    pole = iota_pole(D, k, side, 4, bound)
+                    pole = iota_expand(D, k, side, 4, bound)
                     series = iota_kernel(Kernel(D, zw_pole=k), side, 4, bound)
                     assert series is pole
                     assert series == pole.mul_series(one, bound)
     # Any other prefactor still multiplies.
-    assert iota_kernel(Kernel(2, coeff=2, zw_pole=1), "zw", 4) == iota_pole(2, 1, "zw", 4).scale(2)
+    assert iota_kernel(Kernel(2, coeff=2, zw_pole=1), "zw", 4) == iota_expand(2, 1, "zw", 4).scale(2)
 
 
 def _below(series, bound):
@@ -505,11 +509,11 @@ def _monomial_iota(D, k, side, depth):
         power = new
     windows = [FULL_WINDOW, FULL_WINDOW]
     windows[small] = Window(depth)
-    return BiConeSeries(D, ("z", "w"), coeffs, tuple(windows))
+    return BiConeSeries(D, coeffs, tuple(windows))
 
 
 def test_bounded_iota_is_the_filtered_expansion():
-    # iota_pole reads the expansion off the zonal harmonics of (z.w)^b; the
+    # iota_expand reads the expansion off the zonal harmonics of (z.w)^b; the
     # reference builds it monomial by monomial.  They agree without a bound
     # and below every bound, and the windows do not depend on the bound.
     bounds = (None, (-1, 9), (0, 0), (0, 1), (1, 0), (2, 3), (9, 9))
@@ -519,7 +523,7 @@ def test_bounded_iota_is_the_filtered_expansion():
                 for depth in depths:
                     reference = _monomial_iota(D, k, side, depth)
                     for bound in bounds:
-                        series = iota_pole(D, k, side, depth, bound)
+                        series = iota_expand(D, k, side, depth, bound)
                         expected = reference.coeffs if bound is None else _below(reference, bound)
                         assert series.coeffs == expected
                         assert series.windows == reference.windows
@@ -535,6 +539,10 @@ def test_bounded_iota_kernel_is_the_filtered_kernel():
                 bounded = iota_kernel(F, side, 5, bound)
                 assert bounded.coeffs == _below(full, bound)
                 assert bounded.windows == full.windows
+    # Inside the windows, get reads 0 at a bi-mode the bound kept from forming.
+    F = Kernel(2, zw_pole=1)
+    assert iota_kernel(F, "zw", 4).get((-1, 0, 1), (0, 0, 1)) == 1
+    assert iota_kernel(F, "zw", 4, (0, 0)).get((-1, 0, 1), (0, 0, 1)) == 0
 
 
 def _golden_monomials(D):
@@ -577,8 +585,6 @@ def test_iota_kernel_golden_digest(case):
 def test_kernels_need_a_positive_dimension():
     with pytest.raises(ValueError, match="D must be >= 1"):
         Kernel(0)
-    with pytest.raises(ValueError, match="D must be >= 1"):
-        iota_pole(0, 1, "zw", 2)
     with pytest.raises(ValueError, match="D must be >= 1"):
         iota_expand(0, 1, "zw", 2)
     with pytest.raises(ValueError, match="D must be >= 1"):

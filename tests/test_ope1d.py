@@ -41,7 +41,7 @@ def _element(vs, poly_or_const, r=1, k=0):
 
 def test_jth_from_lambda_square(vs):
     c = _element(vs, 1)
-    L = LambdaPoly.from_module_element(c).scale(vs.var("lam", 1) ** 2)
+    L = LambdaPoly(c.vs, c.r, c.coords).scale(vs.var("lam", 1) ** 2)
     assert jth_from_lambda(L).products == {2: c.scale(2)}
 
 
@@ -80,7 +80,7 @@ def test_roundtrip_random(vs):
 
 def test_commutator_transport(vs):
     c = _element(vs, 1)
-    L = LambdaPoly.from_module_element(c).scale(vs.var("lam", 1) ** 2)
+    L = LambdaPoly(c.vs, c.r, c.coords).scale(vs.var("lam", 1) ** 2)
     dist = commutator_from_lambda(L)
     assert dist.parts == {2: c.scale(2)}
     assert not commutator_from_lambda(LambdaPoly.zero(vs, 1))

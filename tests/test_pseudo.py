@@ -99,7 +99,8 @@ def test_cur_sl2_e_f_gives_h():
     table = build_cur(LieStructure.sl2(), 1)
     e, f = table.generators.index("e"), table.generators.index("f")
     entry = table.entry(e, f)
-    assert entry == LambdaPoly.from_module_element(table.generator_element("h"))
+    h = table.generator_element("h")
+    assert entry == LambdaPoly(h.vs, h.r, h.coords)
 
 
 def test_cur_abelian_is_zero():
@@ -256,8 +257,8 @@ def test_bracket_values_keep_their_invariants():
         assert a.mul_T(1) == a.scale(T1) and a.mul_T(2) == a.scale(T2)
         with pytest.raises(WorkspaceError):
             a.scale(lam1)
-        assert type(LambdaPoly.from_module_element(a)) is LambdaPoly
-        assert LambdaPoly.from_module_element(a) == a
+        assert type(LambdaPoly(a.vs, a.r, a.coords)) is LambdaPoly
+        assert LambdaPoly(a.vs, a.r, a.coords) == a
     for v in brackets:
         for result in (v - v, v.scale(0), -v, v.scale(Fraction(-2, 3)), v.scale(lam1),
                        v.subst(flip), v + elements[0], elements[0] + v,
@@ -332,6 +333,18 @@ def test_jacobi_detects_broken_constants():
     table = BracketTable(1, ("e", "h", "f"), entries)
     assert skew_check(table).passed
     assert not jacobi_check(table).passed
+
+
+def test_table_rejects_keys_outside_the_generator_pairs():
+    vs = pseudo_space(1)
+    e = LambdaPoly(vs, 1, {0: vs.one})
+    with pytest.raises(ValueError, match=r"\[\(0, 1\), \(5, 5\)\] lie outside range\(1\)\^2"):
+        BracketTable(1, ("L",), {(0, 0): e, (0, 1): e, (5, 5): e})
+
+
+def test_pseudo_space_is_one_instance_per_dimension():
+    assert pseudo_space(2) is pseudo_space(2) == BracketTable(2, ("a",), {}).vs
+    assert pseudo_space(2) != pseudo_space(3)
 
 
 def test_lie_structure_validation():

@@ -110,6 +110,13 @@ def test_structure_rejects_regular_modes():
         VLAStructure(1, ("a",), {(0, 0): ConeSeries(1, "z", {(0, 0, 1): c})})
 
 
+def test_structure_rejects_keys_outside_the_generator_pairs():
+    vs = pseudo_space(1)
+    series = ConeSeries(1, "z", {(-1, 0, 1): ModuleElement(vs, 1, {0: vs.one})})
+    with pytest.raises(ValueError, match=r"\[\(1, 0\)\] lie outside range\(1\)\^2"):
+        VLAStructure(1, ("a",), {(0, 0): series, (1, 0): series})
+
+
 # ----------------------------------------------------------------------
 # action extension
 # ----------------------------------------------------------------------

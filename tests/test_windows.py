@@ -74,8 +74,10 @@ def test_iota_kernel_single_variable_poles_exact():
 
 
 def test_iota_window_negative_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="window must be >= 0"):
         iota_expand(1, 1, "zw", -1)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        iota_expand(2, 1, "zw", -1, (0, 0))
 
 
 def test_mul_series_requires_exact_factor():
@@ -87,9 +89,13 @@ def test_mul_series_requires_exact_factor():
 def test_tensor_and_scale():
     a = ConeSeries(1, "z", {(-1, 0, 1): Fraction(2)})
     b = ConeSeries(1, "w", {(0, 1, 1): Fraction(3)})
-    t = BiConeSeries.tensor(a, b)
+    t = BiConeSeries(1, {(ma, mb): ca * cb for ma, ca in a.coeffs.items()
+                         for mb, cb in b.coeffs.items()}, (a.window, b.window))
     assert t.coeffs == {((-1, 0, 1), (0, 1, 1)): 6}
     assert t.scale(Fraction(1, 2)).coeffs == {((-1, 0, 1), (0, 1, 1)): 3}
+    for series in (a, t):
+        with pytest.raises(TypeError, match="float"):
+            series.scale(0.5)
 
 
 def test_bounded_products_are_the_filtered_products():
@@ -98,7 +104,7 @@ def test_bounded_products_are_the_filtered_products():
     vs = VarSpace(2, ("z", "w"))
     kernel = iota_expand(2, 1, "zw", 4)
     poly = (vs.var("z", 1) - vs.var("w", 2)) ** 2 + vs.var("w", 1)
-    exact = BiConeSeries(2, ("z", "w"), {
+    exact = BiConeSeries(2, {
         ((-1, 0, 1), (-2, 1, 2)): Fraction(3),
         ((0, 2, 1), (-1, 0, 1)): Fraction(-1, 2),
         ((0, 0, 1), (-1, 3, 2)): Fraction(5),
