@@ -75,7 +75,7 @@ def _poly_out(poly: Poly, family: str = "T") -> list:
     return [[list(exps), _frac_out(c)] for exps, c in _sorted_dense(poly.dense(family))]
 
 
-def _poly_in(data, vs, D: int, family: str = "T") -> Poly:
+def _poly_in(data, vs, D: int) -> Poly:
     if not isinstance(data, list):
         raise AlgebraFileError("polynomial must be a list of [exps, coeff] pairs")
     terms = {}
@@ -90,7 +90,7 @@ def _poly_in(data, vs, D: int, family: str = "T") -> Poly:
         if tuple(exps) in terms:
             raise AlgebraFileError(f"duplicate exponent vector {_dump(exps)}")
         terms[tuple(exps)] = _frac_in(coeff)
-    return vs.from_dense(family, terms)
+    return vs.from_dense("T", terms)
 
 
 def _check_keys(obj: dict, allowed: set, context: str) -> None:

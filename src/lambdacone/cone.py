@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
@@ -66,22 +66,23 @@ def _raw_laplacian(raw: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def _harmonic_raw(D: int, m: int) -> tuple:
-    """Canonical harmonic basis at degree m, as raw {exps: coefficient} dicts
-    with int or Fraction coefficients."""
+    """Canonical harmonic basis at degree m as (den, numerators): raw
+    {exps: int} dicts with h_{m,sigma} = numerators[sigma - 1] / den, where
+    den is the least common denominator of the basis."""
     monos = dense_monomials(D, m)
     if m < 2:
-        return tuple({e: 1} for e in monos)
+        return 1, tuple({e: 1} for e in monos)
     target = dense_monomials(D, m - 2)
     index = {e: i for i, e in enumerate(target)}
     matrix = [[0] * len(monos) for _ in target]
     for col, exps in enumerate(monos):
         for low, c in _raw_laplacian({exps: 1}).items():
             matrix[index[low]][col] = c
-    basis = []
-    for vector in kernel_basis(matrix, len(monos)):
-        basis.append({monos[i]: c for i, c in enumerate(vector) if c})
+    basis = kernel_basis(matrix, len(monos))
     assert len(basis) == h_dim(D, m)
-    return tuple(basis)
+    den = lcm(*(c.denominator for vector in basis for c in vector))
+    return den, tuple({monos[i]: c.numerator * (den // c.denominator)
+                       for i, c in enumerate(vector) if c} for vector in basis)
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +93,9 @@ def _projector(D: int, d: int) -> tuple:
     c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)) (Axler, Bourdon and Ramey,
     Harmonic Function Theory, ch. 5).  Each canonical basis vector is 1 at
     its own pivot and 0 at the others, so coordinate sigma is K_d[q] at pivot
-    sigma.  Returns one stencil per sigma: triples (i, exps, weight) with
-    that coordinate = sum weight * (Delta^i q)[exps].
+    sigma.  Returns (den, stencils) with den the least common denominator of
+    the weights and one stencil per sigma: triples (i, exps, int weight) with
+    that coordinate = sum weight * (Delta^i q)[exps] / den.
     """
     x2 = {tuple(2 * (a == b) for b in range(D)): 1 for a in range(D)}
     terms = []
@@ -102,58 +104,77 @@ def _projector(D: int, d: int) -> tuple:
         if i:
             c = -c / (2 * i * (D + 2 * d - 2 * i - 2))
             power = _raw_mul(power, x2)
-        terms.extend((i, exps, _exact(c * a)) for exps, a in power.items())
+        terms.extend((i, exps, c * a) for exps, a in power.items())
     stencils = []
-    for h in _harmonic_raw(D, d):
+    for h in _harmonic_raw(D, d)[1]:
         pivot = next(iter(h))
         lows = ((i, tuple(x - y for x, y in zip(pivot, e)), w) for i, e, w in terms)
-        stencils.append(tuple(t for t in lows if min(t[1]) >= 0))
-    return tuple(stencils)
+        stencils.append([t for t in lows if min(t[1]) >= 0])
+    den = lcm(*(w.denominator for stencil in stencils for _, _, w in stencil))
+    return den, tuple(tuple((i, e, w.numerator * (den // w.denominator)) for i, e, w in stencil)
+                      for stencil in stencils)
 
 
-def _decompose_raw(D: int, m: int, raw: dict) -> dict:
-    """Decompose a degree-m raw polynomial into {(j, m', sigma): coefficient}.
+def _clear(raw: dict) -> tuple:
+    """(R, {exps: int}) with raw = numerators / R, R the least common denominator."""
+    den = lcm(*(c.denominator for c in raw.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in raw.items()}
 
-    With p = sum_j (x^2)^j p_j and p_j harmonic of degree d = m - 2j,
+
+def _harmonic_parts(D: int, m: int, raw: dict):
+    """Yield (j, d, q, {sigma: N}) for a degree-m raw polynomial p with int
+    coefficients: with p = sum_j (x^2)^j p_j and p_j harmonic of degree
+    d = m - 2j, coordinate sigma of p_j is N / q.
+
     Delta^j p = prod_{k=1..j} 2k(2k + D - 2 + 2d) p_j + (x^2)(...), so p_j is
-    the harmonic part of Delta^j p divided by that product.  ``raw`` may hold
-    int or Fraction coefficients; an integral result is an int, never a float.
+    the harmonic part of Delta^j p divided by that product.
     """
     laplacians = [raw]
     for _ in range(m // 2):
         laplacians.append(_raw_laplacian(laplacians[-1]))
-    out = {}
     for j in range(m // 2 + 1):
         if not laplacians[j]:
             break
         d = m - 2 * j
-        scale = prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
-        for sigma, stencil in enumerate(_projector(D, d), start=1):
+        den, stencils = _projector(D, d)
+        q = den * prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
+        coords = {}
+        for sigma, stencil in enumerate(stencils, start=1):
             value = sum(w * laplacians[j + i][e] for i, e, w in stencil
                         if e in laplacians[j + i])
             if value:
-                if scale != 1:
-                    # Fraction(value, scale), not value / scale: int / int is a float.
-                    value = Fraction(value, scale)
-                out[(j, d, sigma)] = _exact(value)
-    return out
+                coords[sigma] = value
+        yield j, d, q, coords
+
+
+def _decompose_raw(D: int, m: int, raw: dict, den: int = 1) -> dict:
+    """Decompose the degree-m raw polynomial raw / den into
+    {(j, m', sigma): coefficient}.
+
+    ``raw`` may hold int or Fraction coefficients; the sums run in int over
+    the cleared denominator, and each coefficient is one Fraction, stored as
+    an int when integral, never a float.
+    """
+    clear, raw = _clear(raw)
+    return {(j, d, sigma): _exact(Fraction(n, q * clear * den))
+            for j, d, q, coords in _harmonic_parts(D, m, raw)
+            for sigma, n in coords.items()}
 
 
 @lru_cache(maxsize=None)
 def _times_mono(D: int, m: int, sigma: int, exps: tuple) -> tuple:
     """h_{m,sigma} * x^exps decomposed: tuple of ((dj, m', sigma'), coefficient)."""
-    h = _harmonic_raw(D, m)[sigma - 1]
-    product = _raw_mul(h, {exps: 1})
-    decomp = _decompose_raw(D, m + sum(exps), product)
-    return tuple(decomp.items())
+    den, numerators = _harmonic_raw(D, m)
+    product = _raw_mul(numerators[sigma - 1], {exps: 1})
+    return tuple(_decompose_raw(D, m + sum(exps), product, den).items())
 
 
 @lru_cache(maxsize=None)
 def _times_harm(D: int, m1: int, s1: int, m2: int, s2: int) -> tuple:
     """h_{m1,s1} * h_{m2,s2} decomposed."""
-    a = _harmonic_raw(D, m1)[s1 - 1]
-    b = _harmonic_raw(D, m2)[s2 - 1]
-    decomp = _decompose_raw(D, m1 + m2, _raw_mul(a, b))
+    den1, a = _harmonic_raw(D, m1)
+    den2, b = _harmonic_raw(D, m2)
+    decomp = _decompose_raw(D, m1 + m2, _raw_mul(a[s1 - 1], b[s2 - 1]), den1 * den2)
     return tuple(decomp.items())
 
 
@@ -168,30 +189,35 @@ def _diff_parts(D: int, m: int, sigma: int, alpha: int) -> tuple:
     exps = [0] * D
     exps[alpha - 1] = 1
     x_part = _times_mono(D, m, sigma, tuple(exps))
-    h = _harmonic_raw(D, m)[sigma - 1]
+    den, numerators = _harmonic_raw(D, m)
     dh: dict = {}
-    for e, c in h.items():
+    for e, c in numerators[sigma - 1].items():
         if e[alpha - 1]:
             low = list(e)
             low[alpha - 1] -= 1
             dh[tuple(low)] = dh.get(tuple(low), 0) + c * e[alpha - 1]
     dh = {k: v for k, v in dh.items() if v}
-    dh_part = tuple(_decompose_raw(D, m - 1, dh).items()) if dh else ()
+    dh_part = tuple(_decompose_raw(D, m - 1, dh, den).items()) if dh else ()
     return x_part, dh_part
+
+
+def _harmonic_dense(D: int, m: int, sigma: int, pad: tuple = ()) -> dict:
+    """h_{m,sigma} as {exps + pad: coefficient}."""
+    den, numerators = _harmonic_raw(D, m)
+    return {e + pad: Fraction(c, den) for e, c in numerators[sigma - 1].items()}
 
 
 def harmonic_basis(D: int, m: int) -> tuple:
     """The canonical harmonic basis at degree m, as polynomials in z."""
-    h_dim(D, m)  # rejects D < 1 and m < 0
+    sigmas = range(1, h_dim(D, m) + 1)  # h_dim rejects D < 1 and m < 0
     vs = VarSpace(D, ("z",))
-    return tuple(vs.from_dense("z", raw) for raw in _harmonic_raw(D, m))
+    return tuple(vs.from_dense("z", _harmonic_dense(D, m, sigma)) for sigma in sigmas)
 
 
-def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace, family: str) -> Poly:
-    """h_{m,sigma} written in ``family`` variables of an arbitrary workspace."""
-    vs.check_var(family, D)
-    pad = (0,) * (vs.D - D)
-    return vs.from_dense(family, {e + pad: c for e, c in _harmonic_raw(D, m)[sigma - 1].items()})
+def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace) -> Poly:
+    """h_{m,sigma} written in the z variables of an arbitrary workspace."""
+    vs.check_var("z", D)
+    return vs.from_dense("z", _harmonic_dense(D, m, sigma, (0,) * (vs.D - D)))
 
 
 def _poly_raw_by_degree(p: Poly, family: str) -> dict:
@@ -202,28 +228,34 @@ def _poly_raw_by_degree(p: Poly, family: str) -> dict:
     return buckets
 
 
-def _single_family(p: Poly, default: str = "z") -> str:
+def _single_family(p: Poly) -> str:
     used = p.families_used()
-    if not used:
-        return default
     if len(used) > 1:
         raise WorkspaceError(f"expected a single-family polynomial, got {sorted(used)}")
-    return used.pop()
+    return used.pop() if used else "z"
 
 
-def gauss_decompose(p: Poly, family: Optional[str] = None) -> list:
+def gauss_decompose(p: Poly) -> list:
     """Unique expression p = sum_j (x^2)^j p_j with every p_j harmonic.
 
     Returns [(j, p_j)] with nonzero p_j, sorted by j; exact reconstruction.
+    The sums run in int over one denominator per degree of p, and each
+    coefficient of p_j is one Fraction: a monomial of p_j has degree m - 2j,
+    so it takes terms from the degree-m part of p only.
     """
-    family = family or _single_family(p)
+    family = _single_family(p)
     D = p.vs.D
     levels: dict = {}
     for degree, raw in _poly_raw_by_degree(p, family).items():
-        for (j, mm, sigma), value in _decompose_raw(D, degree, raw).items():
-            level = levels.setdefault(j, {})
-            for exps, c in _harmonic_raw(D, mm)[sigma - 1].items():
-                level[exps] = level.get(exps, 0) + value * c
+        clear, raw = _clear(raw)
+        for j, d, q, coords in _harmonic_parts(D, degree, raw):
+            den, numerators = _harmonic_raw(D, d)
+            sums: dict = {}
+            for sigma, n in coords.items():
+                for exps, c in numerators[sigma - 1].items():
+                    sums[exps] = sums.get(exps, 0) + n * c
+            scale = q * clear * den
+            levels.setdefault(j, {}).update((e, Fraction(v, scale)) for e, v in sums.items())
     out = []
     for j in sorted(levels):
         poly = p.vs.from_dense(family, levels[j])
@@ -483,8 +515,8 @@ class BiConeSeries:
         self.windows = windows
 
     @classmethod
-    def zero(cls, D: int, windows=(FULL_WINDOW, FULL_WINDOW)):
-        return cls(D, {}, windows)
+    def zero(cls, D: int):
+        return cls(D, {})
 
     def _like(self, coeffs, windows) -> "BiConeSeries":
         # Series operations only form valid modes, so results skip validation.
@@ -662,11 +694,12 @@ def _zonal(D: int, d: int) -> tuple:
     a harmonic polynomial in w, whose coordinate s' is its coefficient at
     the pivot monomial of h_{d,s'}.
     """
-    pivots = [next(iter(h)) for h in _harmonic_raw(D, d)]
+    pivots = [next(iter(h)) for h in _harmonic_raw(D, d)[1]]
+    den, stencils = _projector(D, d)
     out = []
-    for s, stencil in enumerate(_projector(D, d), start=1):
+    for s, stencil in enumerate(stencils, start=1):
         for s2, pivot in enumerate(pivots, start=1):
-            value = Fraction(0)
+            value = 0
             for i, exps, weight in stencil:
                 # the coefficient of z^exps w^pivot in d!/(d-2i)! (w^2)^i (z.w)^(d-2i)
                 twice_f = [p - e for p, e in zip(pivot, exps)]
@@ -677,7 +710,7 @@ def _zonal(D: int, d: int) -> tuple:
                          * factorial(i) // prod(map(factorial, f)))
                 value += weight * count
             if value:
-                out.append(((s, s2), value))
+                out.append(((s, s2), Fraction(value, den)))
     return tuple(out)
 
 

@@ -20,22 +20,24 @@ def _require_d1(vs):
         raise ValueError(f"this calculus is specific to D = 1, got D = {vs.D}")
 
 
+def _d1_members(vs, members: Mapping, negative: str) -> dict:
+    """The nonzero members of a D = 1 family indexed by j >= 0; a negative j
+    raises ValueError(negative)."""
+    _require_d1(vs)
+    if any(j < 0 for j in members):
+        raise ValueError(negative)
+    return {j: element for j, element in members.items() if element}
+
+
 class JthProductList:
     """The family a_(j) b, j >= 0, with finitely many nonzero members."""
 
     __slots__ = ("vs", "r", "products")
 
     def __init__(self, vs, r: int, products: Mapping):
-        _require_d1(vs)
-        clean = {}
-        for j, element in products.items():
-            if j < 0:
-                raise ValueError("j-th products are indexed by j >= 0")
-            if element:
-                clean[j] = element
+        self.products = _d1_members(vs, products, "j-th products are indexed by j >= 0")
         self.vs = vs
         self.r = r
-        self.products = clean
 
     def __eq__(self, other):
         if not isinstance(other, JthProductList):
@@ -53,16 +55,9 @@ class DeltaDistribution:
     __slots__ = ("vs", "r", "parts")
 
     def __init__(self, vs, r: int, parts: Mapping):
-        _require_d1(vs)
-        clean = {}
-        for j, element in parts.items():
-            if j < 0:
-                raise ValueError("delta derivative order must be >= 0")
-            if element:
-                clean[j] = element
+        self.parts = _d1_members(vs, parts, "delta derivative order must be >= 0")
         self.vs = vs
         self.r = r
-        self.parts = clean
 
     def __bool__(self):
         return bool(self.parts)

@@ -236,10 +236,6 @@ class LieStructure:
                 )
 
     @classmethod
-    def abelian(cls, dim: int) -> "LieStructure":
-        return cls(dim, {})
-
-    @classmethod
     def sl2(cls) -> "LieStructure":
         """Basis (e, h, f): [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
         return cls(

@@ -223,7 +223,7 @@ def _rhs_kernel(F: Kernel, n: int, m: int, sigma: int, depth: int, bound: tuple)
             - iota_kernel(combined, "wz", depth, bound))
     if m:
         vs = VarSpace(D, ("z", "w"))
-        harmonic = basis_poly_in(D, m, sigma, vs, "z").subst(
+        harmonic = basis_poly_in(D, m, sigma, vs).subst(
             {("z", a): vs.var("z", a) - vs.var("w", a) for a in range(1, D + 1)}
         )
         diff = diff.mul_series(bicone_from_poly(harmonic), bound)

@@ -12,7 +12,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -37,6 +37,7 @@ from lambdacone import (
 from lambdacone.cone import (
     _decompose_raw,
     _harmonic_raw,
+    _projector,
     _times_harm,
     _times_mono,
 )
@@ -180,10 +181,13 @@ def test_decompose_raw_of_int_input_is_exact():
 
 def test_cone_kernels_store_no_float():
     # The degree-2 harmonics are integral (z1^2 - z3^2, z1 z2, ...): stored as int.
-    assert all(type(c) is int for h in _harmonic_raw(3, 2) for c in h.values())
+    den, numerators = _harmonic_raw(3, 2)
+    assert den == 1 and all(type(c) is int for h in numerators for c in h.values())
     for D in (1, 2, 3, 4):
         for m in range(5):
-            for h in _harmonic_raw(D, m):
+            den, numerators = _harmonic_raw(D, m)
+            assert _exact_values([den])
+            for h in numerators:
                 assert _exact_values(h.values())
             for m2 in range(3):
                 for s1 in range(1, h_dim(D, m) + 1):
@@ -202,6 +206,21 @@ def test_cone_kernels_store_no_float():
     # 3 z1^2 = 3/2 z^2 + 3/2 (z1^2 - z2^2) in D = 2
     series = cone_from_poly(_zspace(2).var("z", 1) ** 2 * 3).scale(3)
     assert series.coeffs == {(1, 0, 1): Fraction(9, 2), (0, 2, 1): Fraction(9, 2)}
+
+
+def test_cone_tables_are_integer_over_least_denominator():
+    for D in range(1, 6):
+        for m in range(9):
+            hden, numerators = _harmonic_raw(D, m)
+            pden, stencils = _projector(D, m)
+            for den, entries in ((hden, [c for h in numerators for c in h.values()]),
+                                 (pden, [w for stencil in stencils for _, _, w in stencil])):
+                assert type(den) is int and all(type(c) is int for c in entries)
+                assert gcd(den, *entries) == 1
+    # h_{2,1} = z1^2 - z2^2 needs no denominator; the D = 3 projector at d = 2
+    # is q - (x^2) Delta q / 6, so its weights are over 6.
+    assert _harmonic_raw(2, 2) == (1, ({(2, 0): 1, (0, 2): -1}, {(1, 1): 1}))
+    assert _projector(3, 2)[0] == 6
 
 
 def test_decompose_raw_roundtrip_by_ring_arithmetic():
@@ -223,6 +242,35 @@ def test_decompose_raw_roundtrip_by_ring_arithmetic():
                 assert not pj.laplacian("z")
                 rebuilt = rebuilt + z2 ** j * pj
             assert rebuilt == p
+
+
+def _gauss_golden_text():
+    """gauss_decompose of int, Fraction and mixed-degree polynomials in
+    D = 1..5, each coefficient printed with its type."""
+    rng = random.Random(314)
+    lines = []
+    for D in range(1, 6):
+        vs = _zspace(D)
+        for m in range(7):
+            picks = rng.sample(dense_monomials(D, m), min(comb(m + D - 1, D - 1), 4))
+            ints = sum((vs.from_exps("z", e, rng.randint(1, 9)) for e in picks), vs.zero)
+            fractions = sum((vs.from_exps("z", e, Fraction(rng.randint(-9, 9), rng.randint(2, 6)))
+                             for e in picks), vs.zero)
+            mixed = ints + _random_zpoly(rng, D) * Fraction(1, rng.randint(2, 5))
+            for p in (ints, fractions, mixed):
+                pieces = [(j, sorted((e, type(c).__name__, str(c)) for e, c in pj.dense("z").items()))
+                          for j, pj in gauss_decompose(p)]
+                lines.append(f"{D} {m}: {pieces}")
+    return "\n".join(lines)
+
+
+# sha256 of _gauss_golden_text(): 105 decompositions, values and coefficient types.
+GOLDEN_GAUSS = "fad7b44a5714708964afa505f518e5e26d98875d8066801cd9d758580cfecd55"
+
+
+def test_gauss_decompose_golden_digest():
+    digest = hashlib.sha256(_gauss_golden_text().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_GAUSS
 
 
 # ----------------------------------------------------------------------

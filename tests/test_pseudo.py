@@ -104,12 +104,12 @@ def test_cur_sl2_e_f_gives_h():
 
 
 def test_cur_abelian_is_zero():
-    table = build_cur(LieStructure.abelian(2), 2)
+    table = build_cur(LieStructure(2, {}), 2)
     assert all(not entry for entry in table.entries.values())
 
 
 def test_cur_d0_is_ordinary_lie_algebra():
-    table = build_cur(LieStructure.abelian(1), 0)
+    table = build_cur(LieStructure(1, {}), 0)
     assert table.D == 0
     assert not table.entry(0, 0)
     sl2 = build_cur(LieStructure.sl2(), 0)
