@@ -2,9 +2,9 @@
 
 A field coefficient is indexed by a *cone mode* (n, m, sigma) and stands for
 (x^2)^n h_{m,sigma}(x), where x^2 = x_1^2 + ... + x_D^2 and {h_{m,sigma}} is
-the canonical basis of harmonic homogeneous polynomials of degree m.  The
-canonical basis is the reduced echelon form of the Laplacian kernel with
-graded-lex pivots, so representatives are deterministic and h_{0,1} = 1.
+the canonical basis of harmonic homogeneous polynomials of degree m: the
+harmonic extensions off x_D = 0 of the monomials with x_D exponent <= 1, a
+closed-form reduced echelon basis, so representatives are deterministic.
 
 Series over these modes carry an explicit truncation window; coefficients
 outside the window are unknown, not zero, and every operation computes the
@@ -23,8 +23,7 @@ from math import comb, factorial, lcm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
-from .linalg import kernel_basis
-from .rings import Poly, VarSpace, _exact, dense_monomials
+from .rings import Poly, VarSpace, _exact, _no_float, dense_monomials
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
 
@@ -39,10 +38,7 @@ def h_dim(D: int, m: int) -> int:
         raise ValueError("D must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = comb(m + D - 1, D - 1)
-    if m >= 2:
-        total -= comb(m + D - 3, D - 1)
-    return total
+    return comb(m + D - 1, D - 1) - (comb(m + D - 3, D - 1) if m >= 2 else 0)
 
 
 def _raw_mul(a: dict, b: dict) -> dict:
@@ -65,24 +61,28 @@ def _raw_laplacian(raw: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _pivots(D: int, m: int) -> tuple:
+    """The pivots: degree-m monomials with x_D exponent <= 1, in canonical order."""
+    return tuple(e for e in dense_monomials(D, m) if e[-1] <= 1)
+
+
+@lru_cache(maxsize=None)
 def _harmonic_raw(D: int, m: int) -> tuple:
     """Canonical harmonic basis at degree m as (den, numerators): raw
     {exps: int} dicts with h_{m,sigma} = numerators[sigma - 1] / den, where
-    den is the least common denominator of the basis."""
-    monos = dense_monomials(D, m)
-    if m < 2:
-        return 1, tuple({e: 1} for e in monos)
-    target = dense_monomials(D, m - 2)
-    index = {e: i for i, e in enumerate(target)}
-    matrix = [[0] * len(monos) for _ in target]
-    for col, exps in enumerate(monos):
-        for low, c in _raw_laplacian({exps: 1}).items():
-            matrix[index[low]][col] = c
-    basis = kernel_basis(matrix, len(monos))
-    assert len(basis) == h_dim(D, m)
-    den = lcm(*(c.denominator for vector in basis for c in vector))
-    return den, tuple({monos[i]: c.numerator * (den // c.denominator)
-                       for i, c in enumerate(vector) if c} for vector in basis)
+    den is the least common denominator of the basis.  h_{m,sigma} is
+    sum_j (-1)^j e!/(2j+e)! x_D^(2j+e) Delta'^j x'^a for pivot sigma x'^a x_D^e,
+    Delta' the Laplacian in x_1..x_{D-1}: 1 at pivot sigma, 0 at the others."""
+    basis = []
+    for pivot in _pivots(D, m):
+        e, c, term, h = pivot[-1], Fraction(1), {pivot[:-1]: 1}, {}
+        while term:
+            h.update((a + (e,), c * v) for a, v in term.items())
+            e += 2
+            c /= -e * (e - 1)
+            term = _raw_laplacian(term)
+        basis.append(h)
+    return _clear(*basis)
 
 
 @lru_cache(maxsize=None)
@@ -93,9 +93,9 @@ def _projector(D: int, d: int) -> tuple:
     c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)) (Axler, Bourdon and Ramey,
     Harmonic Function Theory, ch. 5).  Each canonical basis vector is 1 at
     its own pivot and 0 at the others, so coordinate sigma is K_d[q] at pivot
-    sigma.  Returns (den, stencils) with den the least common denominator of
-    the weights and one stencil per sigma: triples (i, exps, int weight) with
-    that coordinate = sum weight * (Delta^i q)[exps] / den.
+    sigma (``_pivots``).  Returns (den, stencils) with den the least common
+    denominator of the weights and one stencil per sigma: triples (i, exps,
+    int weight) with that coordinate = sum weight * (Delta^i q)[exps] / den.
     """
     x2 = {tuple(2 * (a == b) for b in range(D)): 1 for a in range(D)}
     terms = []
@@ -106,8 +106,7 @@ def _projector(D: int, d: int) -> tuple:
             power = _raw_mul(power, x2)
         terms.extend((i, exps, c * a) for exps, a in power.items())
     stencils = []
-    for h in _harmonic_raw(D, d)[1]:
-        pivot = next(iter(h))
+    for pivot in _pivots(D, d):
         lows = ((i, tuple(x - y for x, y in zip(pivot, e)), w) for i, e, w in terms)
         stencils.append([t for t in lows if min(t[1]) >= 0])
     den = lcm(*(w.denominator for stencil in stencils for _, _, w in stencil))
@@ -115,10 +114,11 @@ def _projector(D: int, d: int) -> tuple:
                       for stencil in stencils)
 
 
-def _clear(raw: dict) -> tuple:
-    """(R, {exps: int}) with raw = numerators / R, R the least common denominator."""
-    den = lcm(*(c.denominator for c in raw.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in raw.items()}
+def _clear(*raws: dict) -> tuple:
+    """(R, numerators): int dicts with raws[i] = numerators[i] / R, R least common denominator."""
+    den = lcm(*(c.denominator for raw in raws for c in raw.values()))
+    return den, tuple({e: c.numerator * (den // c.denominator) for e, c in raw.items()}
+                      for raw in raws)
 
 
 def _harmonic_parts(D: int, m: int, raw: dict):
@@ -155,7 +155,7 @@ def _decompose_raw(D: int, m: int, raw: dict, den: int = 1) -> dict:
     the cleared denominator, and each coefficient is one Fraction, stored as
     an int when integral, never a float.
     """
-    clear, raw = _clear(raw)
+    clear, (raw,) = _clear(raw)
     return {(j, d, sigma): _exact(Fraction(n, q * clear * den))
             for j, d, q, coords in _harmonic_parts(D, m, raw)
             for sigma, n in coords.items()}
@@ -184,21 +184,14 @@ def _diff_parts(D: int, m: int, sigma: int, alpha: int) -> tuple:
 
     Returns (x_alpha_part, dh_part): the decomposition of x_alpha * h (to be
     scaled by 2n and attached at level n - 1) and the harmonic coordinates of
-    dh/dx_alpha (attached at level n).
+    dh/dx_alpha (attached at level n): it is harmonic, so these are its pivot values.
     """
-    exps = [0] * D
-    exps[alpha - 1] = 1
-    x_part = _times_mono(D, m, sigma, tuple(exps))
+    a = alpha - 1
+    x_part = _times_mono(D, m, sigma, tuple(int(b == a) for b in range(D)))
     den, numerators = _harmonic_raw(D, m)
-    dh: dict = {}
-    for e, c in numerators[sigma - 1].items():
-        if e[alpha - 1]:
-            low = list(e)
-            low[alpha - 1] -= 1
-            dh[tuple(low)] = dh.get(tuple(low), 0) + c * e[alpha - 1]
-    dh = {k: v for k, v in dh.items() if v}
-    dh_part = tuple(_decompose_raw(D, m - 1, dh, den).items()) if dh else ()
-    return x_part, dh_part
+    ups = (p[:a] + (p[a] + 1,) + p[a + 1:] for p in (_pivots(D, m - 1) if m else ()))
+    dh = ((s, up[a] * numerators[sigma - 1].get(up, 0)) for s, up in enumerate(ups, start=1))
+    return x_part, tuple(((0, m - 1, s), _exact(Fraction(v, den))) for s, v in dh if v)
 
 
 def _harmonic_dense(D: int, m: int, sigma: int, pad: tuple = ()) -> dict:
@@ -247,7 +240,7 @@ def gauss_decompose(p: Poly) -> list:
     D = p.vs.D
     levels: dict = {}
     for degree, raw in _poly_raw_by_degree(p, family).items():
-        clear, raw = _clear(raw)
+        clear, (raw,) = _clear(raw)
         for j, d, q, coords in _harmonic_parts(D, degree, raw):
             den, numerators = _harmonic_raw(D, d)
             sums: dict = {}
@@ -315,14 +308,15 @@ class ConeSeries:
     """Windowed series sum a_{n,m,sigma} (x^2)^n h_{m,sigma}(x).
 
     Coefficients are exact rationals (int or Fraction) or module elements;
-    anything with +, scalar * and truthiness works.
+    anything with +, scalar * and truthiness works, except a float.
     """
 
     __slots__ = ("D", "var", "coeffs", "window")
 
     def __init__(self, D: int, var: str, coeffs: Mapping, window: Window = FULL_WINDOW):
-        for mode in coeffs:
+        for mode, c in coeffs.items():
             _validate_mode(D, mode)
+            _no_float(c)
         self._fill(D, var, coeffs, window)
 
     def _fill(self, D: int, var: str, coeffs: Mapping, window: Window) -> None:
@@ -500,9 +494,10 @@ class BiConeSeries:
     __slots__ = ("D", "coeffs", "windows")
 
     def __init__(self, D: int, coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)):
-        for m1, m2 in coeffs:
+        for (m1, m2), c in coeffs.items():
             _validate_mode(D, m1)
             _validate_mode(D, m2)
+            _no_float(c)
         self._fill(D, coeffs, tuple(windows))
 
     def _fill(self, D: int, coeffs: Mapping, windows: tuple) -> None:
@@ -648,14 +643,11 @@ def bicone_from_poly(p: Poly) -> BiConeSeries:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A monomial in C[z, w, 1/z^2, 1/w^2, 1/(z-w)^2].
-
-    coeff * z^z_exps * w^w_exps * (z^2)^(-z_pole) * (w^2)^(-w_pole)
-          * ((z-w)^2)^(-zw_pole)
+    """The monomial z^z_exps * w^w_exps * (z^2)^(-z_pole) * (w^2)^(-w_pole)
+    * ((z-w)^2)^(-zw_pole); for c times it, scale ``iota_kernel(F, ...)`` by c.
     """
 
     D: int
-    coeff: Fraction = Fraction(1)
     z_exps: tuple = ()
     w_exps: tuple = ()
     z_pole: int = 0
@@ -665,13 +657,13 @@ class Kernel:
     def __post_init__(self):
         if self.D < 1:
             raise ValueError("D must be >= 1")
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
         object.__setattr__(self, "z_exps", tuple(self.z_exps) or (0,) * self.D)
         object.__setattr__(self, "w_exps", tuple(self.w_exps) or (0,) * self.D)
         if len(self.z_exps) != self.D or len(self.w_exps) != self.D:
             raise ValueError("exponent tuples must have length D")
-        if self.z_pole < 0 or self.w_pole < 0 or self.zw_pole < 0:
-            raise ValueError("pole orders must be >= 0")
+        orders = self.z_exps + self.w_exps + (self.z_pole, self.w_pole, self.zw_pole)
+        if any(type(e) is not int or e < 0 for e in orders):
+            raise ValueError("exponents and pole orders must be ints >= 0")
 
     @classmethod
     def one(cls, D: int) -> "Kernel":
@@ -692,13 +684,12 @@ def _zonal(D: int, d: int) -> tuple:
     K_d is the harmonic projection in z of ``_projector``.  Since
     Delta_z^i (z.w)^d = d!/(d-2i)! (w^2)^i (z.w)^(d-2i), its coordinate s is
     a harmonic polynomial in w, whose coordinate s' is its coefficient at
-    the pivot monomial of h_{d,s'}.
+    pivot s' of ``_pivots``.
     """
-    pivots = [next(iter(h)) for h in _harmonic_raw(D, d)[1]]
     den, stencils = _projector(D, d)
     out = []
     for s, stencil in enumerate(stencils, start=1):
-        for s2, pivot in enumerate(pivots, start=1):
+        for s2, pivot in enumerate(_pivots(D, d), start=1):
             value = 0
             for i, exps, weight in stencil:
                 # the coefficient of z^exps w^pivot in d!/(d-2i)! (w^2)^i (z.w)^(d-2i)
@@ -790,7 +781,7 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     small variable's total degree.
 
     The expansion of ((z-w)^2)^(-zw_pole) is multiplied once by the exact
-    prefactor coeff * z^z_exps * w^w_exps * (z^2)^(-z_pole) * (w^2)^(-w_pole),
+    prefactor z^z_exps * w^w_exps * (z^2)^(-z_pole) * (w^2)^(-w_pole),
     the expansion of the polynomial part with n lowered by the poles.  With
     ``bound`` = (bz, bw), only bi-modes with n_z < bz and n_w < bw are
     formed; the prefactor lowers n by at most z_pole and w_pole, so the pole
@@ -810,7 +801,7 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     if F == Kernel(D, zw_pole=F.zw_pole):
         return expansion
     vs = VarSpace(D, ("z", "w"))
-    poly = bicone_from_poly(vs.from_exps("z", F.z_exps, F.coeff) * vs.from_exps("w", F.w_exps))
+    poly = bicone_from_poly(vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps))
     prefactor = poly._like({
         ((n1 - F.z_pole, m1, s1), (n2 - F.w_pole, m2, s2)): c
         for ((n1, m1, s1), (n2, m2, s2)), c in poly.coeffs.items()

@@ -21,7 +21,7 @@ from typing import Mapping
 from .errors import WorkspaceError
 from .linalg import kernel_basis
 from .report import CheckReport, Failure
-from .rings import Poly, VarSpace
+from .rings import Poly, VarSpace, _no_float
 
 PSEUDO_FAMILIES = ("T", "lam", "mu")
 
@@ -189,7 +189,7 @@ class ChiVector:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(Fraction(_no_float(v)) for v in self.values))
 
     @classmethod
     def zero(cls, D: int) -> "ChiVector":
@@ -224,7 +224,7 @@ class LieStructure:
             for idx in (i, j, k):
                 if not 0 <= idx < dim:
                     raise ValueError(f"index {idx} out of range for dim {dim}")
-            value = Fraction(value)
+            value = Fraction(_no_float(value))
             if value:
                 c[(i, j, k)] = value
         self.c = c
@@ -248,17 +248,23 @@ class LieStructure:
         )
 
 
+def _generator_names(generators) -> tuple:
+    """``generators`` as a tuple, checked nonempty with unique names."""
+    generators = tuple(generators)
+    if not generators:
+        raise ValueError("generator list must be nonempty")
+    if len(set(generators)) != len(generators):
+        raise ValueError("generator names must be unique")
+    return generators
+
+
 class BracketTable:
     """Presentation of a Lie pseudoalgebra: D, generators and all pair brackets."""
 
     def __init__(self, D: int, generators, entries: Mapping):
         if D < 0:
             raise ValueError("D must be >= 0")
-        generators = tuple(generators)
-        if not generators:
-            raise ValueError("generator list must be nonempty")
-        if len(set(generators)) != len(generators):
-            raise ValueError("generator names must be unique")
+        generators = _generator_names(generators)
         self.D = D
         self.vs = pseudo_space(D)
         self.generators = generators

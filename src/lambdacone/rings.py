@@ -58,14 +58,19 @@ class _VarKeys(dict):
 _VAR_KEYS = _VarKeys()
 
 
+def _no_float(value):
+    """``value`` itself; a float raises TypeError."""
+    if isinstance(value, float):
+        raise TypeError(f"coefficients are exact rationals; got the float {value!r}")
+    return value
+
+
 def _exact(value):
     """``value`` as an exact coefficient: an int if integral, else a Fraction."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
-        if isinstance(value, float):
-            raise TypeError(f"coefficients are exact rationals; got the float {value!r}")
-        value = Fraction(value)
+        value = Fraction(_no_float(value))
     return value.numerator if value.denominator == 1 else value
 
 

@@ -39,7 +39,7 @@ from .cone import (
 )
 from .errors import TruncationError, WorkspaceError
 from .ope1d import jth_from_lambda
-from .pseudo import BracketTable, ModuleElement, pseudo_space
+from .pseudo import BracketTable, ModuleElement, _generator_names, pseudo_space
 from .report import CheckReport, Failure
 from .rings import VarSpace
 
@@ -50,9 +50,7 @@ class VLAStructure:
     def __init__(self, D: int, generators, actions: Mapping):
         if D < 1:
             raise ValueError("D must be >= 1")
-        generators = tuple(generators)
-        if not generators:
-            raise ValueError("generator list must be nonempty")
+        generators = _generator_names(generators)
         self.D = D
         self.generators = generators
         self.vs = pseudo_space(D)

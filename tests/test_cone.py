@@ -1,7 +1,8 @@
 """Harmonic bases, Gauss decomposition, cone series, iota expansions.
 
 h_dim is checked against a brute-force Laplacian kernel rank computed from
-scratch (monomial enumeration + exact row reduction), and gauss_decompose
+scratch (monomial enumeration + exact row reduction), the closed-form harmonic
+basis against the row-reduced Laplacian kernel, and gauss_decompose
 against literal reconstruction sum (z^2)^j p_j with harmonicity asserted
 through the polynomial Laplacian.
 """
@@ -12,7 +13,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -36,12 +37,15 @@ from lambdacone import (
 )
 from lambdacone.cone import (
     _decompose_raw,
+    _diff_parts,
     _harmonic_raw,
+    _pivots,
     _projector,
     _times_harm,
     _times_mono,
 )
-from lambdacone.linalg import rref
+from lambdacone.linalg import kernel_basis, rref
+from lambdacone.pseudo import ModuleElement, pseudo_space
 from lambdacone.rings import dense_monomials
 
 
@@ -94,6 +98,51 @@ def test_harmonic_basis_is_harmonic():
             for h in harmonic_basis(D, m):
                 assert not h.laplacian("z")
                 assert {sum(exps) for exps in h.dense("z")} == {m}
+
+
+def _rref_harmonic_basis(D, m):
+    """The reduced echelon basis of the Laplacian kernel on the degree-m
+    monomials, by exact row reduction, as (den, int numerators) over the
+    least common denominator; each numerator dict lists its monomials in
+    canonical order."""
+    monos = dense_monomials(D, m)
+    if m < 2:
+        return 1, tuple({e: 1} for e in monos)
+    index = {e: i for i, e in enumerate(dense_monomials(D, m - 2))}
+    matrix = [[0] * len(monos) for _ in index]
+    for col, exps in enumerate(monos):
+        for alpha, e in enumerate(exps):
+            if e >= 2:
+                matrix[index[exps[:alpha] + (e - 2,) + exps[alpha + 1:]]][col] = e * (e - 1)
+    basis = kernel_basis(matrix, len(monos))
+    den = lcm(*(c.denominator for vector in basis for c in vector))
+    return den, tuple({monos[i]: c.numerator * (den // c.denominator)
+                       for i, c in enumerate(vector) if c} for vector in basis)
+
+
+def test_harmonic_basis_is_the_reduced_echelon_laplacian_kernel():
+    # The closed form equals the row-reduced kernel, and its pivots are the
+    # leading monomials of the row-reduced vectors.
+    for D, m_max in ((1, 8), (2, 8), (3, 8), (4, 8), (5, 6), (6, 6)):
+        for m in range(m_max + 1):
+            den, numerators = _rref_harmonic_basis(D, m)
+            assert _harmonic_raw(D, m) == (den, numerators)
+            assert _pivots(D, m) == tuple(next(iter(h)) for h in numerators)
+            assert len(_pivots(D, m)) == h_dim(D, m)
+
+
+def test_diff_parts_reads_the_derivative_at_the_pivots():
+    # The Gauss decomposition of the differentiated numerators, types included.
+    for D in range(1, 5):
+        for m in range(7):
+            den, numerators = _harmonic_raw(D, m)
+            for sigma, h in enumerate(numerators, start=1):
+                for a in range(D):
+                    dh = {e[:a] + (e[a] - 1,) + e[a + 1:]: c * e[a] for e, c in h.items() if e[a]}
+                    expected = tuple(_decompose_raw(D, m - 1, dh, den).items()) if dh else ()
+                    got = _diff_parts(D, m, sigma, a + 1)[1]
+                    assert got == expected
+                    assert [type(q) for _, q in got] == [type(q) for _, q in expected]
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +255,19 @@ def test_cone_kernels_store_no_float():
     # 3 z1^2 = 3/2 z^2 + 3/2 (z1^2 - z2^2) in D = 2
     series = cone_from_poly(_zspace(2).var("z", 1) ** 2 * 3).scale(3)
     assert series.coeffs == {(1, 0, 1): Fraction(9, 2), (0, 2, 1): Fraction(9, 2)}
+
+
+def test_series_constructors_reject_a_float_and_store_exact_values_as_given():
+    element = ModuleElement(pseudo_space(1), 1, {0: pseudo_space(1).one})
+    mode, pair = (0, 0, 1), ((0, 0, 1), (-1, 1, 1))
+    for bad in (0.5, 1.0, -0.0):
+        with pytest.raises(TypeError, match="float"):
+            ConeSeries(1, "z", {mode: bad})
+        with pytest.raises(TypeError, match="float"):
+            BiConeSeries(1, {pair: bad})
+    for good in (3, Fraction(1, 2), Fraction(2), element):
+        assert ConeSeries(1, "z", {mode: good}).coeffs[mode] is good
+        assert BiConeSeries(1, {pair: good}).coeffs[pair] is good
 
 
 def test_cone_tables_are_integer_over_least_denominator():
@@ -509,8 +571,11 @@ def test_unit_kernel_is_the_cached_pole_expansion():
                     series = iota_kernel(Kernel(D, zw_pole=k), side, 4, bound)
                     assert series is pole
                     assert series == pole.mul_series(one, bound)
-    # Any other prefactor still multiplies.
-    assert iota_kernel(Kernel(2, coeff=2, zw_pole=1), "zw", 4) == iota_expand(2, 1, "zw", 4).scale(2)
+    # Any other prefactor still multiplies: (z^2)^-1 lowers every n_z by one.
+    pole = iota_expand(2, 1, "zw", 4)
+    shifted = iota_kernel(Kernel(2, z_pole=1, zw_pole=1), "zw", 4)
+    assert shifted.windows == pole.windows
+    assert shifted.coeffs == {((n - 1, m, s), mw): c for ((n, m, s), mw), c in pole.coeffs.items()}
 
 
 def _below(series, bound):
@@ -579,12 +644,12 @@ def test_bounded_iota_is_the_filtered_expansion():
 
 def test_bounded_iota_kernel_is_the_filtered_kernel():
     e1 = (1, 0)
-    for F in (Kernel(2, zw_pole=1), Kernel(2, z_exps=e1, w_exps=(0, 2), zw_pole=2),
-              Kernel(2, z_pole=1, w_pole=2, zw_pole=1, coeff=Fraction(-3, 2))):
+    for F, c in ((Kernel(2, zw_pole=1), 1), (Kernel(2, z_exps=e1, w_exps=(0, 2), zw_pole=2), 1),
+                 (Kernel(2, z_pole=1, w_pole=2, zw_pole=1), Fraction(-3, 2))):
         for side in ("zw", "wz"):
-            full = iota_kernel(F, side, 5)
+            full = iota_kernel(F, side, 5).scale(c)
             for bound in ((0, 0), (0, 2), (1, 1), (3, -1)):
-                bounded = iota_kernel(F, side, 5, bound)
+                bounded = iota_kernel(F, side, 5, bound).scale(c)
                 assert bounded.coeffs == _below(full, bound)
                 assert bounded.windows == full.windows
     # Inside the windows, get reads 0 at a bi-mode the bound kept from forming.
@@ -605,7 +670,7 @@ def _iota_kernel_text(D, side, depth):
     for ze, we, zp, wp, k, bound in itertools.product(
             _golden_monomials(D), _golden_monomials(D), (0, 1), (0, 1), (0, 1, 2),
             (None, (0, 0), (-1, 1))):
-        series = iota_kernel(Kernel(D, Fraction(-3, 2), ze, we, zp, wp, k), side, depth, bound)
+        series = iota_kernel(Kernel(D, ze, we, zp, wp, k), side, depth, bound).scale(Fraction(-3, 2))
         lines.append(f"{ze} {we} {zp} {wp} {k} {bound}: "
                      f"{[w.degmax for w in series.windows]} {series.items()}")
     return "\n".join(lines)
@@ -628,6 +693,16 @@ GOLDEN_IOTA_KERNELS = {
 def test_iota_kernel_golden_digest(case):
     text = _iota_kernel_text(*case, 4)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_IOTA_KERNELS[case]
+
+
+def test_kernel_exponents_and_poles_are_ints_at_least_zero():
+    # A bad exponent is refused at construction, not later inside iota_kernel.
+    for bad in ({"z_exps": (-1, 0)}, {"w_exps": (0, 1.0)}, {"z_exps": (True, 0)},
+                {"z_pole": -1}, {"zw_pole": 0.5}):
+        with pytest.raises(ValueError, match="exponents and pole orders must be ints >= 0"):
+            Kernel(2, **bad)
+    with pytest.raises(ValueError, match="exponent tuples must have length D"):
+        Kernel(2, z_exps=(1,))
 
 
 def test_kernels_need_a_positive_dimension():

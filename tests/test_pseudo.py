@@ -347,6 +347,20 @@ def test_pseudo_space_is_one_instance_per_dimension():
     assert pseudo_space(2) != pseudo_space(3)
 
 
+def test_lie_constants_and_chi_reject_a_float():
+    with pytest.raises(TypeError, match="float"):
+        LieStructure(2, {(0, 1, 0): 0.1, (1, 0, 0): -0.1})
+    with pytest.raises(TypeError, match="float"):
+        ChiVector((Fraction(1, 2), 0.5))
+    # Exact values are stored as Fractions, as before.
+    g = LieStructure(2, {(0, 1, 0): 1, (1, 0, 0): Fraction(-1), (0, 0, 1): 0})
+    assert g.c == {(0, 1, 0): 1, (1, 0, 0): -1}
+    assert all(type(v) is Fraction for v in g.c.values())
+    chi = ChiVector((1, Fraction(1, 2), "3/4"))
+    assert chi.values == (1, Fraction(1, 2), Fraction(3, 4))
+    assert all(type(v) is Fraction for v in chi.values)
+
+
 def test_lie_structure_validation():
     with pytest.raises(ValueError, match=r"fail skew at \(1,2\)$"):
         LieStructure(2, {(0, 1, 0): 1})  # not antisymmetric

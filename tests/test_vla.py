@@ -110,6 +110,14 @@ def test_structure_rejects_regular_modes():
         VLAStructure(1, ("a",), {(0, 0): ConeSeries(1, "z", {(0, 0, 1): c})})
 
 
+def test_structures_check_generator_names_alike():
+    for build in (BracketTable, VLAStructure):
+        with pytest.raises(ValueError, match="generator names must be unique"):
+            build(1, ("a", "a"), {})
+        with pytest.raises(ValueError, match="generator list must be nonempty"):
+            build(1, (), {})
+
+
 def test_structure_rejects_keys_outside_the_generator_pairs():
     vs = pseudo_space(1)
     series = ConeSeries(1, "z", {(-1, 0, 1): ModuleElement(vs, 1, {0: vs.one})})
