@@ -9,7 +9,7 @@ closed-form reduced echelon basis, so representatives are deterministic.
 Series over these modes carry an explicit truncation window; coefficients
 outside the window are unknown, not zero, and every operation computes the
 exact window it can still answer for.  Expansion of rational kernels
-((z-w)^2)^{-k} in the |w| << |z| region (iota) is exact binomial expansion
+((z-w)^2)^{-k} in the region |w| < |z| (iota) is exact binomial expansion
 in z^2, w^2 and z.w; each power (z.w)^b lands in bi-cone modes through the
 zonal harmonics K_d[(z.w)^d].
 """

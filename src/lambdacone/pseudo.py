@@ -21,7 +21,7 @@ from typing import Mapping
 from .errors import WorkspaceError
 from .linalg import kernel_basis
 from .report import CheckReport, Failure
-from .rings import Poly, VarSpace, _no_float
+from .rings import Packing, Poly, VarSpace, _mul_add, _no_float
 
 PSEUDO_FAMILIES = ("T", "lam", "mu")
 
@@ -430,21 +430,42 @@ def _bracket_of_images(table: BracketTable, x_images: list, y_images: list) -> L
     return LambdaPoly(table.vs, table.r, coords)
 
 
+def _packed_entries(table: BracketTable) -> tuple:
+    """A packing for the table's entries and their pairwise products, and each entry packed."""
+    polys = [p for entry in table.entries.values() for p in entry.coords.values()]
+    packing = Packing(table.vs, max([1] + [p.total_degree() for p in polys]))
+    return packing, {key: [(k, packing.pack(p)) for k, p in entry.coords.items()]
+                     for key, entry in table.entries.items()}
+
+
 def skew_check(table: BracketTable) -> CheckReport:
-    """Assert [a_i lam a_j] + [a_j (-T-lam) a_i] = 0 for all generator pairs."""
+    """Assert [a_i lam a_j] + [a_j (-T-lam) a_i] = 0 for all generator pairs.
+
+    Runs on packed monomials (``rings.Packing``): each entry is packed and
+    substituted once; only failing residuals are unpacked, for witnesses.
+    """
     vs = table.vs
-    flip = {
-        ("lam", a): -vs.var("T", a) - vs.var("lam", a) for a in range(1, vs.D + 1)
-    }
+    packing, packed = _packed_entries(table)
+    ids = range(1, vs.D + 1)
+    flip = packing.images({("lam", a): -vs.var("T", a) - vs.var("lam", a) for a in ids})
+    cache: dict = {}
+    flipped = {key: [(k, packing.subst(p, flip, cache)) for k, p in coords]
+               for key, coords in packed.items()}
+    one = {0: 1}
     failures = []
     records = []
     for i in range(table.r):
         for j in range(table.r):
             label = f"({table.generators[i]},{table.generators[j]})"
-            residual = table.entry(i, j) + table.entry(j, i).subst(flip)
-            records.append((label, not residual))
-            if residual:
-                failures.append(Failure(label, residual.format(table.generators)))
+            residual: dict = {}
+            for k, p in packed[(i, j)] + flipped[(j, i)]:
+                _mul_add(residual.setdefault(k, {}), p, one, 1)
+            bad = any(any(terms.values()) for terms in residual.values())
+            records.append((label, not bad))
+            if bad:
+                coords = {k: packing.unpack(terms) for k, terms in residual.items()}
+                witness = LambdaPoly(vs, table.r, coords).format(table.generators)
+                failures.append(Failure(label, witness))
     return CheckReport("skew", tuple(failures), records=tuple(records))
 
 
@@ -454,29 +475,26 @@ def jacobi_check(table: BracketTable) -> CheckReport:
     All three terms are assembled in C[T, lam, mu] by polynomial substitution:
     second-slot sesquilinearity shifts T by the outer bracket variable, and
     the first slot of the composed bracket evaluates its T-coefficients at
-    -(lam+mu).  Each of the five substitutions is applied to every table
-    entry once per check, before the loop over generator triples.
+    -(lam+mu).  It runs on packed monomials (``rings.Packing``): each of the
+    five substitutions meets each packed entry once, a triple's residual is
+    one packed dict per output generator, and only failing residuals are
+    unpacked, for witnesses.
     """
     vs = table.vs
     r = table.r
-    rename_mu = {("lam", a): vs.var("mu", a) for a in range(1, vs.D + 1)}
-    shift_lam = _shift_T_by(vs, "lam")
-    shift_mu = _shift_T_by(vs, "mu")
-    neg_numu = {
-        ("T", a): -vs.var("lam", a) - vs.var("mu", a) for a in range(1, vs.D + 1)
-    }
-    lam_plus_mu = {
-        ("lam", a): vs.var("lam", a) + vs.var("mu", a) for a in range(1, vs.D + 1)
-    }
+    packing, packed = _packed_entries(table)
+    var, ids = vs.var, range(1, vs.D + 1)
+    rename_mu = {("lam", a): var("mu", a) for a in ids}
+    neg_numu = {("T", a): -var("lam", a) - var("mu", a) for a in ids}
+    lam_plus_mu = {("lam", a): var("lam", a) + var("mu", a) for a in ids}
 
     def substituted(assignment):
-        return {
-            key: [(k, p.subst(assignment)) for k, p in entry.coords.items()]
-            for key, entry in table.entries.items()
-        }
+        images, cache = packing.images(assignment), {}
+        return {key: [(k, packing.subst(p, images, cache)) for k, p in coords]
+                for key, coords in packed.items()}
 
-    inner_lam = substituted({**rename_mu, **shift_lam})
-    inner_mu = substituted(shift_mu)
+    inner_lam = substituted({**rename_mu, **_shift_T_by(vs, "lam")})
+    inner_mu = substituted(_shift_T_by(vs, "mu"))
     outer_mu = substituted(rename_mu)
     inner_sum = substituted(neg_numu)
     outer_sum = substituted(lam_plus_mu)
@@ -486,32 +504,25 @@ def jacobi_check(table: BracketTable) -> CheckReport:
         for j in range(r):
             for k in range(r):
                 residual: dict = {}
-
-                def bump(l, poly):
-                    residual[l] = residual.get(l, vs.zero) + poly
-
-                # [a_i lam [a_j mu a_k]]
+                # [a_i lam [a_j mu a_k]] - [a_j mu [a_i lam a_k]] - [[a_i lam a_j]_(lam+mu) a_k]
                 for kp, factor in inner_lam[(j, k)]:
-                    for l, pol in table.entry(i, kp).coords.items():
-                        bump(l, factor * pol)
-                # - [a_j mu [a_i lam a_k]]
+                    for l, pol in packed[(i, kp)]:
+                        _mul_add(residual.setdefault(l, {}), factor, pol, 1)
                 for kp, factor in inner_mu[(i, k)]:
                     for l, pol in outer_mu[(j, kp)]:
-                        bump(l, -factor * pol)
-                # - [[a_i lam a_j]_(lam+mu) a_k]
+                        _mul_add(residual.setdefault(l, {}), factor, pol, -1)
                 for kp, factor in inner_sum[(i, j)]:
                     for l, pol in outer_sum[(kp, k)]:
-                        bump(l, -factor * pol)
+                        _mul_add(residual.setdefault(l, {}), factor, pol, -1)
 
                 gi, gj, gk = (table.generators[t] for t in (i, j, k))
                 label = f"({gi},{gj},{gk})"
-                bad = any(residual.values())
+                bad = any(any(terms.values()) for terms in residual.values())
                 records.append((label, not bad))
                 if bad:
+                    polys = sorted((l, packing.unpack(terms)) for l, terms in residual.items())
                     witness = " + ".join(
-                        f"({p})*{table.generators[l]}"
-                        for l, p in sorted(residual.items())
-                        if p
+                        f"({p})*{table.generators[l]}" for l, p in polys if p
                     )
                     failures.append(Failure(label, witness))
     return CheckReport("jacobi", tuple(failures), records=tuple(records))

@@ -26,6 +26,11 @@ nonzero int or ``Fraction`` coefficients, and hands the dict over (it is
 never copied or written again).  ``VarSpace.var`` returns one shared instance
 per variable; that is safe because nothing writes to a polynomial after it is
 built.
+
+``Packing`` is a second, private layout that lives inside one computation
+(the skew and Jacobi checks): a monomial is one int with a bit field per
+variable.  It is exact by its degree bound: the fields hold twice the packed
+degree, and only degree-preserving substitutions run on packed terms.
 """
 
 from __future__ import annotations
@@ -490,3 +495,77 @@ def _var(vs: VarSpace, family: str, index: int) -> Poly:
     # lru_cache stores no exception, so a bad variable raises on every call.
     vs.check_var(family, index)
     return Poly._trusted(vs, {(((family, index), 1),): 1})
+
+
+
+def _mul_add(out: dict, a: dict, b: dict, sign: int) -> dict:
+    """``out[ma + mb] += sign * ca * cb`` over the packed terms of a and b; returns out."""
+    get = out.get
+    for ma, ca in a.items():
+        ca *= sign
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = get(m, 0) + ca * cb
+    return out
+
+
+class Packing:
+    """Monomials of one workspace packed into ints: ``{key: coefficient}`` dicts.
+
+    Each variable owns a bit field of ``width = (2 * degree).bit_length()``
+    bits, in (family order, index) order, so a monomial product is a key sum.
+    :meth:`pack` admits total degree <= ``degree`` and :meth:`images` only
+    homogeneous linear images, which keep total degree; so every exponent of
+    a product of two packed polynomials is <= 2 * degree, and no field carries.
+    """
+
+    def __init__(self, vs: VarSpace, degree: int):
+        self.vs, self.degree = vs, degree
+        self.width = (2 * degree).bit_length()
+        self.mask = (1 << self.width) - 1
+        families = sorted(vs.families, key=_FAMILY_POS.__getitem__)
+        order = [(family, i) for family in families for i in range(1, vs.D + 1)]
+        self.shifts = {var: pos * self.width for pos, var in enumerate(order)}
+
+    def pack(self, poly: Poly) -> dict:
+        if poly.total_degree() > self.degree:
+            raise ValueError(f"total degree {poly.total_degree()} exceeds {self.degree}")
+        shifts = self.shifts
+        return {sum(e << shifts[v] for v, e in mono): c for mono, c in poly.terms.items()}
+
+    def images(self, assignment: Mapping) -> tuple:
+        """``(mask of the substituted fields, [(shift, packed image)])``, checked once."""
+        mask, fields = 0, []
+        for var, value in assignment.items():
+            self.vs.check_var(*var)
+            if not isinstance(value, Poly) or value.vs != self.vs:
+                raise WorkspaceError("substitution images are polys over the workspace")
+            if any(mono_degree(mono) != 1 for mono in value.terms):
+                raise ValueError(f"image {value} of {var} is not homogeneous linear")
+            mask |= self.mask << self.shifts[var]
+            fields.append((self.shifts[var], self.pack(value)))
+        return mask, fields
+
+    def subst(self, terms: dict, images: tuple, cache: dict) -> dict:
+        """Substitute ``images``; ``cache`` (one per images) maps ``key & mask`` to its image."""
+        mask, fields = images
+        out: dict = {}
+        for key, coeff in terms.items():
+            part = key & mask
+            image = cache.get(part)
+            if image is None:
+                image = {0: 1}
+                for shift, value in fields:
+                    for _ in range(part >> shift & self.mask):
+                        image = _mul_add({}, image, value, 1)
+                image = cache[part] = {m: c for m, c in image.items() if c}
+            _mul_add(out, {key - part: coeff}, image, 1)
+        return {m: c for m, c in out.items() if c}
+
+    def unpack(self, terms: dict) -> Poly:
+        mask, out = self.mask, {}
+        for key, c in terms.items():
+            if c:
+                mono = ((var, key >> shift & mask) for var, shift in self.shifts.items())
+                out[tuple(item for item in mono if item[1])] = c
+        return Poly._trusted(self.vs, out)

@@ -637,6 +637,47 @@ def test_report_golden_digest(case):
     assert _report_digest(_golden_report(case)) == GOLDEN_REPORTS[case]
 
 
+def _random_high_degree_poly(rng, vs, degree):
+    poly = vs.zero
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * (2 * vs.D)
+        for _ in range(rng.randint(0, degree) if vs.D else 0):
+            exps[rng.randrange(2 * vs.D)] += 1
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        poly = poly + vs.from_exps("T", exps[:vs.D]) * vs.from_exps("lam", exps[vs.D:]) * coeff
+    return poly
+
+
+def _random_high_degree_table(seed):
+    """A random table in D = seed % 4 with Fraction entries of degree <= 7; most axioms fail."""
+    rng = random.Random(seed)
+    D = seed % 4
+    r = rng.randint(1, 3 if D < 3 else 2)
+    vs = pseudo_space(D)
+    entries = {}
+    for i in range(r):
+        for j in range(r):
+            coords = {
+                k: _random_high_degree_poly(rng, vs, 7) for k in range(r) if rng.random() < 0.6
+            }
+            entries[(i, j)] = LambdaPoly(vs, r, coords)
+    return BracketTable(D, tuple(f"g{i + 1}" for i in range(r)), entries)
+
+
+# sha256 over the report digests of skew then jacobi on random tables 0..39:
+# 642 records, 600 failures, 59 reports with a Fraction witness.
+GOLDEN_HIGH_DEGREE = "6f35208027221b2e9cc275a67fa75bbc4355717d9426fa72bae39351af435f49"
+
+
+def test_high_degree_reports_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(40):
+        table = _random_high_degree_table(seed)
+        for check in (skew_check, jacobi_check):
+            digest.update(_report_digest(check(table)).encode())
+    assert digest.hexdigest() == GOLDEN_HIGH_DEGREE
+
+
 def test_mutated_w3_fails_with_witnesses():
     skew, jacobi = skew_check(_mutated_w3()), jacobi_check(_mutated_w3())
     assert {f.label for f in skew.failures} == {"(L1,L2)", "(L2,L1)"}

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from lambdacone import Poly, VarSpace, WorkspaceError
-from lambdacone.rings import dense_key
+from lambdacone.pseudo import pseudo_space
+from lambdacone.rings import Packing, _mul_add, dense_key
 
 
 @pytest.fixture
@@ -305,3 +306,110 @@ def test_float_coefficients_are_rejected(vs):
         with pytest.raises(TypeError, match="float"):
             build()
     assert vs.const(Fraction(1, 10)) * 10 == vs.one
+
+
+# ----------------------------------------------------------------------
+# the packed-monomial kernel against the Poly arithmetic it replaces
+# ----------------------------------------------------------------------
+
+def _pseudo_poly(rng, vs, degree, fractions):
+    """A random poly in (T, lam, mu) of total degree <= ``degree``."""
+    variables = [(family, i) for family in vs.families for i in range(1, vs.D + 1)]
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = {}
+        for _ in range(rng.randint(0, degree) if variables else 0):
+            var = rng.choice(variables)
+            exps[var] = exps.get(var, 0) + 1
+        mono = tuple(sorted(exps.items(), key=lambda item: variables.index(item[0])))
+        coeff = rng.randint(-6, 6)
+        terms[mono] = Fraction(coeff, rng.randint(1, 5)) if fractions else coeff
+    return Poly(vs, terms)
+
+
+def _coefficient_types(poly):
+    return {mono: type(c) for mono, c in poly.terms.items()}
+
+
+def _pseudo_cases(seed):
+    """(packing of degree 6, polys of degree <= 6) over pseudo_space(D), D = 0..4."""
+    rng = random.Random(seed)
+    for D in range(5):
+        vs = pseudo_space(D)
+        for fractions in (False, True):
+            yield Packing(vs, 6), [_pseudo_poly(rng, vs, 6, fractions) for _ in range(8)]
+
+
+def test_packing_round_trips_with_coefficient_types():
+    rng = random.Random(11)
+    for packing, polys in _pseudo_cases(1):
+        vs = packing.vs
+        # Products carry integral Fractions, which must come back as Fractions.
+        halves = [_pseudo_poly(rng, vs, 3, True) for _ in range(2)]
+        integral = vs.const(Fraction(1, 2)) * vs.const(2)
+        assert _coefficient_types(integral) == {(): Fraction}
+        for p in polys + [halves[0] * halves[1], integral]:
+            q = packing.unpack(packing.pack(p))
+            assert q == p and _coefficient_types(q) == _coefficient_types(p)
+
+
+def test_mul_add_agrees_with_the_poly_product():
+    for packing, polys in _pseudo_cases(2):
+        p, q, r = polys[:3]
+        for sign in (1, -1):
+            product = _mul_add({}, packing.pack(p), packing.pack(q), sign)
+            assert packing.unpack(product) == (p * q).scale(sign)
+            total = _mul_add(packing.pack(r), packing.pack(p), packing.pack(q), sign)
+            assert packing.unpack(total) == r + (p * q).scale(sign)
+
+
+def _check_substitutions(vs):
+    """The five Jacobi substitutions and the skew flip lam -> -T-lam."""
+    var, ids = vs.var, range(1, vs.D + 1)
+    rename_mu = {("lam", a): var("mu", a) for a in ids}
+    shift_lam = {("T", a): var("T", a) + var("lam", a) for a in ids}
+    return [
+        {**rename_mu, **shift_lam},
+        {("T", a): var("T", a) + var("mu", a) for a in ids},
+        rename_mu,
+        {("T", a): -var("lam", a) - var("mu", a) for a in ids},
+        {("lam", a): var("lam", a) + var("mu", a) for a in ids},
+        {("lam", a): -var("T", a) - var("lam", a) for a in ids},
+    ]
+
+
+def test_packed_subst_agrees_with_poly_subst():
+    for packing, polys in _pseudo_cases(3):
+        for assignment in _check_substitutions(packing.vs):
+            images, cache = packing.images(assignment), {}
+            # One cache is shared by every poly under the same assignment.
+            for p in polys + polys:
+                image = packing.subst(packing.pack(p), images, cache)
+                assert packing.unpack(image) == p.subst(assignment)
+
+
+def test_products_fill_the_widest_field_exactly():
+    vs = pseudo_space(2)
+    variables = [(family, i) for family in vs.families for i in (1, 2)]
+    for degree in range(1, 8):
+        packing = Packing(vs, degree)
+        for first, second in zip(variables, variables[1:]):
+            p = vs.var(*first) ** degree - vs.var(*second) ** degree
+            square = _mul_add({}, packing.pack(p), packing.pack(p), 1)
+            # Exponent 2 * degree in the last field (mu2) and in its neighbours.
+            assert packing.unpack(square) == p * p
+            assert (p * p).total_degree() == 2 * degree
+
+
+def test_packing_rejects_high_degree_and_bad_images():
+    vs = pseudo_space(2)
+    T1, lam1 = vs.var("T", 1), vs.var("lam", 1)
+    packing = Packing(vs, 6)
+    assert packing.pack(T1 ** 6)
+    with pytest.raises(ValueError):
+        packing.pack(T1 ** 4 * lam1 ** 3)
+    for image in (T1 * lam1, T1 ** 2, vs.const(2), T1 + 1):
+        with pytest.raises(ValueError):
+            packing.images({("T", 1): image})
+    with pytest.raises(WorkspaceError):
+        packing.images({("z", 1): T1})
