@@ -1,7 +1,8 @@
 """Command-line front end: load or build algebras, run axiom suites, emit data.
 
 Exit codes: 0 all requested checks pass, 1 at least one violation (the first
-witness is printed), 2 usage, parse or invariant errors.
+witness is printed), 2 usage, parse or invariant errors, 141 standard output
+closed early (the shell's code for SIGPIPE, as in ``lambdacone ... | head -1``).
 """
 
 from __future__ import annotations
@@ -249,10 +250,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"check": _cmd_check, "builtin": _cmd_builtin, "emit": _cmd_emit}
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # Flush here, so a reader that left early is seen inside this handler.
+        sys.stdout.flush()
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; send that to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -197,6 +197,9 @@ class ChiVector:
 
     @classmethod
     def unit(cls, D: int, alpha: int) -> "ChiVector":
+        """The unit vector e_alpha, 1 <= alpha <= D."""
+        if not 1 <= alpha <= D:
+            raise ValueError(f"unit index {alpha} out of range 1..{D}")
         return cls(tuple(Fraction(int(i == alpha - 1)) for i in range(D)))
 
     def __len__(self):
@@ -562,25 +565,27 @@ def _divergence(x: LambdaPoly, factors: list) -> Poly:
 
 
 def sd_basis(D: int, chi: ChiVector, degmax: int) -> list:
-    """Canonical basis of divergence-free elements of T-degree <= degmax."""
+    """Canonical basis of divergence-free elements of T-degree <= degmax.
+
+    The divergence sends T^e L^a to T^(e + e_a) + chi_a T^e, so its matrix is
+    written down in closed form: the column (a, T^e) has 1 at the row of
+    e + e_a and chi_a at the row of e.  The basis is the reduced echelon
+    basis of its kernel (``linalg.kernel_basis``).
+    """
     if len(chi) != D:
         raise ValueError(f"chi must have length {D}")
-    table = build_wd(D)
-    vs = table.vs
-    monos = []
-    for deg in range(degmax + 1):
-        monos.extend(vs.monomials_of_degree("T", deg))
-    columns = [(a, m) for a in range(D) for m in monos]
+    if degmax < 0:
+        raise ValueError("degmax must be >= 0")
+    vs = build_wd(D).vs
     # The divergence raises degree by one, so images live in degree <= degmax + 1.
-    image_monos = list(monos)
-    image_monos.extend(vs.monomials_of_degree("T", degmax + 1))
-    mono_index = {m: idx for idx, m in enumerate(image_monos)}
-    matrix = [[0] * len(columns) for _ in range(len(image_monos))]
+    monos = [m for deg in range(degmax + 2) for m in vs.monomials_of_degree("T", deg)]
+    mono_index = {m: idx for idx, m in enumerate(monos)}
+    columns = [(a, m) for a in range(D) for m in monos if sum(m) <= degmax]
+    matrix = [[0] * len(columns) for _ in monos]
     for col, (a, exps) in enumerate(columns):
-        poly = vs.from_exps("T", exps)
-        image = poly * (vs.var("T", a + 1) + vs.const(chi[a]))
-        for exps, coeff in image.dense("T").items():
-            matrix[mono_index[exps]][col] += coeff
+        raised = exps[:a] + (exps[a] + 1,) + exps[a + 1:]
+        matrix[mono_index[raised]][col] = 1
+        matrix[mono_index[exps]][col] = chi[a]
     basis = []
     for vector in kernel_basis(matrix, len(columns)):
         coords: dict = {}
@@ -609,8 +614,17 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     A_{x,b} = sum_a P_a(-lam) E_ab(T - lam, lam).  The D^2 entries E_ab are
     substituted once per check and each A_{x,b} is built once per basis
     element, so a pair costs at most D products against its unshifted
-    Q_b(T).  The witnesses of a failing pair come from its bracket, one per
-    lam-monomial whose coefficient has nonzero divergence.
+    Q_b(T).
+
+    It runs on packed monomials (``rings.Packing``): each E_ab(T - lam, lam)
+    and each Q_b(T) is packed once, and each P_a(-lam) is a packed
+    substitution under one shared cache.  The packing degree is the largest
+    total degree m among the packed polynomials, not ``degmax``.  That is
+    enough although S multiplies three factors: P_a(-lam) has only lam and
+    Q_b only T, and deg E_ab <= m, so every exponent of S is at most 2 * m.
+    A pair passes when its packed S has no nonzero coefficient; the witnesses
+    of a failing pair come from its bracket, one per lam-monomial whose
+    coefficient has nonzero divergence.
     """
     if degmax < 1:
         raise ValueError("degmax must be >= 1")
@@ -625,28 +639,34 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
         key: _divergence(entry, factors).subst(unshift)
         for key, entry in table.entries.items()
     }
-    firsts = [_images(x, neg_lam) for x in basis]
+    polys = list(composed.values()) + [p for x in basis for p in x.coords.values()]
+    packing = Packing(vs, max(p.total_degree() for p in polys))
+    composed = {key: packing.pack(p) for key, p in composed.items()}
+    flip, cache = packing.images(neg_lam), {}
     # A_{x,b} for every basis element x and every generator b.
     partials = []
-    for x_images in firsts:
-        row = []
-        for b in range(D):
-            total = vs.zero
-            for a, P_neg in x_images:
-                total = total + P_neg * composed[(a, b)]
-            row.append(total)
-        partials.append(row)
+    for x in basis:
+        row = [{} for _ in range(D)]
+        for a, P in x.coords.items():
+            P_neg = packing.subst(packing.pack(P), flip, cache)
+            for b in range(D):
+                _mul_add(row[b], P_neg, composed[(a, b)], 1)
+        partials.append([{m: c for m, c in A.items() if c} for A in row])
+    seconds = [[(b, packing.pack(Q)) for b, Q in y.coords.items()] for y in basis]
     failures = []
     records = []
     for i, row in enumerate(partials):
-        for j, y in enumerate(basis):
+        for j, y_packed in enumerate(seconds):
             label = f"pair ({i},{j})"
-            total = vs.zero
-            for b, Q in y.coords.items():
-                total = total + Q * row[b]
-            records.append((label, not total))
-            if total:
-                bracket = _bracket_of_images(table, firsts[i], _images(y, shift))
+            total: dict = {}
+            for b, Q in y_packed:
+                _mul_add(total, Q, row[b], 1)
+            bad = any(total.values())
+            records.append((label, not bad))
+            if bad:
+                bracket = _bracket_of_images(
+                    table, _images(basis[i], neg_lam), _images(basis[j], shift)
+                )
                 for lam_exps, element in bracket.lambda_terms().items():
                     div = _divergence(element, factors)
                     if div:

@@ -28,9 +28,10 @@ per variable; that is safe because nothing writes to a polynomial after it is
 built.
 
 ``Packing`` is a second, private layout that lives inside one computation
-(the skew and Jacobi checks): a monomial is one int with a bit field per
-variable.  It is exact by its degree bound: the fields hold twice the packed
-degree, and only degree-preserving substitutions run on packed terms.
+(the skew, Jacobi and S(D, chi) closure checks): a monomial is one int with a
+bit field per variable.  It is exact by its degree bound: the fields hold
+twice the packed degree, and only degree-preserving substitutions run on
+packed terms.
 """
 
 from __future__ import annotations
@@ -517,6 +518,9 @@ class Packing:
     :meth:`pack` admits total degree <= ``degree`` and :meth:`images` only
     homogeneous linear images, which keep total degree; so every exponent of
     a product of two packed polynomials is <= 2 * degree, and no field carries.
+    A longer product is the caller's to bound: the closure check multiplies
+    three factors whose variable families split so that each exponent still
+    stays <= 2 * degree (``pseudo.sd_closure_check``).
     """
 
     def __init__(self, vs: VarSpace, degree: int):

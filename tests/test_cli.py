@@ -89,6 +89,23 @@ def test_closure_axiom_via_cli():
     assert "closure: pass" in out
 
 
+def test_stdout_closed_early_exits_141_without_traceback():
+    # D = 4, degmax = 3 prints about 150 kB, more than a pipe and the reader's
+    # buffer hold, so the writer still has output left when the pipe closes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lambdacone.cli",
+         "check", "S", "--dim", "4", "--axioms", "closure", "--degmax", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline().startswith("closure: pass (D=4,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == ""
+
+
 @pytest.mark.parametrize("degmax", ["0", "-1"])
 def test_closure_degmax_below_one_is_a_usage_error(degmax):
     code, _, err = run_cli(

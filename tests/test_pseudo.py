@@ -404,6 +404,19 @@ def test_sd_basis_and_closure_reject_chi_of_wrong_length():
             sd_closure_check(D, ChiVector.zero(D + 1), degmax)
 
 
+def test_chi_unit_rejects_an_index_outside_1_to_D():
+    assert ChiVector.unit(2, 2).values == (0, 1)
+    for alpha in (-1, 0, 3):
+        with pytest.raises(ValueError):
+            ChiVector.unit(2, alpha)
+
+
+def test_sd_basis_rejects_negative_degmax():
+    assert sd_basis(2, ChiVector.zero(2), 0) == []
+    with pytest.raises(ValueError, match="degmax must be >= 0"):
+        sd_basis(2, ChiVector.zero(2), -1)
+
+
 def test_sd_basis_members_are_divergence_free():
     table = build_wd(2)
     for chi in (ChiVector.zero(2), ChiVector.unit(2, 1)):
@@ -482,29 +495,83 @@ BROKEN_CLOSURE = {
 }
 
 
-@pytest.mark.parametrize(
-    "case", list(BROKEN_CLOSURE),
-    ids=lambda case: f"D{case[0]}-chi{','.join(map(str, case[1]))}-degmax{case[2]}",
-)
-def test_closure_fails_with_witnesses_on_broken_basis(case, monkeypatch):
-    D, chi, degmax = case
+def _assert_broken_closure(monkeypatch, D, chi, degmax, bad_coords, expected):
+    """Run the closure check on the S(D, chi) basis plus one element; compare (count, digest)."""
     sd_basis_of = pseudo.sd_basis
 
     def broken_basis(D, chi, degmax):
         vs = pseudo_space(D)
-        T1, T2 = vs.var("T", 1), vs.var("T", 2)
-        bad = ModuleElement(vs, D, {0: T1 * T2 + 3, 1: T2})
-        return sd_basis_of(D, chi, degmax) + [bad]
+        return sd_basis_of(D, chi, degmax) + [ModuleElement(vs, D, bad_coords(vs, degmax))]
 
+    # sd_closure_check reads sd_basis through the module global.
     monkeypatch.setattr(pseudo, "sd_basis", broken_basis)
     report = sd_closure_check(D, ChiVector(chi), degmax)
-    count, digest = BROKEN_CLOSURE[case]
+    count, digest = expected
     assert not report.passed
     assert len(report.failures) == count
     assert all(f.witness for f in report.failures)
     failures = tuple((f.label, f.witness) for f in report.failures)
     text = repr((report.records, failures))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "case", list(BROKEN_CLOSURE),
+    ids=lambda case: f"D{case[0]}-chi{','.join(map(str, case[1]))}-degmax{case[2]}",
+)
+def test_closure_fails_with_witnesses_on_broken_basis(case, monkeypatch):
+    def bad(vs, degmax):
+        T1, T2 = vs.var("T", 1), vs.var("T", 2)
+        return {0: T1 * T2 + 3, 1: T2}
+
+    _assert_broken_closure(monkeypatch, *case, bad, BROKEN_CLOSURE[case])
+
+
+# The element T1^(degmax+2) L1 lies two degrees above every basis element,
+# so a packing sized from degmax cannot hold it; (count, sha256) as above.
+BROKEN_CLOSURE_HIGH_DEGREE = (
+    211, "40edda3cb302e509f01c24f7fdb56f02ea3e85bd440fb27d517e233854ffc332"
+)
+
+
+def test_closure_packing_degree_comes_from_the_packed_data(monkeypatch):
+    def bad(vs, degmax):
+        return {0: vs.var("T", 1) ** (degmax + 2)}
+
+    _assert_broken_closure(monkeypatch, 3, (0, Fraction(1, 2), 0), 2, bad,
+                           BROKEN_CLOSURE_HIGH_DEGREE)
+
+
+# sha256 per D of the sd_basis output (coefficient types included) for
+# degmax = 0..SD_DEGMAX[D] and of the closure report digests for
+# degmax = 1..SD_DEGMAX[D], over chi in {0, e_1, e_D, a Fraction vector}.
+SD_DEGMAX = {1: 3, 2: 4, 3: 3, 4: 3}
+SD_GOLDEN = {
+    1: "a3b5809380d971353ff3002bf53144757ca98c35b9e1bff6ed4ba79ae02ad5c2",
+    2: "1ca18cf9c5705ed965775ccbab1534228016834306c245ea694a6eee0758cac9",
+    3: "f0cb1793715cdbc29cec3e263de46cdfddb93fbbd492a55a73fe656b0a5429b8",
+    4: "2489b0aa924206edb1a5bf81be982f2ab883a1400e813e09f187d7bf9385c737",
+}
+
+
+def _sd_chis(D):
+    rational = ChiVector((Fraction(1, 3), -2, Fraction(5, 2), Fraction(-3, 4))[:D])
+    return dict.fromkeys((ChiVector.zero(D), ChiVector.unit(D, 1), ChiVector.unit(D, D), rational))
+
+
+@pytest.mark.parametrize("D", list(SD_GOLDEN))
+def test_sd_basis_and_closure_golden_digest(D):
+    records = []
+    for chi in _sd_chis(D):
+        for degmax in range(SD_DEGMAX[D] + 1):
+            records.append([
+                sorted((a, sorted((e, type(c).__name__, c) for e, c in p.dense("T").items()))
+                       for a, p in x.coords.items())
+                for x in sd_basis(D, chi, degmax)
+            ])
+            if degmax:
+                records.append(_report_digest(sd_closure_check(D, chi, degmax)))
+    assert hashlib.sha256(repr(records).encode("utf-8")).hexdigest() == SD_GOLDEN[D]
 
 
 # ----------------------------------------------------------------------
