@@ -23,7 +23,7 @@ from math import comb, factorial, lcm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
-from .rings import Poly, VarSpace, _exact, _no_float, dense_monomials
+from .rings import Poly, VarSpace, _clear, _exact, _no_float, dense_monomials
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
 
@@ -112,13 +112,6 @@ def _projector(D: int, d: int) -> tuple:
     den = lcm(*(w.denominator for stencil in stencils for _, _, w in stencil))
     return den, tuple(tuple((i, e, w.numerator * (den // w.denominator)) for i, e, w in stencil)
                       for stencil in stencils)
-
-
-def _clear(*raws: dict) -> tuple:
-    """(R, numerators): int dicts with raws[i] = numerators[i] / R, R least common denominator."""
-    den = lcm(*(c.denominator for raw in raws for c in raw.values()))
-    return den, tuple({e: c.numerator * (den // c.denominator) for e, c in raw.items()}
-                      for raw in raws)
 
 
 def _harmonic_parts(D: int, m: int, raw: dict):

@@ -21,7 +21,7 @@ from typing import Mapping
 from .errors import WorkspaceError
 from .linalg import kernel_basis
 from .report import CheckReport, Failure
-from .rings import Packing, Poly, VarSpace, _mul_add, _no_float
+from .rings import Packing, Poly, VarSpace, _clear, _mul_add, _no_float
 
 PSEUDO_FAMILIES = ("T", "lam", "mu")
 
@@ -576,7 +576,7 @@ def sd_basis(D: int, chi: ChiVector, degmax: int) -> list:
         raise ValueError(f"chi must have length {D}")
     if degmax < 0:
         raise ValueError("degmax must be >= 0")
-    vs = build_wd(D).vs
+    vs = pseudo_space(D)
     # The divergence raises degree by one, so images live in degree <= degmax + 1.
     monos = [m for deg in range(degmax + 2) for m in vs.monomials_of_degree("T", deg)]
     mono_index = {m: idx for idx, m in enumerate(monos)}
@@ -616,15 +616,18 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     element, so a pair costs at most D products against its unshifted
     Q_b(T).
 
-    It runs on packed monomials (``rings.Packing``): each E_ab(T - lam, lam)
-    and each Q_b(T) is packed once, and each P_a(-lam) is a packed
-    substitution under one shared cache.  The packing degree is the largest
-    total degree m among the packed polynomials, not ``degmax``.  That is
-    enough although S multiplies three factors: P_a(-lam) has only lam and
-    Q_b only T, and deg E_ab <= m, so every exponent of S is at most 2 * m.
-    A pair passes when its packed S has no nonzero coefficient; the witnesses
-    of a failing pair come from its bracket, one per lam-monomial whose
-    coefficient has nonzero divergence.
+    It runs on packed monomials (``rings.Packing``) with int coefficients:
+    each basis element is packed once, cleared of denominators, and serves
+    both as its P_a (before the substitution T -> -lam, a packed substitution
+    under one shared cache) and as its Q_b; the E_ab(T - lam, lam) are packed
+    once and cleared with one shared denominator.  A nonzero scale of x, y
+    or E scales S and leaves its zero test unchanged.  The packing degree is
+    the largest total degree m among the packed polynomials, not ``degmax``.
+    That is enough although S multiplies three factors: P_a(-lam) has only
+    lam and Q_b only T, and deg E_ab <= m, so every exponent of S is at most
+    2 * m.  A pair passes when its packed S has no nonzero coefficient; the
+    witnesses of a failing pair come from its unscaled bracket, one per
+    lam-monomial whose coefficient has nonzero divergence.
     """
     if degmax < 1:
         raise ValueError("degmax must be >= 1")
@@ -641,22 +644,27 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     }
     polys = list(composed.values()) + [p for x in basis for p in x.coords.values()]
     packing = Packing(vs, max(p.total_degree() for p in polys))
-    composed = {key: packing.pack(p) for key, p in composed.items()}
+    _, cleared = _clear(*(packing.pack(p) for p in composed.values()))
+    composed = dict(zip(composed, cleared))
+    # Each basis element, packed and cleared once, gives its P_a and its Q_b.
+    packed = []
+    for x in basis:
+        _, coords = _clear(*map(packing.pack, x.coords.values()))
+        packed.append(list(zip(x.coords, coords)))
     flip, cache = packing.images(neg_lam), {}
     # A_{x,b} for every basis element x and every generator b.
     partials = []
-    for x in basis:
+    for x_packed in packed:
         row = [{} for _ in range(D)]
-        for a, P in x.coords.items():
-            P_neg = packing.subst(packing.pack(P), flip, cache)
+        for a, P in x_packed:
+            P_neg = packing.subst(P, flip, cache)
             for b in range(D):
                 _mul_add(row[b], P_neg, composed[(a, b)], 1)
         partials.append([{m: c for m, c in A.items() if c} for A in row])
-    seconds = [[(b, packing.pack(Q)) for b, Q in y.coords.items()] for y in basis]
     failures = []
     records = []
     for i, row in enumerate(partials):
-        for j, y_packed in enumerate(seconds):
+        for j, y_packed in enumerate(packed):
             label = f"pair ({i},{j})"
             total: dict = {}
             for b, Q in y_packed:

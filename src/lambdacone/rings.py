@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import WorkspaceError
@@ -497,6 +498,12 @@ def _var(vs: VarSpace, family: str, index: int) -> Poly:
     vs.check_var(family, index)
     return Poly._trusted(vs, {(((family, index), 1),): 1})
 
+
+def _clear(*raws: dict) -> tuple:
+    """(R, numerators): int dicts with raws[i] = numerators[i] / R, R least common denominator."""
+    den = lcm(*(c.denominator for raw in raws for c in raw.values()))
+    return den, tuple({e: c.numerator * (den // c.denominator) for e, c in raw.items()}
+                      for raw in raws)
 
 
 def _mul_add(out: dict, a: dict, b: dict, sign: int) -> dict:

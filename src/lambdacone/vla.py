@@ -6,6 +6,11 @@ coefficients.  The checkers verify translation covariance (through the action
 extension rules), skewsymmetry against e^{zT}(b(-z)a), and the Jacobi /
 Borcherds identities, all at a caller-declared window.
 
+Skewsymmetry compares a(z)b with the singular part of e^{zT}(b(-z)a), and
+``apply_exp_zT`` forms only that part: it applies z.T one factor at a time,
+and neither z nor T lowers a mode's n, so each regular mode is dropped as
+soon as it is formed.
+
 The right-hand side of the Jacobi identity is assembled directly: the
 (z-w)-kernels of a(z-w)b are iota-expanded in both regions and subtracted,
 multiplied by the u-field of each coefficient acting on c evaluated at u = w
@@ -24,7 +29,6 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
 from typing import Mapping
 
 from .cone import (
@@ -134,10 +138,15 @@ def extend_action(S: VLAStructure, x: ModuleElement, y: ModuleElement) -> ConeSe
 
 
 def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
-    """e^{zT} applied to a finite exact series, truncated at z-degree ``zdeg``.
+    """The singular part of e^{zT} applied to a finite exact series, truncated
+    at z-degree ``zdeg``: all that vertex-Lie data carry.
 
     T acts by module multiplication on the coefficients, z by cone-mode
-    multiplication.  The result is exactly known up to total degree
+    multiplication.  The sum is built one factor of z.T = sum_a z_a T_a at a
+    time, term_t = (z.T) term_{t-1} / t, since (z.T)^t / t! is the sum of
+    z^e T^e / e! over |e| = t.  Neither z_a nor T_a lowers a mode's n, so a
+    mode with n >= 0 never becomes singular again and is dropped as soon as
+    it is formed.  The result is exactly known up to total degree
     min_hom(series) + zdeg: every deeper mode already received all its
     (finitely many) contributions.
     """
@@ -145,18 +154,15 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
         raise TruncationError("e^{zT} needs an exactly-known source series")
     if not series.coeffs:
         return ConeSeries.zero(series.D, series.var)
-    degmax = series.min_hom() + zdeg
-    out = ConeSeries.zero(series.D, series.var, Window(degmax))
-    vs_z = VarSpace(series.D, (series.var,))
-    vs_mod = next(iter(series.coeffs.values())).vs
-    for total in range(zdeg + 1):
-        for exps in vs_z.monomials_of_degree(series.var, total):
-            # T^exps / exps!
-            factor = vs_mod.from_dense("T", {exps: Fraction(1, prod(map(factorial, exps)))})
-            term = series.map_coeffs(lambda me, f=factor: me.scale(f))
-            if total:
-                term = term.mul_poly(vs_z.from_exps(series.var, exps))
-            out = out + term.restrict(Window(degmax))
+    window = Window(series.min_hom() + zdeg)
+    z = [VarSpace(series.D, (series.var,)).var(series.var, a) for a in range(1, series.D + 1)]
+    term = out = series.singular_part().restrict(window)
+    for t in range(1, zdeg + 1):
+        step = ConeSeries.zero(series.D, series.var)
+        for a, z_a in enumerate(z, 1):
+            step = step + term.mul_poly(z_a).map_coeffs(lambda me, a=a: me.mul_T(a))
+        term = step.scale(Fraction(1, t)).singular_part().restrict(window)
+        out = out + term
     return out
 
 
@@ -198,7 +204,7 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
     for i in range(S.r):
         for j in range(S.r):
             label = f"({S.generators[i]},{S.generators[j]})"
-            rhs = apply_exp_zT(S.action(j, i).parity_flip(), window).singular_part()
+            rhs = apply_exp_zT(S.action(j, i).parity_flip(), window)
             diff = S.action(i, j).restrict(rhs.window) - rhs
             records.append((label, not diff))
             for mode, coeff in diff.items():

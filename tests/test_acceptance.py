@@ -4,12 +4,13 @@ or an exact comparison on the stated window."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
+from lambdacone import cli
 from lambdacone import (
     ChiVector,
     Kernel,
@@ -203,10 +204,14 @@ def test_criterion_8_delta_calculus():
 
 
 def _run_cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "lambdacone.cli", *argv], capture_output=True, text=True
-    )
-    return proc.returncode, proc.stdout
+    """``cli.main`` in-process: (exit code, stdout); stderr is captured and dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
 
 def test_criterion_9_cli_contract(tmp_path):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+from lambdacone import cli
 from lambdacone import (
     ChiVector,
     LieStructure,
@@ -27,14 +31,15 @@ from lambdacone.algfiles import (
 )
 
 
-def run_cli(*argv, cwd=None):
-    proc = subprocess.run(
-        [sys.executable, "-m", "lambdacone.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+def run_cli(*argv):
+    """``cli.main`` in-process: (exit code, stdout, stderr); a SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 BROKEN_TABLE = (
@@ -335,17 +340,24 @@ def test_emit_bracket_h2_content(tmp_path):
 
 
 def test_emit_determinism(tmp_path):
+    # Each emit runs in two interpreters with different string hash seeds, so
+    # no output order can come from hashing.
     jobs = [
         ("harm", ["emit", "harmonic-basis", "--dim", "3", "--m", "3"]),
         ("iota", ["emit", "iota-expansion", "--dim", "1", "--k", "1", "--window", "4"]),
         ("bracket", ["emit", "bracket", "W", "--dim", "2"]),
     ]
     for label, args in jobs:
-        a = tmp_path / f"{label}_a.out"
-        b = tmp_path / f"{label}_b.out"
-        assert run_cli(*args, "--out", str(a))[0] == 0
-        assert run_cli(*args, "--out", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
+        outputs = []
+        for seed in ("0", "1"):
+            path = tmp_path / f"{label}_{seed}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "lambdacone.cli", *args, "--out", str(path)],
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_emit_iota_geometric_coefficients(tmp_path):

@@ -4,6 +4,8 @@ and the D = 1 bridge that lets the pseudoalgebra engine cross-examine them."""
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -16,7 +18,10 @@ from lambdacone import (
     LieStructure,
     ModuleElement,
     TruncationError,
+    VarSpace,
     VLAStructure,
+    Window,
+    apply_exp_zT,
     borcherds_check,
     build_cur,
     build_wd,
@@ -30,16 +35,17 @@ from lambdacone import (
 )
 
 
-def _broken_table():
-    """Antisymmetric constants violating the Lie Jacobi identity."""
+def _broken_table(a=1, b=1, c=1):
+    """Antisymmetric constants [e,h] = a e, [e,f] = b h, [h,f] = -c f violating
+    the Lie Jacobi identity (by -b(a + c) h on (e,h,f))."""
     vs = pseudo_space(1)
     entries = {
-        (0, 1): LambdaPoly(vs, 3, {0: vs.one}),
-        (1, 0): LambdaPoly(vs, 3, {0: -vs.one}),
-        (0, 2): LambdaPoly(vs, 3, {1: vs.one}),
-        (2, 0): LambdaPoly(vs, 3, {1: -vs.one}),
-        (1, 2): LambdaPoly(vs, 3, {2: -vs.one}),
-        (2, 1): LambdaPoly(vs, 3, {2: vs.one}),
+        (0, 1): LambdaPoly(vs, 3, {0: vs.const(a)}),
+        (1, 0): LambdaPoly(vs, 3, {0: vs.const(-a)}),
+        (0, 2): LambdaPoly(vs, 3, {1: vs.const(b)}),
+        (2, 0): LambdaPoly(vs, 3, {1: vs.const(-b)}),
+        (1, 2): LambdaPoly(vs, 3, {2: vs.const(-c)}),
+        (2, 1): LambdaPoly(vs, 3, {2: vs.const(c)}),
     }
     return BracketTable(1, ("e", "h", "f"), entries)
 
@@ -60,10 +66,10 @@ def _d2_fixture():
     return _current_like_fixture(2)
 
 
-def _broken_skew_table():
-    """[L lam L] = (T + 3 lam) L: skewsymmetry fails by -T L."""
+def _broken_skew_table(c=3):
+    """[L lam L] = (T + c lam) L: skewsymmetry fails by (2 - c) T L."""
     vs = pseudo_space(1)
-    entry = LambdaPoly(vs, 1, {0: vs.var("T", 1) + 3 * vs.var("lam", 1)})
+    entry = LambdaPoly(vs, 1, {0: vs.var("T", 1) + c * vs.var("lam", 1)})
     return BracketTable(1, ("L",), {(0, 0): entry})
 
 
@@ -222,6 +228,58 @@ def test_skew_bridge_agrees_with_pseudo():
                 # a window can be too small to expose a violation
                 continue
             assert got == expected
+
+
+def _exp_zT_oracle(series, zdeg):
+    """e^{zT} applied term by term: each z-monomial z^e, with its factor
+    T^e / e!, up to z-degree ``zdeg``; regular modes kept."""
+    if not series.coeffs:
+        return ConeSeries.zero(series.D, series.var)
+    window = Window(series.min_hom() + zdeg)
+    out = ConeSeries.zero(series.D, series.var, window)
+    vs_z = VarSpace(series.D, (series.var,))
+    vs_mod = next(iter(series.coeffs.values())).vs
+    for total in range(zdeg + 1):
+        for exps in vs_z.monomials_of_degree(series.var, total):
+            factor = vs_mod.from_dense("T", {exps: Fraction(1, prod(map(factorial, exps)))})
+            term = series.map_coeffs(lambda me, f=factor: me.scale(f))
+            if total:
+                term = term.mul_poly(vs_z.from_exps(series.var, exps))
+            out = out + term.restrict(window)
+    return out
+
+
+def _mixed_series(D):
+    """Singular and regular modes with T-dependent coefficients in dimension D >= 2."""
+    vs = pseudo_space(D)
+    el = lambda p: ModuleElement(vs, 2, {0: p, 1: 2 * vs.var("T", D) - Fraction(1, 3)})
+    T1 = vs.var("T", 1)
+    return ConeSeries(D, "z", {
+        (-2, 0, 1): el(T1),
+        (-1, 2, 1): el(vs.const(Fraction(5, 7)) - T1 * T1),
+        (-1, 1, D): el(vs.one),
+        (0, 1, 1): el(T1 * vs.var("T", D)),
+        (1, 0, 1): el(vs.const(3)),
+    })
+
+
+def test_apply_exp_zT_is_the_singular_part_of_the_full_exponential():
+    # The exponential forms only the singular modes: every z_a and T_a keeps
+    # or raises n, so it equals the full term-by-term sum cut to n < 0, on the
+    # same window.
+    vs2 = pseudo_space(2)
+    regular_only = ConeSeries(2, "z", {(0, 1, 2): ModuleElement(vs2, 1, {0: vs2.var("T", 1)})})
+    sources = [S.action(j, i).parity_flip()
+               for S in (d1_bridge(build_cur(LieStructure.sl2(), 1)), d1_bridge(build_wd(1)),
+                         _d2_fixture(), _current_like_fixture(3))
+               for i in range(S.r) for j in range(S.r)]
+    sources += [_mixed_series(2), _mixed_series(3), regular_only,
+                ConeSeries.zero(2, "z")]
+    for series in sources:
+        for zdeg in range(5):
+            got = apply_exp_zT(series, zdeg)
+            assert got == _exp_zT_oracle(series, zdeg).singular_part()
+            assert all(n < 0 for (n, _, _) in got.coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +579,41 @@ def test_identity_golden_digest(case):
         report = borcherds_check(S, L, F, window)
     windows = vla._borcherds_rhs(S, 0, 0, 0, F, _checker_depth(S, window)).windows
     assert _sha256(_report_text(report) + _windows_text(windows)) == GOLDEN_IDENTITIES[case]
+
+
+_SKEW_STRUCTURES = {
+    "Cur(sl2)": lambda: d1_bridge(build_cur(LieStructure.sl2(), 1)),
+    "W(1)": lambda: d1_bridge(build_wd(1)),
+    "broken-skew W(1)": lambda: d1_bridge(_broken_skew_table(Fraction(-716483, 281743))),
+    "broken-Jacobi sl2": lambda: d1_bridge(
+        _broken_table(Fraction(90217, 4413), Fraction(-55021, 708893), Fraction(3, 999983))),
+    # _d2_fixture is _current_like_fixture(2).
+    "D=2 fixture": _d2_fixture,
+    "current-like D=3": lambda: _current_like_fixture(3),
+}
+
+# sha256 of the concatenated skew_check_vla report texts at windows 0..6.
+GOLDEN_SKEW = {
+    "Cur(sl2)":
+        "a758f208ea45131cf0ee869aa5b8b22f7671a4a55b9dbfc873f9c36c3bf21dfe",
+    "W(1)":
+        "f83f5c0da3135d3b466c043629c136f05c90e177d2db8abb4c91ad6fde57bd23",
+    "broken-skew W(1)":
+        "51a373c616890ea90a67916121769e685fdb14a6a3bf2037369403ec393273a5",
+    "broken-Jacobi sl2":
+        "a758f208ea45131cf0ee869aa5b8b22f7671a4a55b9dbfc873f9c36c3bf21dfe",
+    "D=2 fixture":
+        "3a6049375c91a0fd662233fcb0a82175c13c8b60964d8423980cb8d3e01fb128",
+    "current-like D=3":
+        "b3fcb89d863209cf16fadf08fd56dc5e49b3878c2cdb18ba62397d554e858f1a",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SKEW))
+def test_skew_golden_digest(name):
+    S = _SKEW_STRUCTURES[name]()
+    text = "".join(_report_text(skew_check_vla(S, window)) for window in range(7))
+    assert _sha256(text) == GOLDEN_SKEW[name]
 
 
 def test_jacobi_d3_fixture_fails_with_golden_witnesses():
