@@ -23,7 +23,7 @@ from math import comb, factorial, lcm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
-from .rings import Poly, VarSpace, _clear, _exact, _no_float, dense_monomials
+from .rings import Poly, VarSpace, _clear, _exact, _no_float, _quotient, dense_monomials
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
 
@@ -154,37 +154,48 @@ def _decompose_raw(D: int, m: int, raw: dict, den: int = 1) -> dict:
             for sigma, n in coords.items()}
 
 
+def _int_table(coeffs: dict) -> tuple:
+    """(den, ((key, int), ...)) with coeffs[key] = int / den, den least."""
+    den, (numerators,) = _clear(coeffs)
+    return den, tuple(numerators.items())
+
+
 @lru_cache(maxsize=None)
 def _times_mono(D: int, m: int, sigma: int, exps: tuple) -> tuple:
-    """h_{m,sigma} * x^exps decomposed: tuple of ((dj, m', sigma'), coefficient)."""
+    """h_{m,sigma} * x^exps decomposed: (den, ((dj, m', sigma'), int) pairs),
+    each coefficient the int over den."""
     den, numerators = _harmonic_raw(D, m)
     product = _raw_mul(numerators[sigma - 1], {exps: 1})
-    return tuple(_decompose_raw(D, m + sum(exps), product, den).items())
+    return _int_table(_decompose_raw(D, m + sum(exps), product, den))
 
 
 @lru_cache(maxsize=None)
 def _times_harm(D: int, m1: int, s1: int, m2: int, s2: int) -> tuple:
-    """h_{m1,s1} * h_{m2,s2} decomposed."""
+    """h_{m1,s1} * h_{m2,s2} decomposed: (den, ((dj, m', sigma'), int) pairs)."""
     den1, a = _harmonic_raw(D, m1)
     den2, b = _harmonic_raw(D, m2)
-    decomp = _decompose_raw(D, m1 + m2, _raw_mul(a[s1 - 1], b[s2 - 1]), den1 * den2)
-    return tuple(decomp.items())
+    return _int_table(_decompose_raw(D, m1 + m2, _raw_mul(a[s1 - 1], b[s2 - 1]), den1 * den2))
 
 
 @lru_cache(maxsize=None)
 def _diff_parts(D: int, m: int, sigma: int, alpha: int) -> tuple:
     """Data for d/dx_alpha applied to (x^2)^n h_{m,sigma}.
 
-    Returns (x_alpha_part, dh_part): the decomposition of x_alpha * h (to be
-    scaled by 2n and attached at level n - 1) and the harmonic coordinates of
-    dh/dx_alpha (attached at level n): it is harmonic, so these are its pivot values.
+    Returns (den, x_alpha_part, dh_part), int tables over the one
+    denominator den: the decomposition of x_alpha * h (to be scaled by 2n
+    and attached at level n - 1) and the harmonic coordinates of dh/dx_alpha
+    (attached at level n): it is harmonic, so these are its pivot values.
     """
     a = alpha - 1
-    x_part = _times_mono(D, m, sigma, tuple(int(b == a) for b in range(D)))
-    den, numerators = _harmonic_raw(D, m)
+    x_den, x_part = _times_mono(D, m, sigma, tuple(int(b == a) for b in range(D)))
+    h_den, numerators = _harmonic_raw(D, m)
     ups = (p[:a] + (p[a] + 1,) + p[a + 1:] for p in (_pivots(D, m - 1) if m else ()))
     dh = ((s, up[a] * numerators[sigma - 1].get(up, 0)) for s, up in enumerate(ups, start=1))
-    return x_part, tuple(((0, m - 1, s), _exact(Fraction(v, den))) for s, v in dh if v)
+    dh_den, dh_part = _int_table({(0, m - 1, s): Fraction(v, h_den) for s, v in dh if v})
+    den = lcm(x_den, dh_den)
+    return (den,
+            tuple((mode, q * (den // x_den)) for mode, q in x_part),
+            tuple((mode, q * (den // dh_den)) for mode, q in dh_part))
 
 
 def _harmonic_dense(D: int, m: int, sigma: int, pad: tuple = ()) -> dict:
@@ -275,7 +286,7 @@ class Window:
 
     def shift(self, ddeg: int) -> "Window":
         """The window after a product raising every total degree by ``ddeg``."""
-        return self if self.degmax is None else Window(self.degmax + ddeg)
+        return self if self.degmax is None or not ddeg else Window(self.degmax + ddeg)
 
     @property
     def is_full(self) -> bool:
@@ -367,7 +378,13 @@ class ConeSeries:
         return self._like({mode: -c for mode, c in self.coeffs.items()}, self.window)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.D != other.D or self.var != other.var:
+            raise WorkspaceError("series mismatch")
+        out = dict(self.coeffs)
+        for mode, coeff in other.coeffs.items():
+            total = out.get(mode)
+            out[mode] = -coeff if total is None else total - coeff
+        return self._like(out, self.window.intersect(other.window))
 
     def scale(self, factor) -> "ConeSeries":
         factor = _exact(factor)  # rejects a float
@@ -386,42 +403,56 @@ class ConeSeries:
         )
 
     def mul_poly(self, p: Poly) -> "ConeSeries":
-        """Multiply by p, re-decomposing into cone modes.
+        """Multiply by p, re-decomposing into cone modes: the series of
+        :meth:`mul_poly_numerators`, divided once by its denominator."""
+        den, product = self.mul_poly_numerators(p)
+        return product._like(_divided(product.coeffs, den), product.window)
 
-        p is a polynomial in the series variable; any other variable or
-        dimension raises WorkspaceError.
+    def mul_poly_numerators(self, p: Poly) -> tuple:
+        """(den, series) with self * p = series / den, p a polynomial in the
+        series variable (another variable or dimension raises WorkspaceError).
+
+        The ``_times_mono`` tables are brought to one denominator den, so a
+        coefficient is multiplied by the terms of p times ints only; den is 1
+        when every table is integral, as in D = 1.
         """
         if p.vs.D != self.D:
             raise WorkspaceError(f"polynomial in D = {p.vs.D}, series in D = {self.D}")
         terms = p.dense(self.var)
         window = self.window.shift(min((sum(exps) for exps in terms), default=0))
+        pairs = [(pc, n, coeff, _times_mono(self.D, m, s, exps))
+                 for exps, pc in terms.items() for (n, m, s), coeff in self.coeffs.items()]
+        den = lcm(*(table[0] for _, _, _, table in pairs))
         out: dict = {}
-        for exps, pc in terms.items():
-            for (n, m, s), coeff in self.coeffs.items():
-                for (dj, m2, s2), q in _times_mono(self.D, m, s, exps):
-                    mode = (n + dj, m2, s2)
-                    value = coeff * (pc * q)
-                    total = out.get(mode)
-                    out[mode] = value if total is None else total + value
-        return self._like(out, window)
+        for pc, n, coeff, (d, table) in pairs:
+            pc *= den // d
+            for (dj, m2, s2), q in table:
+                mode = (n + dj, m2, s2)
+                value = coeff * (pc * q)
+                total = out.get(mode)
+                out[mode] = value if total is None else total + value
+        return den, self._like(out, window)
 
     def diff(self, alpha: int) -> "ConeSeries":
-        """Formal d/dx_alpha, with Gauss re-decomposition of x_alpha * h."""
+        """Formal d/dx_alpha, with Gauss re-decomposition of x_alpha * h: int
+        table factors over one denominator, divided once at the end."""
+        parts = {(m, s): _diff_parts(self.D, m, s, alpha) for (_, m, s) in self.coeffs}
+        den = lcm(*(d for d, _, _ in parts.values()))
         out: dict = {}
 
         def bump(mode, value):
-            if value:
-                total = out.get(mode)
-                out[mode] = value if total is None else total + value
+            total = out.get(mode)
+            out[mode] = value if total is None else total + value
 
         for (n, m, s), coeff in self.coeffs.items():
-            x_part, dh_part = _diff_parts(self.D, m, s, alpha)
+            d, x_part, dh_part = parts[(m, s)]
+            f = den // d
             if n:
                 for (dj, m2, s2), q in x_part:
-                    bump((n - 1 + dj, m2, s2), coeff * (2 * n * q))
+                    bump((n - 1 + dj, m2, s2), coeff * (2 * n * f * q))
             for (dj, m2, s2), q in dh_part:
-                bump((n + dj, m2, s2), coeff * q)
-        return self._like(out, self.window.shift(-1))
+                bump((n + dj, m2, s2), coeff * (f * q))
+        return self._like(_divided(out, den), self.window.shift(-1))
 
     def singular_part(self) -> "ConeSeries":
         return self._like(
@@ -462,6 +493,15 @@ class ConeSeries:
         return f"ConeSeries({{{inner}}}, window={self.window})"
 
 
+def _divided(coeffs: dict, den: int) -> dict:
+    """Each coefficient (scalar or module element) divided by den."""
+    if den == 1:
+        return coeffs
+    inverse = Fraction(1, den)
+    return {mode: _exact(c * inverse) if type(c) is int or type(c) is Fraction
+            else c.scale(inverse) for mode, c in coeffs.items()}
+
+
 def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
     """Exact cone-mode expansion of a polynomial (all modes known)."""
     family = var or _single_family(p)
@@ -480,8 +520,9 @@ def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
 class BiConeSeries:
     """Windowed series over pairs of cone modes, the first in z, the second in w.
 
-    The one product is :meth:`mul_series`; a polynomial factor enters it as
-    its exact expansion :func:`bicone_from_poly`.
+    The one product is :meth:`mul_series`, a sum of products of one pair
+    (:meth:`sum_of_products`); a polynomial factor enters it as its exact
+    expansion :func:`bicone_from_poly`.
     """
 
     __slots__ = ("D", "coeffs", "windows")
@@ -506,11 +547,16 @@ class BiConeSeries:
     def zero(cls, D: int):
         return cls(D, {})
 
+    @classmethod
+    def _trusted(cls, D: int, coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)):
+        """A series without validation: every mode comes from a validated series."""
+        series = object.__new__(cls)
+        series._fill(D, coeffs, tuple(windows))
+        return series
+
     def _like(self, coeffs, windows) -> "BiConeSeries":
         # Series operations only form valid modes, so results skip validation.
-        series = object.__new__(BiConeSeries)
-        series._fill(self.D, coeffs, tuple(windows))
-        return series
+        return BiConeSeries._trusted(self.D, coeffs, windows)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -554,7 +600,14 @@ class BiConeSeries:
         return self._like({key: -c for key, c in self.coeffs.items()}, self.windows)
 
     def __sub__(self, other):
-        return self + (-other)
+        if self.D != other.D:
+            raise WorkspaceError("series mismatch")
+        out = dict(self.coeffs)
+        for key, coeff in other.coeffs.items():
+            total = out.get(key)
+            out[key] = -coeff if total is None else total - coeff
+        return self._like(out, (self.windows[0].intersect(other.windows[0]),
+                                self.windows[1].intersect(other.windows[1])))
 
     def scale(self, factor) -> "BiConeSeries":
         factor = _exact(factor)  # rejects a float
@@ -564,48 +617,90 @@ class BiConeSeries:
 
     def mul_series(self, other: "BiConeSeries", bound: Optional[tuple] = None) -> "BiConeSeries":
         """Product of a series with scalar coefficients and an exactly-known
-        (full-window) finite series.
+        (full-window) finite series: :meth:`sum_of_products` of one pair."""
+        return BiConeSeries.sum_of_products(self.D, ((self, other),), bound)
 
-        Each output bi-mode collects one scalar weight per term of ``other``,
-        so a coefficient of ``other`` is multiplied once per output bi-mode it
-        reaches.  Multiplying only raises n, so with ``bound`` = (bz, bw) only
-        bi-modes with n_z < bz and n_w < bw are formed, and pairs whose n
-        already reaches the bound are skipped.  The windows do not depend on
-        the bound, so ``get`` reads 0 at a mode outside it whatever the
-        unbounded product holds there.
+    @staticmethod
+    def sum_of_products(D: int, products, bound: Optional[tuple] = None) -> "BiConeSeries":
+        """The sum of left * right over the (left, right) pairs of ``products``,
+        each left with scalar coefficients, each right exactly known and finite.
+
+        One integer kernel forms the sum.  The left coefficients are cleared
+        to int numerators, each right coefficient once into an int vector
+        (one entry for a scalar, the ``_int_view`` of a module element), and
+        the ``_times_harm`` tables are int numerators.  The weights of each
+        output bi-mode are grouped by the product of their denominators and
+        brought to the common one by one int factor per group; the weighted
+        vectors are summed in ints, and each coordinate becomes one exact
+        value at the end, an int when the common denominator is 1.
+
+        Multiplying only raises n, so with ``bound`` = (bz, bw) only
+        bi-modes with n_z < bz and n_w < bw are formed.  The windows do not
+        depend on the bound, so ``get`` reads 0 at a mode outside it
+        whatever the unbounded product holds there.
         """
-        if self.D != other.D:
-            raise WorkspaceError("series mismatch")
-        if not all(w.is_full for w in other.windows):
-            raise TruncationError("mul_series needs an exactly-known right factor")
-        windows = [
-            w.shift(min((2 * key[slot][0] + key[slot][1] for key in other.coeffs), default=0))
-            for slot, w in enumerate(self.windows)
-        ]
-        weights: dict = {}  # (output bi-mode, key of other) -> scalar
-        for (a1, a2), ca in self.coeffs.items():
-            for bkey in other.coeffs:
-                b1, b2 = bkey
-                n1, n2 = a1[0] + b1[0], a2[0] + b2[0]
-                if bound is not None and (n1 >= bound[0] or n2 >= bound[1]):
-                    continue
-                for (dj1, m1b, s1b), q1 in _times_harm(self.D, a1[1], a1[2], b1[1], b1[2]):
-                    if bound is not None and n1 + dj1 >= bound[0]:
+        windows = (FULL_WINDOW, FULL_WINDOW)
+        bz, bw = (None, None) if bound is None else bound
+        # (product, denominator) -> {(output bi-mode, key of right): int numerator}
+        parts: dict = {}
+        vectors: dict = {}
+        build = _scalar_from_vector
+        for index, (left, right) in enumerate(products):
+            if left.D != D or right.D != D:
+                raise WorkspaceError("series mismatch")
+            if not all(w.is_full for w in right.windows):
+                raise TruncationError("mul_series needs an exactly-known right factor")
+            windows = tuple(window.intersect(w.shift(low)) for window, w, low
+                            in zip(windows, left.windows, _least_degrees(right.coeffs)))
+            if not left.coeffs or not right.coeffs:
+                continue
+            views = vectors[index] = {}
+            for bkey, c in right.coeffs.items():
+                if type(c) is int or type(c) is Fraction:
+                    views[bkey] = c.denominator, {(): c.numerator}
+                else:
+                    views[bkey] = c._int_view()
+                    build = c._from_int_view
+            a_den, (left_ints,) = _clear(left.coeffs)
+            for ((na1, ma1, sa1), (na2, ma2, sa2)), ca in left_ints.items():
+                for bkey, (b_den, _) in views.items():
+                    (nb1, mb1, sb1), (nb2, mb2, sb2) = bkey
+                    n1, n2 = na1 + nb1, na2 + nb2
+                    if bound is not None and (n1 >= bz or n2 >= bw):
                         continue
-                    c1 = ca * q1
-                    mode1 = (n1 + dj1, m1b, s1b)
-                    for (dj2, m2b, s2b), q2 in _times_harm(self.D, a2[1], a2[2], b2[1], b2[2]):
-                        if bound is not None and n2 + dj2 >= bound[1]:
+                    d1, z_table = _times_harm(D, ma1, sa1, mb1, sb1)
+                    d2, w_table = _times_harm(D, ma2, sa2, mb2, sb2)
+                    group = (index, a_den * d1 * d2 * b_den)
+                    weights = parts.get(group)
+                    if weights is None:
+                        weights = parts[group] = {}
+                    for (dj1, m1b, s1b), q1 in z_table:
+                        if bound is not None and n1 + dj1 >= bz:
                             continue
-                        wkey = ((mode1, (n2 + dj2, m2b, s2b)), bkey)
-                        weights[wkey] = weights.get(wkey, 0) + c1 * q2
+                        c1 = ca * q1
+                        mode1 = (n1 + dj1, m1b, s1b)
+                        for (dj2, m2b, s2b), q2 in w_table:
+                            if bound is not None and n2 + dj2 >= bw:
+                                continue
+                            wkey = ((mode1, (n2 + dj2, m2b, s2b)), bkey)
+                            weights[wkey] = weights.get(wkey, 0) + c1 * q2
+        den = lcm(*(group_den for _, group_den in parts))
         out: dict = {}
-        for (key, bkey), weight in weights.items():
-            if weight:
-                value = other.coeffs[bkey] * weight
-                total = out.get(key)
-                out[key] = value if total is None else total + value
-        return self._like(out, tuple(windows))
+        for (index, group_den), weights in parts.items():
+            scale = den // group_den
+            views = vectors[index]
+            for (key, bkey), weight in weights.items():
+                if weight:
+                    weight *= scale
+                    acc = out.get(key)
+                    if acc is None:
+                        acc = out[key] = {}
+                    for coord, v in views[bkey][1].items():
+                        acc[coord] = acc.get(coord, 0) + weight * v
+        wz, ww = windows
+        return BiConeSeries._trusted(D, {key: build(den, acc) for key, acc in out.items()
+                                         if wz.contains(*key[0][:2]) and ww.contains(*key[1][:2])},
+                                     windows)
 
     def restrict(self, windows: tuple) -> "BiConeSeries":
         return self._like(
@@ -618,16 +713,41 @@ class BiConeSeries:
         return f"BiConeSeries({{{inner}}}, windows={self.windows})"
 
 
+def _least_degrees(coeffs: Mapping) -> tuple:
+    """The least total degree 2n + m per slot over the keys, (0, 0) if none.
+    A plain loop: the maps here are mostly one or two keys long."""
+    if not coeffs:
+        return 0, 0
+    z_low = w_low = None
+    for (n1, m1, _), (n2, m2, _) in coeffs:
+        if z_low is None or 2 * n1 + m1 < z_low:
+            z_low = 2 * n1 + m1
+        if w_low is None or 2 * n2 + m2 < w_low:
+            w_low = 2 * n2 + m2
+    return z_low, w_low
+
+
+def _scalar_from_vector(den: int, vector: dict):
+    return _quotient(vector.get((), 0), den)
+
+
 def bicone_from_poly(p: Poly) -> BiConeSeries:
-    """Exact bi-cone expansion of a polynomial in z and w (all modes known)."""
+    """Exact bi-cone expansion of a polynomial in z and w (all modes known),
+    summed in ints over one denominator."""
     D = p.vs.D
+    p_den, (terms,) = _clear(p.dense("z", "w"))
+    tables = {half: _times_mono(D, 0, 1, half) for exps in terms for half in (exps[:D], exps[D:])}
+    den = lcm(*(d for d, _ in tables.values()))
     coeffs: dict = {}
-    for exps, pc in p.dense("z", "w").items():
-        for mode1, q1 in _times_mono(D, 0, 1, exps[:D]):
-            for mode2, q2 in _times_mono(D, 0, 1, exps[D:]):
+    for exps, pc in terms.items():
+        (d1, t1), (d2, t2) = tables[exps[:D]], tables[exps[D:]]
+        pc *= (den // d1) * (den // d2)
+        for mode1, q1 in t1:
+            for mode2, q2 in t2:
                 key = (mode1, mode2)
                 coeffs[key] = coeffs.get(key, 0) + pc * q1 * q2
-    return BiConeSeries(D, coeffs)
+    den = p_den * den * den
+    return BiConeSeries(D, {key: _quotient(c, den) for key, c in coeffs.items()})
 
 
 # ----------------------------------------------------------------------

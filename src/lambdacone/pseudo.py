@@ -181,6 +181,23 @@ class ModuleElement(LambdaPoly):
     def __hash__(self):
         return hash((self.vs, self.r, tuple(sorted(self.coords.items()))))
 
+    def _int_view(self) -> tuple:
+        """(den, {(k, T exponents): int}) with self = numerators / den, den
+        least: the integer form in which ``cone`` sums module coefficients."""
+        den, (numerators,) = _clear({(k, exps): c for k, p in self.coords.items()
+                                     for exps, c in p.dense("T").items()})
+        return den, numerators
+
+    def _from_int_view(self, den: int, numerators: dict) -> "ModuleElement":
+        """numerators / den, in the form of :meth:`_int_view`, over this
+        element's workspace; an int stays an int when den is 1."""
+        by_generator: dict = {}
+        for (k, exps), n in numerators.items():
+            by_generator.setdefault(k, {})[exps] = n
+        vs = self.vs
+        polys = ((k, vs._from_numerators("T", den, terms)) for k, terms in by_generator.items())
+        return ModuleElement._trusted(vs, self.r, {k: p for k, p in polys if p})
+
 
 @dataclass(frozen=True)
 class ChiVector:

@@ -205,6 +205,17 @@ class VarSpace:
                 out[tuple(((family, i), e) for i, e in enumerate(exps, 1) if e)] = c
         return Poly._trusted(self, out)
 
+    def _from_numerators(self, family: str, den: int, numerators: Mapping) -> "Poly":
+        """``from_dense(family, {exps: n / den})`` for int n, unchecked: the
+        vectors are length-D and nonnegative (read off ``Poly.dense``), and
+        each coefficient is built by ``_quotient``; a zero n is dropped."""
+        names = _family_vars(self.D, family)
+        out = {}
+        for exps, n in numerators.items():
+            if n:
+                out[tuple((v, e) for v, e in zip(names, exps) if e)] = _quotient(n, den)
+        return Poly._trusted(self, out)
+
     def from_exps(self, family: str, exps: Iterable[int], coeff=1) -> "Poly":
         """Monomial from a dense per-index exponent tuple of one family."""
         return self.from_dense(family, {tuple(exps): coeff})
@@ -493,10 +504,20 @@ class Poly:
 
 
 @lru_cache(maxsize=None)
+def _family_vars(D: int, family: str) -> tuple:
+    return tuple((family, i) for i in range(1, D + 1))
+
+
+@lru_cache(maxsize=None)
 def _var(vs: VarSpace, family: str, index: int) -> Poly:
     # lru_cache stores no exception, so a bad variable raises on every call.
     vs.check_var(family, index)
     return Poly._trusted(vs, {(((family, index), 1),): 1})
+
+
+def _quotient(n: int, den: int):
+    """The exact coefficient n / den; no ``Fraction`` is built when den is 1."""
+    return n if den == 1 else _exact(Fraction(n, den))
 
 
 def _clear(*raws: dict) -> tuple:

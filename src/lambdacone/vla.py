@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from math import lcm
+from typing import Mapping, Optional
 
 from .cone import (
     BiConeSeries,
@@ -149,6 +150,10 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     it is formed.  The result is exactly known up to total degree
     min_hom(series) + zdeg: every deeper mode already received all its
     (finitely many) contributions.
+
+    Each term is kept as numerators over one int denominator, which collects
+    the table denominators of ``mul_poly_numerators`` and t!, so integral
+    data stay in ints and each term is divided once, when it is added.
     """
     if not series.window.is_full:
         raise TruncationError("e^{zT} needs an exactly-known source series")
@@ -157,12 +162,18 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     window = Window(series.min_hom() + zdeg)
     z = [VarSpace(series.D, (series.var,)).var(series.var, a) for a in range(1, series.D + 1)]
     term = out = series.singular_part().restrict(window)
+    den = 1  # term_t = term / den
     for t in range(1, zdeg + 1):
+        parts = [(a, *term.mul_poly_numerators(z_a)) for a, z_a in enumerate(z, 1)]
+        step_den = lcm(*(d for _, d, _ in parts))
         step = ConeSeries.zero(series.D, series.var)
-        for a, z_a in enumerate(z, 1):
-            step = step + term.mul_poly(z_a).map_coeffs(lambda me, a=a: me.mul_T(a))
-        term = step.scale(Fraction(1, t)).singular_part().restrict(window)
-        out = out + term
+        for a, d, part in parts:
+            if d != step_den:
+                part = part.scale(step_den // d)
+            step = step + part.map_coeffs(lambda me, a=a: me.mul_T(a))
+        den *= step_den * t
+        term = step.singular_part().restrict(window)
+        out = out + term.scale(Fraction(1, den))
     return out
 
 
@@ -234,30 +245,42 @@ def _rhs_kernel(F: Kernel, n: int, m: int, sigma: int, depth: int, bound: tuple)
     return diff
 
 
-def _lhs_pair_term(S: VLAStructure, outer: int, series: ConeSeries, swap: bool) -> BiConeSeries:
-    """outer(z) applied to each coefficient of a w-mode series (or swapped)."""
+def _lhs_pair_term(S: VLAStructure, outer: int, inner: int, k: int) -> BiConeSeries:
+    """outer(z)(inner(w)k): the generator ``outer`` applied to each coefficient
+    of the w-mode series inner(w)k."""
     out: dict = {}
     gen = S.generator_element(outer)
-    for mode, element in series.coeffs.items():
+    for mode, element in S.action(inner, k).coeffs.items():
         extended = extend_action(S, gen, element)
         for emode, coeff in extended.coeffs.items():
-            key = (mode, emode) if swap else (emode, mode)
+            key = (emode, mode)
             total = out.get(key)
             out[key] = coeff if total is None else total + coeff
-    return BiConeSeries(S.D, out)
+    return BiConeSeries._trusted(S.D, out)
 
 
-def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
-    """a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout.
+def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Optional[Kernel], depth: int,
+                   pair_terms: Optional[dict] = None) -> BiConeSeries:
+    """a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout;
+    F = None stands for F = 1.
 
-    For F != 1 only the part singular in both z and w is formed: the kernel
+    The term b(w)(a(z)c) is the term a(z)(b(w)c) of the triple (b, a, c)
+    with its z and w modes swapped, so a check forms each pair term once:
+    ``pair_terms`` maps (outer, inner, k) to outer(z)(inner(w)k).  For a
+    kernel F only the part singular in both z and w is formed: the kernel
     product raises n, and both field terms have poles of order at most
     ``S.u_pole_bound`` in z and in w, so only the kernel bi-modes below that
     bound are expanded.
     """
-    term1 = _lhs_pair_term(S, i, S.action(j, k), swap=False)
-    term2 = _lhs_pair_term(S, j, S.action(i, k), swap=True)
-    if F == Kernel.one(S.D):
+    if pair_terms is None:
+        pair_terms = {}
+    for key in ((i, j, k), (j, i, k)):
+        if key not in pair_terms:
+            pair_terms[key] = _lhs_pair_term(S, *key)
+    term1 = pair_terms[i, j, k]
+    swapped = pair_terms[j, i, k]
+    term2 = BiConeSeries._trusted(S.D, {(wm, zm): c for (zm, wm), c in swapped.coeffs.items()})
+    if F is None:
         return term1 - term2
     pole = S.u_pole_bound
     left = iota_kernel(F, "zw", depth, (pole, pole)).mul_series(term1, (0, 0))
@@ -288,17 +311,19 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
 
     The z window is ``depth`` (the iota expansions); the w window is
     ``depth`` plus the least total degree of the u-field, whose poles fold
-    into w.  The windows are those of the full product.
+    into w.  The windows are those of the full product.  The sum over the
+    modes is one ``BiConeSeries.sum_of_products``, so each output coefficient
+    is built once.
     """
     gen_k = S.generator_element(k)
     bound = (0, S.u_pole_bound)
-    result = BiConeSeries.zero(S.D)
+    products = []
     for (n, m, sigma), element in S.action(i, j).coeffs.items():
         u_field = extend_action(S, element, gen_k)
         lifted = {((0, 0, 1), mode): coeff for mode, coeff in u_field.coeffs.items()}
-        kernel = _rhs_kernel(F, n, m, sigma, depth, bound)
-        result = result + kernel.mul_series(BiConeSeries(S.D, lifted), (0, 0))
-    return result
+        products.append((_rhs_kernel(F, n, m, sigma, depth, bound),
+                         BiConeSeries._trusted(S.D, lifted)))
+    return BiConeSeries.sum_of_products(S.D, products, (0, 0))
 
 
 def _identity_failures(S, label: str, lhs: BiConeSeries, rhs: BiConeSeries) -> list:
@@ -324,10 +349,12 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
     # 2 * S.u_pole_bound in total degree; this depth keeps both RHS
     # windows at least window + 2 deep.
     depth = window + 2 * S.u_pole_bound + 2
+    lhs_kernel = None if F == Kernel.one(S.D) else F
+    pair_terms: dict = {}  # (outer, inner, k) -> outer(z)(inner(w)k), local to this check
     for i in range(S.r):
         for j in range(S.r):
             for k in range(S.r):
-                lhs = _borcherds_lhs(S, i, j, k, F, depth)
+                lhs = _borcherds_lhs(S, i, j, k, lhs_kernel, depth, pair_terms)
                 rhs = _borcherds_rhs(S, i, j, k, F, depth)
                 label = f"({S.generators[i]},{S.generators[j]},{S.generators[k]})"
                 found = _identity_failures(S, label, lhs, rhs)

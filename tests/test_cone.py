@@ -46,7 +46,7 @@ from lambdacone.cone import (
 )
 from lambdacone.linalg import kernel_basis, rref
 from lambdacone.pseudo import ModuleElement, pseudo_space
-from lambdacone.rings import dense_monomials
+from lambdacone.rings import _exact, dense_monomials
 
 
 def _zspace(D):
@@ -132,7 +132,8 @@ def test_harmonic_basis_is_the_reduced_echelon_laplacian_kernel():
 
 
 def test_diff_parts_reads_the_derivative_at_the_pivots():
-    # The Gauss decomposition of the differentiated numerators, types included.
+    # The Gauss decomposition of the differentiated numerators, types included;
+    # _diff_parts stores int numerators over one denominator.
     for D in range(1, 5):
         for m in range(7):
             den, numerators = _harmonic_raw(D, m)
@@ -140,7 +141,10 @@ def test_diff_parts_reads_the_derivative_at_the_pivots():
                 for a in range(D):
                     dh = {e[:a] + (e[a] - 1,) + e[a + 1:]: c * e[a] for e, c in h.items() if e[a]}
                     expected = tuple(_decompose_raw(D, m - 1, dh, den).items()) if dh else ()
-                    got = _diff_parts(D, m, sigma, a + 1)[1]
+                    part_den, x_part, dh_part = _diff_parts(D, m, sigma, a + 1)
+                    assert type(part_den) is int and part_den >= 1
+                    assert all(type(q) is int for _, q in x_part + dh_part)
+                    got = tuple((mode, _exact(Fraction(q, part_den))) for mode, q in dh_part)
                     assert got == expected
                     assert [type(q) for _, q in got] == [type(q) for _, q in expected]
 
@@ -228,6 +232,12 @@ def test_decompose_raw_of_int_input_is_exact():
             assert _exact_values(out.values())
 
 
+def _table_values(table):
+    """An int table (den, ((key, int), ...)) as ((key, exact value), ...)."""
+    den, entries = table
+    return tuple((key, _exact(Fraction(q, den))) for key, q in entries)
+
+
 def test_cone_kernels_store_no_float():
     # The degree-2 harmonics are integral (z1^2 - z3^2, z1 z2, ...): stored as int.
     den, numerators = _harmonic_raw(3, 2)
@@ -241,7 +251,11 @@ def test_cone_kernels_store_no_float():
             for m2 in range(3):
                 for s1 in range(1, h_dim(D, m) + 1):
                     for s2 in range(1, h_dim(D, m2) + 1):
-                        assert _exact_values(q for _, q in _times_harm(D, m, s1, m2, s2))
+                        # int numerators over an int denominator
+                        den, table = _times_harm(D, m, s1, m2, s2)
+                        assert type(den) is int and den >= 1
+                        assert all(type(q) is int and q for _, q in table)
+                        assert _exact_values(q for _, q in _table_values((den, table)))
         for k, side in ((0, "zw"), (1, "zw"), (2, "wz")):
             assert _exact_values(iota_expand(D, k, side, 4).coeffs.values())
     rng = random.Random(5)
@@ -384,6 +398,121 @@ def test_mul_series_rejects_a_series_in_another_dimension():
                   BiConeSeries(3, {((0, 1, 3), (0, 0, 1)): 1})):
         with pytest.raises(WorkspaceError, match="series mismatch"):
             kernel.mul_series(other)
+
+
+def _mul_series_oracle(left, right, bound=None):
+    """The Fraction product loop that mul_series ran before its integer
+    kernel: one exact weight per (output bi-mode, key of right), then one
+    coefficient product per weight."""
+    windows = tuple(
+        w.shift(min((2 * key[slot][0] + key[slot][1] for key in right.coeffs), default=0))
+        for slot, w in enumerate(left.windows))
+    weights = {}
+    for (a1, a2), ca in left.coeffs.items():
+        for bkey in right.coeffs:
+            b1, b2 = bkey
+            n1, n2 = a1[0] + b1[0], a2[0] + b2[0]
+            if bound is not None and (n1 >= bound[0] or n2 >= bound[1]):
+                continue
+            for (dj1, m1b, s1b), q1 in _table_values(_times_harm(left.D, *a1[1:], *b1[1:])):
+                if bound is not None and n1 + dj1 >= bound[0]:
+                    continue
+                c1 = ca * q1
+                mode1 = (n1 + dj1, m1b, s1b)
+                for (dj2, m2b, s2b), q2 in _table_values(_times_harm(left.D, *a2[1:], *b2[1:])):
+                    if bound is not None and n2 + dj2 >= bound[1]:
+                        continue
+                    wkey = ((mode1, (n2 + dj2, m2b, s2b)), bkey)
+                    weights[wkey] = weights.get(wkey, 0) + c1 * q2
+    out = {}
+    for (key, bkey), weight in weights.items():
+        if weight:
+            value = right.coeffs[bkey] * weight
+            total = out.get(key)
+            out[key] = value if total is None else total + value
+    return BiConeSeries(left.D, out, windows)
+
+
+def _wide_fraction(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def _random_bimodes(rng, D, count, n_range):
+    modes = set()
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            m = rng.randint(0, 3 if D > 1 else 1)
+            pair.append((rng.randint(*n_range), m, rng.randint(1, h_dim(D, m))))
+        modes.add(tuple(pair))
+    return sorted(modes)
+
+
+def _random_module_element(rng, D, r=2):
+    vs = pseudo_space(D)
+    coords = {}
+    for k in rng.sample(range(r), rng.randint(1, r)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * D
+            for _ in range(rng.randint(0, 2)):
+                exps[rng.randrange(D)] += 1
+            terms[tuple(exps)] = rng.choice((rng.randint(-9, 9) or 1, _wide_fraction(rng)))
+        coords[k] = vs.from_dense("T", terms)
+    return ModuleElement(vs, r, coords)
+
+
+def _coefficient_values(coeff):
+    if isinstance(coeff, ModuleElement):
+        return [c for p in coeff.coords.values() for c in p.dense("T").values()]
+    return [coeff]
+
+
+def test_mul_series_matches_the_fraction_oracle():
+    # Scalar and module right factors with wide denominators, with and
+    # without a bound, windowed and full left factors, D = 1..3, and empty
+    # factors; an integral coefficient comes out as an int.
+    rng = random.Random(19)
+    bounds = (None, (0, 0), (0, 2), (-1, 1))
+    for D in (1, 2, 3):
+        for trial in range(16):
+            left = BiConeSeries(D, {
+                key: rng.choice((rng.randint(-9, 9) or 1, _wide_fraction(rng)))
+                for key in _random_bimodes(rng, D, rng.randint(1, 6), (-3, 1))
+            }, rng.choice(((FULL_WINDOW, FULL_WINDOW), (Window(2), Window(4)))))
+            module = trial % 2
+            right = BiConeSeries(D, {
+                key: _random_module_element(rng, D) if module else _wide_fraction(rng)
+                for key in _random_bimodes(rng, D, rng.randint(1, 4), (-2, 0))
+            })
+            for bound in bounds:
+                product = left.mul_series(right, bound)
+                assert product == _mul_series_oracle(left, right, bound)
+                values = [v for c in product.coeffs.values() for v in _coefficient_values(c)]
+                assert _exact_values(values)
+                assert not any(type(v) is Fraction and v.denominator == 1 for v in values)
+            empty = BiConeSeries(D, {})
+            for a, b in ((empty, right), (left, empty), (empty, empty)):
+                assert a.mul_series(b) == _mul_series_oracle(a, b)
+
+
+def test_sum_of_products_is_the_sum_of_the_products():
+    rng = random.Random(20)
+    for D in (1, 2, 3):
+        products = []
+        for _ in range(3):
+            left = BiConeSeries(D, {key: _wide_fraction(rng)
+                                    for key in _random_bimodes(rng, D, 4, (-3, 1))},
+                                (Window(rng.randint(1, 5)), FULL_WINDOW))
+            right = BiConeSeries(D, {key: _random_module_element(rng, D)
+                                     for key in _random_bimodes(rng, D, 3, (-2, 0))})
+            products.append((left, right))
+        for bound in (None, (0, 1)):
+            total = BiConeSeries.zero(D)
+            for left, right in products:
+                total = total + _mul_series_oracle(left, right, bound)
+            assert BiConeSeries.sum_of_products(D, products, bound) == total
+        assert BiConeSeries.sum_of_products(D, ()) == BiConeSeries.zero(D)
 
 
 def _tensor(a, b):
@@ -607,8 +736,8 @@ def _monomial_iota(D, k, side, depth):
         for exps, c in power.items():
             if sum(exps[small]) > depth:
                 continue
-            for (j1, m1, s1), q1 in _times_mono(D, 0, 1, exps[1 - small]):
-                for (j2, m2, s2), q2 in _times_mono(D, 0, 1, exps[small]):
+            for (j1, m1, s1), q1 in _table_values(_times_mono(D, 0, 1, exps[1 - small])):
+                for (j2, m2, s2), q2 in _table_values(_times_mono(D, 0, 1, exps[small])):
                     big, little = (-k - t + j1, m1, s1), (j2, m2, s2)
                     pair = (big, little) if small == 1 else (little, big)
                     coeffs[pair] = coeffs.get(pair, 0) + c_t * c * q1 * q2

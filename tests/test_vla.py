@@ -624,3 +624,69 @@ def test_jacobi_d3_fixture_fails_with_golden_witnesses():
     assert _sha256(_report_text(report)) == (
         "09f2ba4bd3a51e2236fa7ece719b027303ef64fbadd016b53d23c1f902ab9f79"
     )
+
+
+def _scaled(S, factor):
+    """S with every action coefficient multiplied by ``factor``."""
+    return VLAStructure(S.D, S.generators,
+                        {key: series.scale(factor) for key, series in S.actions.items()})
+
+
+# The golden digests above use integral data; these pin the identity reports
+# on data with wide denominators, where the integer product kernels clear
+# and rebuild every coefficient.
+_FRACTION_STRUCTURES = {
+    "D=2 fixture * -716483/281743": lambda: _scaled(_d2_fixture(), Fraction(-716483, 281743)),
+    "broken-Jacobi sl2": _SKEW_STRUCTURES["broken-Jacobi sl2"],
+}
+
+# sha256 of the report text at L = max pole (jacobi_check_vla for F = 1,
+# borcherds_check otherwise), per (structure, F, window); recorded with the
+# Fraction product loop that the integer kernels replaced.
+GOLDEN_FRACTION_IDENTITIES = {
+    ("D=2 fixture * -716483/281743", "1", 0):
+        "60d667a6af11f1ab6d732662ddba54ab44e7c248a8d80c7ba83cb75980d74ad4",
+    ("D=2 fixture * -716483/281743", "1", 2):
+        "1f321f0765d3875e6c063c1a453b77c452926ad84e910be922769fe7f701d9fc",
+    ("D=2 fixture * -716483/281743", "z1", 0):
+        "b9559b52b9f461eecddc6b35dc77152f8934616d8125cf7cefb02f77b6a61abb",
+    ("D=2 fixture * -716483/281743", "z1", 2):
+        "3566828ff6b5fe641495b8f820879fa16e990257f4a01f6df9172a47f5a5124d",
+    ("D=2 fixture * -716483/281743", "w1^2", 0):
+        "55ed2cff32a6a72154152298d59fa4eb74fcc860a341ab8d75d708edb68303fb",
+    ("D=2 fixture * -716483/281743", "w1^2", 2):
+        "8cd7cc71d4549df7aa1c5a1c3b71d85e0ed245e008280ffcfe545a5a64d68c5a",
+    ("D=2 fixture * -716483/281743", "((z-w)^2)^-1", 0):
+        "dd584f1dbb76e2746a00bafa1dcdef397aec89992a89488211066207007e4c3f",
+    ("D=2 fixture * -716483/281743", "((z-w)^2)^-1", 2):
+        "c0f8755ac1a79a2b163232530d106164d176487b3ea46d861fc7698ac6a95c33",
+    ("broken-Jacobi sl2", "1", 0):
+        "941cb921e7a827d5d57e784c249860c627397e8a6b8e205f75e71202f57cfc21",
+    ("broken-Jacobi sl2", "1", 2):
+        "bcf5f72bc7e7661ab0f926de682f5f1c6fc955a7bbe672317af4fd6a11a55271",
+    ("broken-Jacobi sl2", "z1", 0):
+        "49359a6cf0e0298d2c0e1c3cb76e86c0d0ba7309e34f3143b45ffd1f79b19ed2",
+    ("broken-Jacobi sl2", "z1", 2):
+        "2ad3fda3ff3096bcd789a198d08e17ad0d62f1d10482c115141057cc78f94261",
+    ("broken-Jacobi sl2", "w1^2", 0):
+        "49359a6cf0e0298d2c0e1c3cb76e86c0d0ba7309e34f3143b45ffd1f79b19ed2",
+    ("broken-Jacobi sl2", "w1^2", 2):
+        "2ad3fda3ff3096bcd789a198d08e17ad0d62f1d10482c115141057cc78f94261",
+    ("broken-Jacobi sl2", "((z-w)^2)^-1", 0):
+        "65e1684cf08a697f7f4a4440f62c3f61d947d05769ca19ce1e03cb8c996c16ec",
+    ("broken-Jacobi sl2", "((z-w)^2)^-1", 2):
+        "29a78816f069e16abf44f21f09941824fd333e68726cd85db4b039169e6f4d73",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_FRACTION_IDENTITIES),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_identity_golden_digest_on_fraction_data(case):
+    name, label, window = case
+    S = _FRACTION_STRUCTURES[name]()
+    L = S.max_pole()
+    if label == "1":
+        report = jacobi_check_vla(S, L, window)
+    else:
+        report = borcherds_check(S, L, _golden_kernels(S.D)[label], window)
+    assert _sha256(_report_text(report)) == GOLDEN_FRACTION_IDENTITIES[case]
