@@ -22,6 +22,14 @@ every product here (by monomials, by h(z-w), by the lifted u-field, by a
 kernel) only raises the mode index n, so the iota expansions and the products
 are bounded to n_z, n_w below the poles of the factor still to come, and no
 term that cannot land in the compared region is ever built.
+
+A structure is immutable after construction, so every term of the identity
+checks is formed once per structure, not once per check: the pair terms
+a(z)(b(w)c), the lifted u-fields and both sides at a kernel and depth live
+in the structure's private memo.  The depth does not involve L, and the
+F = 1 left-hand side does not involve the depth, so the checks of one
+structure at several L and windows, and Borcherds at F = 1 beside Jacobi,
+share their terms.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .cone import (
@@ -50,7 +59,14 @@ from .rings import VarSpace
 
 
 class VLAStructure:
-    """Generators, their module workspace, and the singular action table."""
+    """Generators, their module workspace, and the singular action table.
+
+    The structure is immutable after construction: ``actions`` is a
+    read-only view that cannot be reassigned, and ``u_pole_bound`` is
+    derived from it once.  The identity checkers keep the terms they form
+    in ``_memo``, keyed by the arguments of the function that forms each
+    one, so each term is formed once per structure.
+    """
 
     def __init__(self, D: int, generators, actions: Mapping):
         if D < 1:
@@ -79,7 +95,7 @@ class VLAStructure:
         stray = [key for key in actions if key not in table]
         if stray:
             raise ValueError(f"action keys {stray} lie outside range({r})^2")
-        self.actions = table
+        self._actions = MappingProxyType(table)
         self._generator_elements = tuple(ModuleElement.generator(self.vs, r, k) for k in range(r))
         # A bound on the pole order of every field x(z)y with x or y an action
         # coefficient and the other a generator: the action poles plus the
@@ -89,13 +105,22 @@ class VLAStructure:
              for el in series.coeffs.values() for p in el.coords.values()),
             default=0,
         )
+        # ("pair", outer, inner, k), ("u-fields", i, j, k), ("lhs", i, j, k, F,
+        # depth) and ("rhs", i, j, k, F, depth) -> the term they name.
+        self._memo: dict = {}
 
     @property
     def r(self) -> int:
         return len(self.generators)
 
+    @property
+    def actions(self) -> Mapping:
+        """The action table, read-only and not reassignable: ``u_pole_bound``
+        and the memoized terms are derived from it."""
+        return self._actions
+
     def action(self, i: int, j: int) -> ConeSeries:
-        return self.actions[(i, j)]
+        return self._actions[(i, j)]
 
     def generator_element(self, k) -> ModuleElement:
         if isinstance(k, str):
@@ -103,7 +128,7 @@ class VLAStructure:
         return self._generator_elements[k]
 
     def max_pole(self) -> int:
-        return max((s.pole_order() for s in self.actions.values()), default=0)
+        return max((s.pole_order() for s in self._actions.values()), default=0)
 
     def __repr__(self):
         return f"VLAStructure(D={self.D}, generators={self.generators})"
@@ -155,6 +180,8 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     the table denominators of ``mul_poly_numerators`` and t!, so integral
     data stay in ints and each term is divided once, when it is added.
     """
+    if zdeg < 0:
+        raise ValueError("zdeg must be >= 0")
     if not series.window.is_full:
         raise TruncationError("e^{zT} needs an exactly-known source series")
     if not series.coeffs:
@@ -201,6 +228,12 @@ def d1_bridge(table: BracketTable) -> VLAStructure:
 # skewsymmetry
 # ----------------------------------------------------------------------
 
+def _require_int(name: str, value) -> None:
+    """A bool is an int to Python but not a window or a pole order."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
     """Compare a(z)b with the singular part of e^{zT}(b(-z)a).
 
@@ -208,6 +241,7 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
     compared on the region the truncation still answers for exactly, and the
     report records that region.
     """
+    _require_int("window", window)
     if window < 0:
         raise ValueError("window must be >= 0")
     failures = []
@@ -248,6 +282,10 @@ def _rhs_kernel(F: Kernel, n: int, m: int, sigma: int, depth: int, bound: tuple)
 def _lhs_pair_term(S: VLAStructure, outer: int, inner: int, k: int) -> BiConeSeries:
     """outer(z)(inner(w)k): the generator ``outer`` applied to each coefficient
     of the w-mode series inner(w)k."""
+    memo_key = ("pair", outer, inner, k)
+    term = S._memo.get(memo_key)
+    if term is not None:
+        return term
     out: dict = {}
     gen = S.generator_element(outer)
     for mode, element in S.action(inner, k).coeffs.items():
@@ -256,36 +294,38 @@ def _lhs_pair_term(S: VLAStructure, outer: int, inner: int, k: int) -> BiConeSer
             key = (emode, mode)
             total = out.get(key)
             out[key] = coeff if total is None else total + coeff
-    return BiConeSeries._trusted(S.D, out)
+    term = S._memo[memo_key] = BiConeSeries._trusted(S.D, out)
+    return term
 
 
-def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Optional[Kernel], depth: int,
-                   pair_terms: Optional[dict] = None) -> BiConeSeries:
+def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Optional[Kernel],
+                   depth: int) -> BiConeSeries:
     """a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout;
-    F = None stands for F = 1.
+    F = None stands for F = 1, and that side does not depend on ``depth``.
 
-    The term b(w)(a(z)c) is the term a(z)(b(w)c) of the triple (b, a, c)
-    with its z and w modes swapped, so a check forms each pair term once:
-    ``pair_terms`` maps (outer, inner, k) to outer(z)(inner(w)k).  For a
-    kernel F only the part singular in both z and w is formed: the kernel
-    product raises n, and both field terms have poles of order at most
-    ``S.u_pole_bound`` in z and in w, so only the kernel bi-modes below that
-    bound are expanded.
+    The term b(w)(a(z)c) is the pair term a(z)(b(w)c) of the triple
+    (b, a, c) with its z and w modes swapped, so each pair term is formed
+    once per structure and serves both triples.  For a kernel F only the
+    part singular in both z and w is formed: the kernel product raises n,
+    and both field terms have poles of order at most ``S.u_pole_bound`` in
+    z and in w, so only the kernel bi-modes below that bound are expanded.
     """
-    if pair_terms is None:
-        pair_terms = {}
-    for key in ((i, j, k), (j, i, k)):
-        if key not in pair_terms:
-            pair_terms[key] = _lhs_pair_term(S, *key)
-    term1 = pair_terms[i, j, k]
-    swapped = pair_terms[j, i, k]
+    key = ("lhs", i, j, k, F, None if F is None else depth)
+    lhs = S._memo.get(key)
+    if lhs is not None:
+        return lhs
+    term1 = _lhs_pair_term(S, i, j, k)
+    swapped = _lhs_pair_term(S, j, i, k)
     term2 = BiConeSeries._trusted(S.D, {(wm, zm): c for (zm, wm), c in swapped.coeffs.items()})
     if F is None:
-        return term1 - term2
-    pole = S.u_pole_bound
-    left = iota_kernel(F, "zw", depth, (pole, pole)).mul_series(term1, (0, 0))
-    right = iota_kernel(F, "wz", depth, (pole, pole)).mul_series(term2, (0, 0))
-    return left - right
+        lhs = term1 - term2
+    else:
+        pole = S.u_pole_bound
+        left = iota_kernel(F, "zw", depth, (pole, pole)).mul_series(term1, (0, 0))
+        right = iota_kernel(F, "wz", depth, (pole, pole)).mul_series(term2, (0, 0))
+        lhs = left - right
+    S._memo[key] = lhs
+    return lhs
 
 
 def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
@@ -300,7 +340,9 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     at u = w is the w-slot mode product that ``mul_series`` computes once
     the u-field is lifted into the w slot at z-mode (0, 0, 1).  L is thus
     only the precondition L >= max pole order (the identity is stated for
-    fields local of that order), checked by the caller.
+    fields local of that order), checked by the caller.  The lifted
+    u-fields do not depend on F or the depth: they are formed once per
+    structure.
 
     No term outside the singular joint region is formed.  Multiplying by
     h(z-w) and by the lifted u-field only raises n, and the lift leaves z
@@ -315,15 +357,25 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     modes is one ``BiConeSeries.sum_of_products``, so each output coefficient
     is built once.
     """
-    gen_k = S.generator_element(k)
+    key = ("rhs", i, j, k, F, depth)
+    rhs = S._memo.get(key)
+    if rhs is not None:
+        return rhs
+    fields_key = ("u-fields", i, j, k)
+    u_fields = S._memo.get(fields_key)
+    if u_fields is None:
+        gen_k = S.generator_element(k)
+        u_fields = []
+        for mode, element in S.action(i, j).coeffs.items():
+            u_field = extend_action(S, element, gen_k)
+            lifted = {((0, 0, 1), umode): coeff for umode, coeff in u_field.coeffs.items()}
+            u_fields.append((mode, BiConeSeries._trusted(S.D, lifted)))
+        S._memo[fields_key] = u_fields
     bound = (0, S.u_pole_bound)
-    products = []
-    for (n, m, sigma), element in S.action(i, j).coeffs.items():
-        u_field = extend_action(S, element, gen_k)
-        lifted = {((0, 0, 1), mode): coeff for mode, coeff in u_field.coeffs.items()}
-        products.append((_rhs_kernel(F, n, m, sigma, depth, bound),
-                         BiConeSeries._trusted(S.D, lifted)))
-    return BiConeSeries.sum_of_products(S.D, products, (0, 0))
+    products = [(_rhs_kernel(F, n, m, sigma, depth, bound), lifted)
+                for (n, m, sigma), lifted in u_fields]
+    rhs = S._memo[key] = BiConeSeries.sum_of_products(S.D, products, (0, 0))
+    return rhs
 
 
 def _identity_failures(S, label: str, lhs: BiConeSeries, rhs: BiConeSeries) -> list:
@@ -338,6 +390,8 @@ def _identity_failures(S, label: str, lhs: BiConeSeries, rhs: BiConeSeries) -> l
 
 
 def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) -> CheckReport:
+    _require_int("L", L)
+    _require_int("window", window)
     if window < 0:
         raise ValueError("window must be >= 0")
     needed = S.max_pole()
@@ -350,11 +404,10 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
     # windows at least window + 2 deep.
     depth = window + 2 * S.u_pole_bound + 2
     lhs_kernel = None if F == Kernel.one(S.D) else F
-    pair_terms: dict = {}  # (outer, inner, k) -> outer(z)(inner(w)k), local to this check
     for i in range(S.r):
         for j in range(S.r):
             for k in range(S.r):
-                lhs = _borcherds_lhs(S, i, j, k, lhs_kernel, depth, pair_terms)
+                lhs = _borcherds_lhs(S, i, j, k, lhs_kernel, depth)
                 rhs = _borcherds_rhs(S, i, j, k, F, depth)
                 label = f"({S.generators[i]},{S.generators[j]},{S.generators[k]})"
                 found = _identity_failures(S, label, lhs, rhs)

@@ -4,6 +4,7 @@ and the D = 1 bridge that lets the pseudoalgebra engine cross-examine them."""
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
 
@@ -131,6 +132,17 @@ def test_structure_rejects_keys_outside_the_generator_pairs():
         VLAStructure(1, ("a",), {(0, 0): series, (1, 0): series})
 
 
+def test_structure_actions_are_read_only():
+    # u_pole_bound and the memoized identity terms are derived from the
+    # actions at construction, so the table cannot change afterwards.
+    S = d1_bridge(build_wd(1))
+    with pytest.raises(TypeError):
+        S.actions[(0, 0)] = ConeSeries.zero(1, "z")
+    with pytest.raises(AttributeError):
+        S.actions = {}
+    assert S.action(0, 0) and S.u_pole_bound == 2
+
+
 # ----------------------------------------------------------------------
 # action extension
 # ----------------------------------------------------------------------
@@ -216,6 +228,23 @@ def test_skew_rejects_a_negative_window():
     assert not skew_check_vla(S, 1).passed
     with pytest.raises(ValueError, match="window must be >= 0"):
         skew_check_vla(S, -1)
+
+
+def test_apply_exp_zT_rejects_a_negative_zdeg():
+    with pytest.raises(ValueError, match="zdeg must be >= 0"):
+        apply_exp_zT(d1_bridge(build_wd(1)).action(0, 0), -1)
+
+
+@pytest.mark.parametrize("L, window", [(True, 0), (2, False), (2.0, 0), (2, 1.0)])
+def test_checks_refuse_a_bool_or_non_int_L_or_window(L, window):
+    S = d1_bridge(build_wd(1))
+    with pytest.raises(TypeError):
+        jacobi_check_vla(S, L, window)
+    with pytest.raises(TypeError):
+        borcherds_check(S, L, Kernel.one(1), window)
+    if type(L) is int:
+        with pytest.raises(TypeError):
+            skew_check_vla(S, window)
 
 
 def test_skew_bridge_agrees_with_pseudo():
@@ -567,10 +596,8 @@ GOLDEN_IDENTITIES = {
 }
 
 
-@pytest.mark.parametrize("case", list(GOLDEN_IDENTITIES), ids=lambda case: "-".join(map(str, case)))
-def test_identity_golden_digest(case):
-    name, label, window = case
-    S = _GOLDEN_STRUCTURES[name]()
+def _golden_identity_digest(S, case):
+    _, label, window = case
     F = _golden_kernels(S.D)[label]
     L = S.max_pole()
     if label == "1":
@@ -578,7 +605,30 @@ def test_identity_golden_digest(case):
     else:
         report = borcherds_check(S, L, F, window)
     windows = vla._borcherds_rhs(S, 0, 0, 0, F, _checker_depth(S, window)).windows
-    assert _sha256(_report_text(report) + _windows_text(windows)) == GOLDEN_IDENTITIES[case]
+    return _sha256(_report_text(report) + _windows_text(windows))
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_IDENTITIES), ids=lambda case: "-".join(map(str, case)))
+def test_identity_golden_digest(case):
+    S = _GOLDEN_STRUCTURES[case[0]]()
+    assert _golden_identity_digest(S, case) == GOLDEN_IDENTITIES[case]
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_STRUCTURES))
+def test_identity_golden_digest_on_one_structure(name):
+    # A structure keeps the terms its checks form; run every case on one
+    # structure, both ways round, so each check reads terms formed by
+    # checks at other kernels and windows.
+    S = _GOLDEN_STRUCTURES[name]()
+    cases = [case for case in GOLDEN_IDENTITIES if case[0] == name]
+    for case in cases + cases[::-1]:
+        assert _golden_identity_digest(S, case) == GOLDEN_IDENTITIES[case], case
+    # The depth does not involve L: Jacobi at two L shares every term, and
+    # the reports differ only in the L of their headers.
+    p = S.max_pole()
+    low, high = jacobi_check_vla(S, p, 2), jacobi_check_vla(S, p + 1, 2)
+    assert (low.detail, high.detail) == (f"L={p}, window=2", f"L={p + 1}, window=2")
+    assert replace(low, detail=high.detail) == high
 
 
 _SKEW_STRUCTURES = {
