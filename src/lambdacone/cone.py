@@ -23,7 +23,8 @@ from math import comb, factorial, lcm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
-from .rings import Poly, VarSpace, _clear, _exact, _no_float, _quotient, dense_monomials
+from .rings import (Poly, VarSpace, _clear, _exact, _no_float, _quotient, _require_int,
+                    dense_monomials)
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
 
@@ -178,24 +179,35 @@ def _times_harm(D: int, m1: int, s1: int, m2: int, s2: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _diff_parts(D: int, m: int, sigma: int, alpha: int) -> tuple:
-    """Data for d/dx_alpha applied to (x^2)^n h_{m,sigma}.
-
-    Returns (den, x_alpha_part, dh_part), int tables over the one
-    denominator den: the decomposition of x_alpha * h (to be scaled by 2n
-    and attached at level n - 1) and the harmonic coordinates of dh/dx_alpha
-    (attached at level n): it is harmonic, so these are its pivot values.
-    """
+def _dh_table(D: int, m: int, sigma: int, alpha: int) -> tuple:
+    """dh_{m,sigma}/dx_alpha decomposed: (den, ((0, m - 1, sigma'), int)
+    pairs).  The derivative is harmonic, so its coordinates are its values
+    at the pivots."""
     a = alpha - 1
-    x_den, x_part = _times_mono(D, m, sigma, tuple(int(b == a) for b in range(D)))
     h_den, numerators = _harmonic_raw(D, m)
     ups = (p[:a] + (p[a] + 1,) + p[a + 1:] for p in (_pivots(D, m - 1) if m else ()))
     dh = ((s, up[a] * numerators[sigma - 1].get(up, 0)) for s, up in enumerate(ups, start=1))
-    dh_den, dh_part = _int_table({(0, m - 1, s): Fraction(v, h_den) for s, v in dh if v})
-    den = lcm(x_den, dh_den)
-    return (den,
-            tuple((mode, q * (den // x_den)) for mode, q in x_part),
-            tuple((mode, q * (den // dh_den)) for mode, q in dh_part))
+    return _int_table({(0, m - 1, s): Fraction(v, h_den) for s, v in dh if v})
+
+
+def _table_sum(entries) -> tuple:
+    """The one integer kernel of the one-variable products: (den, {mode:
+    numerator}), the sum over the entries (coeff, n, int factor, (d, table))
+    of coeff * factor * q / d at (n + dj, m', sigma') for each
+    ((dj, m', sigma'), q) of the table, over the least common denominator
+    den of the tables.  A coefficient (scalar or module element) is
+    multiplied by ints only; the caller divides once."""
+    entries = list(entries)
+    den = lcm(*(d for _, _, _, (d, _) in entries))
+    out: dict = {}
+    for coeff, n, factor, (d, table) in entries:
+        factor *= den // d
+        for (dj, m2, s2), q in table:
+            mode = (n + dj, m2, s2)
+            value = coeff * (factor * q)
+            total = out.get(mode)
+            out[mode] = value if total is None else total + value
+    return den, out
 
 
 def _harmonic_dense(D: int, m: int, sigma: int, pad: tuple = ()) -> dict:
@@ -217,14 +229,6 @@ def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace) -> Poly:
     return vs.from_dense("z", _harmonic_dense(D, m, sigma, (0,) * (vs.D - D)))
 
 
-def _poly_raw_by_degree(p: Poly, family: str) -> dict:
-    """Split a single-family polynomial into {degree: raw dict}."""
-    buckets: dict = {}
-    for exps, coeff in p.dense(family).items():
-        buckets.setdefault(sum(exps), {})[exps] = coeff
-    return buckets
-
-
 def _single_family(p: Poly) -> str:
     used = p.families_used()
     if len(used) > 1:
@@ -242,8 +246,11 @@ def gauss_decompose(p: Poly) -> list:
     """
     family = _single_family(p)
     D = p.vs.D
+    by_degree: dict = {}
+    for exps, coeff in p.dense(family).items():
+        by_degree.setdefault(sum(exps), {})[exps] = coeff
     levels: dict = {}
-    for degree, raw in _poly_raw_by_degree(p, family).items():
+    for degree, raw in by_degree.items():
         clear, (raw,) = _clear(raw)
         for j, d, q, coords in _harmonic_parts(D, degree, raw):
             den, numerators = _harmonic_raw(D, d)
@@ -403,55 +410,34 @@ class ConeSeries:
         )
 
     def mul_poly(self, p: Poly) -> "ConeSeries":
-        """Multiply by p, re-decomposing into cone modes: the series of
-        :meth:`mul_poly_numerators`, divided once by its denominator."""
-        den, product = self.mul_poly_numerators(p)
-        return product._like(_divided(product.coeffs, den), product.window)
-
-    def mul_poly_numerators(self, p: Poly) -> tuple:
-        """(den, series) with self * p = series / den, p a polynomial in the
-        series variable (another variable or dimension raises WorkspaceError).
-
-        The ``_times_mono`` tables are brought to one denominator den, so a
-        coefficient is multiplied by the terms of p times ints only; den is 1
-        when every table is integral, as in D = 1.
-        """
+        """Multiply by p, a polynomial in the series variable (another
+        variable or dimension raises WorkspaceError), re-decomposing into cone
+        modes: one :func:`_table_sum` over the ``_times_mono`` tables of the
+        terms of p, with the cleared coefficients of p as the int factors."""
         if p.vs.D != self.D:
             raise WorkspaceError(f"polynomial in D = {p.vs.D}, series in D = {self.D}")
-        terms = p.dense(self.var)
+        p_den, (terms,) = _clear(p.dense(self.var))
         window = self.window.shift(min((sum(exps) for exps in terms), default=0))
-        pairs = [(pc, n, coeff, _times_mono(self.D, m, s, exps))
-                 for exps, pc in terms.items() for (n, m, s), coeff in self.coeffs.items()]
-        den = lcm(*(table[0] for _, _, _, table in pairs))
-        out: dict = {}
-        for pc, n, coeff, (d, table) in pairs:
-            pc *= den // d
-            for (dj, m2, s2), q in table:
-                mode = (n + dj, m2, s2)
-                value = coeff * (pc * q)
-                total = out.get(mode)
-                out[mode] = value if total is None else total + value
-        return den, self._like(out, window)
+        den, out = _table_sum((coeff, n, pc, _times_mono(self.D, m, s, exps))
+                              for exps, pc in terms.items()
+                              for (n, m, s), coeff in self.coeffs.items())
+        return self._like(_divided(out, den * p_den), window)
 
     def diff(self, alpha: int) -> "ConeSeries":
-        """Formal d/dx_alpha, with Gauss re-decomposition of x_alpha * h: int
-        table factors over one denominator, divided once at the end."""
-        parts = {(m, s): _diff_parts(self.D, m, s, alpha) for (_, m, s) in self.coeffs}
-        den = lcm(*(d for d, _, _ in parts.values()))
-        out: dict = {}
-
-        def bump(mode, value):
-            total = out.get(mode)
-            out[mode] = value if total is None else total + value
-
+        """Formal d/dx_alpha, alpha in 1..D.  d/dx_alpha (x^2)^n h is
+        2n (x^2)^(n-1) x_alpha h, read from the ``_times_mono`` table of
+        x_alpha, plus (x^2)^n dh/dx_alpha, read from ``_dh_table``: one
+        :func:`_table_sum`, divided once."""
+        _require_int("alpha", alpha)
+        if not 1 <= alpha <= self.D:
+            raise ValueError(f"alpha must be in 1..{self.D}, got {alpha}")
+        x_alpha = tuple(int(b == alpha) for b in range(1, self.D + 1))
+        entries = []
         for (n, m, s), coeff in self.coeffs.items():
-            d, x_part, dh_part = parts[(m, s)]
-            f = den // d
             if n:
-                for (dj, m2, s2), q in x_part:
-                    bump((n - 1 + dj, m2, s2), coeff * (2 * n * f * q))
-            for (dj, m2, s2), q in dh_part:
-                bump((n + dj, m2, s2), coeff * (f * q))
+                entries.append((coeff, n - 1, 2 * n, _times_mono(self.D, m, s, x_alpha)))
+            entries.append((coeff, n, 1, _dh_table(self.D, m, s, alpha)))
+        den, out = _table_sum(entries)
         return self._like(_divided(out, den), self.window.shift(-1))
 
     def singular_part(self) -> "ConeSeries":
@@ -503,14 +489,10 @@ def _divided(coeffs: dict, den: int) -> dict:
 
 
 def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
-    """Exact cone-mode expansion of a polynomial (all modes known)."""
+    """Exact cone-mode expansion of a polynomial (all modes known): the unit
+    series times p."""
     family = var or _single_family(p)
-    D = p.vs.D
-    coeffs: dict = {}
-    for degree, raw in _poly_raw_by_degree(p, family).items():
-        # a mode (j, m', sigma) has degree 2j + m', so the degrees never share one
-        coeffs.update(_decompose_raw(D, degree, raw))
-    return ConeSeries(D, family, coeffs, FULL_WINDOW)
+    return ConeSeries(p.vs.D, family, {(0, 0, 1): 1}).mul_poly(p)
 
 
 # ----------------------------------------------------------------------

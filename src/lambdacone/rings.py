@@ -72,6 +72,12 @@ def _no_float(value):
     return value
 
 
+def _require_int(name: str, value) -> None:
+    """A bool is an int to Python but not a window, a degree or an axis."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _exact(value):
     """``value`` as an exact coefficient: an int if integral, else a Fraction."""
     if type(value) is int:

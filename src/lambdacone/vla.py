@@ -8,8 +8,9 @@ Borcherds identities, all at a caller-declared window.
 
 Skewsymmetry compares a(z)b with the singular part of e^{zT}(b(-z)a), and
 ``apply_exp_zT`` forms only that part: it applies z.T one factor at a time,
-and neither z nor T lowers a mode's n, so each regular mode is dropped as
-soon as it is formed.
+each factor one call of the cone layer's integer kernel for one-variable
+products, and neither z nor T lowers a mode's n, so each regular mode is
+dropped as soon as it is formed.
 
 The right-hand side of the Jacobi identity is assembled directly: the
 (z-w)-kernels of a(z-w)b are iota-expanded in both regions and subtracted,
@@ -25,11 +26,10 @@ term that cannot land in the compared region is ever built.
 
 A structure is immutable after construction, so every term of the identity
 checks is formed once per structure, not once per check: the pair terms
-a(z)(b(w)c), the lifted u-fields and both sides at a kernel and depth live
-in the structure's private memo.  The depth does not involve L, and the
-F = 1 left-hand side does not involve the depth, so the checks of one
-structure at several L and windows, and Borcherds at F = 1 beside Jacobi,
-share their terms.
+a(z)(b(w)c), the lifted u-fields and one residual lhs - rhs per triple,
+kernel and depth live in the structure's private memo.  The depth does not
+involve L, so the checks of one structure at several L, and Borcherds at
+F = 1 after Jacobi, reuse the residuals.
 """
 
 from __future__ import annotations
@@ -37,16 +37,16 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .cone import (
     BiConeSeries,
     ConeSeries,
     Kernel,
     Window,
-    _times_mono,  # unused here; perfbench's tracer test looks it up on this module
+    _table_sum,
+    _times_mono,
     basis_poly_in,
     bicone_from_poly,
     iota_kernel,
@@ -55,7 +55,7 @@ from .errors import TruncationError, WorkspaceError
 from .ope1d import jth_from_lambda
 from .pseudo import BracketTable, ModuleElement, _generator_names, pseudo_space
 from .report import CheckReport, Failure
-from .rings import VarSpace
+from .rings import VarSpace, _require_int
 
 
 class VLAStructure:
@@ -63,9 +63,10 @@ class VLAStructure:
 
     The structure is immutable after construction: ``actions`` is a
     read-only view that cannot be reassigned, and ``u_pole_bound`` is
-    derived from it once.  The identity checkers keep the terms they form
-    in ``_memo``, keyed by the arguments of the function that forms each
-    one, so each term is formed once per structure.
+    derived from it once.  The identity checkers keep the pair terms, the
+    lifted u-fields and the residuals in ``_memo``, keyed by the arguments
+    of the function that forms each one, so each is formed once per
+    structure.
     """
 
     def __init__(self, D: int, generators, actions: Mapping):
@@ -105,8 +106,8 @@ class VLAStructure:
              for el in series.coeffs.values() for p in el.coords.values()),
             default=0,
         )
-        # ("pair", outer, inner, k), ("u-fields", i, j, k), ("lhs", i, j, k, F,
-        # depth) and ("rhs", i, j, k, F, depth) -> the term they name.
+        # ("pair", outer, inner, k), ("u-fields", i, j, k) and ("residual",
+        # i, j, k, F, depth) -> the term they name.
         self._memo: dict = {}
 
     @property
@@ -176,30 +177,29 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     min_hom(series) + zdeg: every deeper mode already received all its
     (finitely many) contributions.
 
-    Each term is kept as numerators over one int denominator, which collects
-    the table denominators of ``mul_poly_numerators`` and t!, so integral
-    data stay in ints and each term is divided once, when it is added.
+    Each step is one ``_table_sum`` over the pairs (a, mode), with the
+    coefficient acted on by T_a and the ``_times_mono`` table of z_a, so a
+    term is kept as numerators over one int denominator, which collects the
+    table denominators and t!: integral data stay in ints and each term is
+    divided once, when it is added.
     """
+    _require_int("zdeg", zdeg)
     if zdeg < 0:
         raise ValueError("zdeg must be >= 0")
     if not series.window.is_full:
         raise TruncationError("e^{zT} needs an exactly-known source series")
     if not series.coeffs:
         return ConeSeries.zero(series.D, series.var)
+    D = series.D
     window = Window(series.min_hom() + zdeg)
-    z = [VarSpace(series.D, (series.var,)).var(series.var, a) for a in range(1, series.D + 1)]
+    z = [tuple(int(b == a) for b in range(D)) for a in range(D)]
     term = out = series.singular_part().restrict(window)
     den = 1  # term_t = term / den
     for t in range(1, zdeg + 1):
-        parts = [(a, *term.mul_poly_numerators(z_a)) for a, z_a in enumerate(z, 1)]
-        step_den = lcm(*(d for _, d, _ in parts))
-        step = ConeSeries.zero(series.D, series.var)
-        for a, d, part in parts:
-            if d != step_den:
-                part = part.scale(step_den // d)
-            step = step + part.map_coeffs(lambda me, a=a: me.mul_T(a))
+        step_den, step = _table_sum((coeff.mul_T(a + 1), n, 1, _times_mono(D, m, s, z[a]))
+                                    for a in range(D) for (n, m, s), coeff in term.coeffs.items())
         den *= step_den * t
-        term = step.singular_part().restrict(window)
+        term = term._like(step, window).singular_part()
         out = out + term.scale(Fraction(1, den))
     return out
 
@@ -227,12 +227,6 @@ def d1_bridge(table: BracketTable) -> VLAStructure:
 # ----------------------------------------------------------------------
 # skewsymmetry
 # ----------------------------------------------------------------------
-
-def _require_int(name: str, value) -> None:
-    """A bool is an int to Python but not a window or a pole order."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-
 
 def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
     """Compare a(z)b with the singular part of e^{zT}(b(-z)a).
@@ -298,10 +292,9 @@ def _lhs_pair_term(S: VLAStructure, outer: int, inner: int, k: int) -> BiConeSer
     return term
 
 
-def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Optional[Kernel],
-                   depth: int) -> BiConeSeries:
+def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
     """a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout;
-    F = None stands for F = 1, and that side does not depend on ``depth``.
+    at F = 1 it is the difference of the two field terms, whatever ``depth``.
 
     The term b(w)(a(z)c) is the pair term a(z)(b(w)c) of the triple
     (b, a, c) with its z and w modes swapped, so each pair term is formed
@@ -310,22 +303,15 @@ def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Optional[Kernel],
     and both field terms have poles of order at most ``S.u_pole_bound`` in
     z and in w, so only the kernel bi-modes below that bound are expanded.
     """
-    key = ("lhs", i, j, k, F, None if F is None else depth)
-    lhs = S._memo.get(key)
-    if lhs is not None:
-        return lhs
     term1 = _lhs_pair_term(S, i, j, k)
     swapped = _lhs_pair_term(S, j, i, k)
     term2 = BiConeSeries._trusted(S.D, {(wm, zm): c for (zm, wm), c in swapped.coeffs.items()})
-    if F is None:
-        lhs = term1 - term2
-    else:
-        pole = S.u_pole_bound
-        left = iota_kernel(F, "zw", depth, (pole, pole)).mul_series(term1, (0, 0))
-        right = iota_kernel(F, "wz", depth, (pole, pole)).mul_series(term2, (0, 0))
-        lhs = left - right
-    S._memo[key] = lhs
-    return lhs
+    if F == Kernel.one(S.D):
+        return term1 - term2
+    pole = S.u_pole_bound
+    left = iota_kernel(F, "zw", depth, (pole, pole)).mul_series(term1, (0, 0))
+    right = iota_kernel(F, "wz", depth, (pole, pole)).mul_series(term2, (0, 0))
+    return left - right
 
 
 def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
@@ -357,10 +343,6 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     modes is one ``BiConeSeries.sum_of_products``, so each output coefficient
     is built once.
     """
-    key = ("rhs", i, j, k, F, depth)
-    rhs = S._memo.get(key)
-    if rhs is not None:
-        return rhs
     fields_key = ("u-fields", i, j, k)
     u_fields = S._memo.get(fields_key)
     if u_fields is None:
@@ -374,19 +356,24 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     bound = (0, S.u_pole_bound)
     products = [(_rhs_kernel(F, n, m, sigma, depth, bound), lifted)
                 for (n, m, sigma), lifted in u_fields]
-    rhs = S._memo[key] = BiConeSeries.sum_of_products(S.D, products, (0, 0))
-    return rhs
+    return BiConeSeries.sum_of_products(S.D, products, (0, 0))
 
 
-def _identity_failures(S, label: str, lhs: BiConeSeries, rhs: BiConeSeries) -> list:
-    for w in rhs.windows:
-        if w.degmax is not None and w.degmax < -1:
+def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
+    """lhs - rhs of the identity with kernel F for the triple (i, j, k) at
+    ``depth``, formed once per structure; both sides form only bi-modes with
+    n_z < 0 and n_w < 0.  A right-hand window below total degree -1 cannot
+    see that region: TruncationError, and nothing is stored."""
+    key = ("residual", i, j, k, F, depth)
+    residual = S._memo.get(key)
+    if residual is None:
+        rhs = _borcherds_rhs(S, i, j, k, F, depth)
+        if any(w.degmax is not None and w.degmax < -1 for w in rhs.windows):
             raise TruncationError(
                 "derived window does not reach the singular region; raise the window"
             )
-    # Both sides form only bi-modes with n_z < 0 and n_w < 0.
-    return [Failure(f"{label} modes {key}", coeff.format(S.generators))
-            for key, coeff in (lhs - rhs).items()]
+        residual = S._memo[key] = _borcherds_lhs(S, i, j, k, F, depth) - rhs
+    return residual
 
 
 def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) -> CheckReport:
@@ -403,14 +390,12 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
     # 2 * S.u_pole_bound in total degree; this depth keeps both RHS
     # windows at least window + 2 deep.
     depth = window + 2 * S.u_pole_bound + 2
-    lhs_kernel = None if F == Kernel.one(S.D) else F
     for i in range(S.r):
         for j in range(S.r):
             for k in range(S.r):
-                lhs = _borcherds_lhs(S, i, j, k, lhs_kernel, depth)
-                rhs = _borcherds_rhs(S, i, j, k, F, depth)
                 label = f"({S.generators[i]},{S.generators[j]},{S.generators[k]})"
-                found = _identity_failures(S, label, lhs, rhs)
+                found = [Failure(f"{label} modes {key}", coeff.format(S.generators))
+                         for key, coeff in _residual(S, i, j, k, F, depth).items()]
                 records.append((label, not found))
                 failures.extend(found)
     return CheckReport(name, tuple(failures), f"L={L}, window={window}", tuple(records))

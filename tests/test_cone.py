@@ -37,7 +37,7 @@ from lambdacone import (
 )
 from lambdacone.cone import (
     _decompose_raw,
-    _diff_parts,
+    _dh_table,
     _harmonic_raw,
     _pivots,
     _projector,
@@ -133,7 +133,8 @@ def test_harmonic_basis_is_the_reduced_echelon_laplacian_kernel():
 
 def test_diff_parts_reads_the_derivative_at_the_pivots():
     # The Gauss decomposition of the differentiated numerators, types included;
-    # _diff_parts stores int numerators over one denominator.
+    # _dh_table, and the _times_mono table of x_alpha that diff reads beside
+    # it, store int numerators over one denominator.
     for D in range(1, 5):
         for m in range(7):
             den, numerators = _harmonic_raw(D, m)
@@ -141,8 +142,10 @@ def test_diff_parts_reads_the_derivative_at_the_pivots():
                 for a in range(D):
                     dh = {e[:a] + (e[a] - 1,) + e[a + 1:]: c * e[a] for e, c in h.items() if e[a]}
                     expected = tuple(_decompose_raw(D, m - 1, dh, den).items()) if dh else ()
-                    part_den, x_part, dh_part = _diff_parts(D, m, sigma, a + 1)
+                    part_den, dh_part = _dh_table(D, m, sigma, a + 1)
+                    x_den, x_part = _times_mono(D, m, sigma, tuple(int(b == a) for b in range(D)))
                     assert type(part_den) is int and part_den >= 1
+                    assert type(x_den) is int and x_den >= 1
                     assert all(type(q) is int for _, q in x_part + dh_part)
                     got = tuple((mode, _exact(Fraction(q, part_den))) for mode, q in dh_part)
                     assert got == expected
@@ -390,6 +393,54 @@ def test_mul_poly_rejects_a_polynomial_in_another_dimension():
     w3 = VarSpace(3, ("z", "w")).var("w", 3)
     with pytest.raises(WorkspaceError):
         iota_expand(2, 1, "zw", 3).mul_series(bicone_from_poly(w3))
+
+
+@pytest.mark.parametrize("alpha, error", [(0, ValueError), (-1, ValueError), (3, ValueError),
+                                          (True, TypeError), (1.0, TypeError), ("1", TypeError)])
+def test_diff_rejects_an_axis_outside_1_to_D_before_any_table_lookup(alpha, error):
+    # Axis 0 used to return a wrong series, -1 another, 3 an IndexError, and
+    # True acted as 1; each left its tables in the cache.
+    series = ConeSeries(2, "z", {(-1, 1, 1): 1, (0, 2, 2): 3})
+    cached = _times_mono.cache_info().currsize, _dh_table.cache_info().currsize
+    with pytest.raises(error):
+        series.diff(alpha)
+    assert (_times_mono.cache_info().currsize, _dh_table.cache_info().currsize) == cached
+
+
+def _random_fraction_zpoly(rng, D, degmax=4):
+    vs = _zspace(D)
+    poly = vs.zero
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * D
+        for _ in range(rng.randint(0, degmax)):
+            exps[rng.randrange(D)] += 1
+        poly = poly + vs.from_exps("z", exps, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return poly
+
+
+def test_one_variable_products_agree_with_ring_arithmetic():
+    # diff and mul_poly of expanded polynomials are the expansions of the
+    # ring results, and on singular series diff obeys the Leibniz rule for
+    # (x^2)^k: d_a (x^2)^k S = (x^2)^k d_a S + 2k x_a (x^2)^(k-1) S.
+    rng = random.Random(21)
+    checks = 0
+    for D in range(1, 5):
+        vs = _zspace(D)
+        for _ in range(15):
+            p, q = _random_fraction_zpoly(rng, D), _random_fraction_zpoly(rng, D)
+            for a in range(1, D + 1):
+                assert cone_from_poly(p).diff(a) == cone_from_poly(p.diff("z", a))
+            assert cone_from_poly(q).mul_poly(p) == cone_from_poly(p * q)
+            degrees = [rng.randint(0, 4 if D > 1 else 1) for _ in range(rng.randint(1, 4))]
+            modes = [(rng.randint(-3, -1), m, rng.randint(1, h_dim(D, m))) for m in degrees]
+            S = ConeSeries(D, "z", {mode: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                    for mode in modes})
+            for a in range(1, D + 1):
+                for k in (-3, -1, 2):
+                    x_a_term = S.mul_poly(vs.var("z", a)).mul_x2(k - 1).scale(2 * k)
+                    assert S.mul_x2(k).diff(a) == S.diff(a).mul_x2(k) + x_a_term
+            checks += 1 + 4 * D
+    assert checks == 660
 
 
 def test_mul_series_rejects_a_series_in_another_dimension():

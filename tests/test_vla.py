@@ -235,6 +235,12 @@ def test_apply_exp_zT_rejects_a_negative_zdeg():
         apply_exp_zT(d1_bridge(build_wd(1)).action(0, 0), -1)
 
 
+@pytest.mark.parametrize("zdeg", [True, False, 2.0])
+def test_apply_exp_zT_refuses_a_bool_or_non_int_zdeg(zdeg):
+    with pytest.raises(TypeError, match="zdeg must be an int"):
+        apply_exp_zT(d1_bridge(build_wd(1)).action(0, 0), zdeg)
+
+
 @pytest.mark.parametrize("L, window", [(True, 0), (2, False), (2.0, 0), (2, 1.0)])
 def test_checks_refuse_a_bool_or_non_int_L_or_window(L, window):
     S = d1_bridge(build_wd(1))
@@ -428,14 +434,14 @@ def test_identity_failures_need_a_window_reaching_the_singular_region():
     for S in (d1_bridge(build_wd(1)), _d2_fixture()):
         F = Kernel.one(S.D)
         for depth, w_degmax in ((0, -3), (1, -2), (2, -1)):
-            lhs = vla._borcherds_lhs(S, 0, 0, 0, F, depth)
             rhs = vla._borcherds_rhs(S, 0, 0, 0, F, depth)
             assert [w.degmax for w in rhs.windows] == [depth, w_degmax]
             if w_degmax < -1:
                 with pytest.raises(TruncationError):
-                    vla._identity_failures(S, "(L,L,L)", lhs, rhs)
+                    vla._residual(S, 0, 0, 0, F, depth)
+                assert ("residual", 0, 0, 0, F, depth) not in S._memo
             else:
-                vla._identity_failures(S, "(L,L,L)", lhs, rhs)
+                vla._residual(S, 0, 0, 0, F, depth)
 
 
 # ----------------------------------------------------------------------
