@@ -142,9 +142,6 @@ def run_checks(loaded: LoadedAlgebra, axioms, args) -> tuple:
                         obj.D,
                         z_exps=_parse_exps(args.F_zexp, obj.D, "--F-zexp"),
                         w_exps=_parse_exps(args.F_wexp, obj.D, "--F-wexp"),
-                        z_pole=args.F_a,
-                        w_pole=args.F_b,
-                        zw_pole=args.F_k,
                     )
                     report = borcherds_check(obj, L, F, args.window)
             lines.extend(report.lines())
@@ -218,9 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--degmax", type=int, default=2, help="degree bound for closure")
     check.add_argument("--window", type=int, default=4, help="window for vla checks")
     check.add_argument("--L", type=int, help="Borcherds/Jacobi integer L (default: max pole order)")
-    check.add_argument("--F-k", type=int, default=0, dest="F_k", help="(z-w)^2 pole of F")
-    check.add_argument("--F-a", type=int, default=0, dest="F_a", help="z^2 pole of F")
-    check.add_argument("--F-b", type=int, default=0, dest="F_b", help="w^2 pole of F")
+    # The Borcherds kernel F is a monomial z^a w^b: with a pole, the identity
+    # needs the regular parts of the fields, which vertex-Lie data lack.
     check.add_argument("--F-zexp", default="", dest="F_zexp", help="z exponents of F, comma list")
     check.add_argument("--F-wexp", default="", dest="F_wexp", help="w exponents of F, comma list")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
@@ -141,24 +141,20 @@ def _harmonic_parts(D: int, m: int, raw: dict):
         yield j, d, q, coords
 
 
-def _decompose_raw(D: int, m: int, raw: dict, den: int = 1) -> dict:
-    """Decompose the degree-m raw polynomial raw / den into
-    {(j, m', sigma): coefficient}.
-
-    ``raw`` may hold int or Fraction coefficients; the sums run in int over
-    the cleared denominator, and each coefficient is one Fraction, stored as
-    an int when integral, never a float.
-    """
-    clear, (raw,) = _clear(raw)
-    return {(j, d, sigma): _exact(Fraction(n, q * clear * den))
-            for j, d, q, coords in _harmonic_parts(D, m, raw)
-            for sigma, n in coords.items()}
+def _least(den: int, table) -> tuple:
+    """(R, ((key, int), ...)) with each int N of ``table`` over ``den`` read
+    as N' / R, R least: R = den / gcd(den, N_1, ..., N_n)."""
+    g = gcd(den, *(n for _, n in table))
+    return den // g, tuple((key, n // g) for key, n in table)
 
 
-def _int_table(coeffs: dict) -> tuple:
-    """(den, ((key, int), ...)) with coeffs[key] = int / den, den least."""
-    den, (numerators,) = _clear(coeffs)
-    return den, tuple(numerators.items())
+def _decompose(D: int, m: int, raw: dict, den: int) -> tuple:
+    """The degree-m int polynomial raw / den decomposed: (R, ((j, m',
+    sigma), int) pairs), each coefficient the int over R, R least."""
+    parts = [(j, d, q * den, coords) for j, d, q, coords in _harmonic_parts(D, m, raw)]
+    common = lcm(*(q for _, _, q, _ in parts))
+    return _least(common, [((j, d, sigma), n * (common // q))
+                           for j, d, q, coords in parts for sigma, n in coords.items()])
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +162,7 @@ def _times_mono(D: int, m: int, sigma: int, exps: tuple) -> tuple:
     """h_{m,sigma} * x^exps decomposed: (den, ((dj, m', sigma'), int) pairs),
     each coefficient the int over den."""
     den, numerators = _harmonic_raw(D, m)
-    product = _raw_mul(numerators[sigma - 1], {exps: 1})
-    return _int_table(_decompose_raw(D, m + sum(exps), product, den))
+    return _decompose(D, m + sum(exps), _raw_mul(numerators[sigma - 1], {exps: 1}), den)
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +170,7 @@ def _times_harm(D: int, m1: int, s1: int, m2: int, s2: int) -> tuple:
     """h_{m1,s1} * h_{m2,s2} decomposed: (den, ((dj, m', sigma'), int) pairs)."""
     den1, a = _harmonic_raw(D, m1)
     den2, b = _harmonic_raw(D, m2)
-    return _int_table(_decompose_raw(D, m1 + m2, _raw_mul(a[s1 - 1], b[s2 - 1]), den1 * den2))
+    return _decompose(D, m1 + m2, _raw_mul(a[s1 - 1], b[s2 - 1]), den1 * den2)
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +182,7 @@ def _dh_table(D: int, m: int, sigma: int, alpha: int) -> tuple:
     h_den, numerators = _harmonic_raw(D, m)
     ups = (p[:a] + (p[a] + 1,) + p[a + 1:] for p in (_pivots(D, m - 1) if m else ()))
     dh = ((s, up[a] * numerators[sigma - 1].get(up, 0)) for s, up in enumerate(ups, start=1))
-    return _int_table({(0, m - 1, s): Fraction(v, h_den) for s, v in dh if v})
+    return _least(h_den, [((0, m - 1, s), v) for s, v in dh if v])
 
 
 def _table_sum(entries) -> tuple:
@@ -210,23 +205,19 @@ def _table_sum(entries) -> tuple:
     return den, out
 
 
-def _harmonic_dense(D: int, m: int, sigma: int, pad: tuple = ()) -> dict:
-    """h_{m,sigma} as {exps + pad: coefficient}."""
-    den, numerators = _harmonic_raw(D, m)
-    return {e + pad: Fraction(c, den) for e, c in numerators[sigma - 1].items()}
-
-
 def harmonic_basis(D: int, m: int) -> tuple:
     """The canonical harmonic basis at degree m, as polynomials in z."""
-    sigmas = range(1, h_dim(D, m) + 1)  # h_dim rejects D < 1 and m < 0
+    h_dim(D, m)  # rejects D < 1 and m < 0
+    den, numerators = _harmonic_raw(D, m)
     vs = VarSpace(D, ("z",))
-    return tuple(vs.from_dense("z", _harmonic_dense(D, m, sigma)) for sigma in sigmas)
+    return tuple(vs._from_numerators("z", den, h) for h in numerators)
 
 
 def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace) -> Poly:
     """h_{m,sigma} written in the z variables of an arbitrary workspace."""
     vs.check_var("z", D)
-    return vs.from_dense("z", _harmonic_dense(D, m, sigma, (0,) * (vs.D - D)))
+    den, numerators = _harmonic_raw(D, m)
+    return vs._from_numerators("z", den, numerators[sigma - 1])
 
 
 def _single_family(p: Poly) -> str:
@@ -240,12 +231,13 @@ def gauss_decompose(p: Poly) -> list:
     """Unique expression p = sum_j (x^2)^j p_j with every p_j harmonic.
 
     Returns [(j, p_j)] with nonzero p_j, sorted by j; exact reconstruction.
-    The sums run in int over one denominator per degree of p, and each
-    coefficient of p_j is one Fraction: a monomial of p_j has degree m - 2j,
-    so it takes terms from the degree-m part of p only.
+    A monomial of p_j has degree m - 2j, so it takes terms from the degree-m
+    part of p only: each (degree, j) part is one int sum over one
+    denominator, built as a polynomial without re-validation, and the parts
+    of one j, on disjoint monomials, are added.
     """
     family = _single_family(p)
-    D = p.vs.D
+    vs, D = p.vs, p.vs.D
     by_degree: dict = {}
     for exps, coeff in p.dense(family).items():
         by_degree.setdefault(sum(exps), {})[exps] = coeff
@@ -258,14 +250,9 @@ def gauss_decompose(p: Poly) -> list:
             for sigma, n in coords.items():
                 for exps, c in numerators[sigma - 1].items():
                     sums[exps] = sums.get(exps, 0) + n * c
-            scale = q * clear * den
-            levels.setdefault(j, {}).update((e, Fraction(v, scale)) for e, v in sums.items())
-    out = []
-    for j in sorted(levels):
-        poly = p.vs.from_dense(family, levels[j])
-        if poly:
-            out.append((j, poly))
-    return out
+            part = vs._from_numerators(family, q * clear * den, sums)
+            levels[j] = levels[j] + part if j in levels else part
+    return [(j, levels[j]) for j in sorted(levels) if levels[j]]
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +518,8 @@ class BiConeSeries:
 
     @classmethod
     def _trusted(cls, D: int, coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)):
-        """A series without validation: every mode comes from a validated series."""
+        """A series without validation: every mode comes from a validated
+        series or from the cone tables."""
         series = object.__new__(cls)
         series._fill(D, coeffs, tuple(windows))
         return series
@@ -729,7 +717,7 @@ def bicone_from_poly(p: Poly) -> BiConeSeries:
                 key = (mode1, mode2)
                 coeffs[key] = coeffs.get(key, 0) + pc * q1 * q2
     den = p_den * den * den
-    return BiConeSeries(D, {key: _quotient(c, den) for key, c in coeffs.items()})
+    return BiConeSeries._trusted(D, {key: _quotient(c, den) for key, c in coeffs.items()})
 
 
 # ----------------------------------------------------------------------
@@ -861,14 +849,14 @@ def iota_expand(D: int, k: int, side: str, window: int, bound: Optional[tuple] =
     if k == 0:
         # the constant 1, formed unless the bound excludes n_z = n_w = 0
         one = {((0, 0, 1), (0, 0, 1)): 1}
-        return BiConeSeries(D, one if bound is None or min(bound) > 0 else {})
+        return BiConeSeries._trusted(D, one if bound is None or min(bound) > 0 else {})
     small = 1 if side == "zw" else 0
     windows = [FULL_WINDOW, FULL_WINDOW]
     windows[small] = Window(window)
     if bound is None:
         # every formed bi-mode has n_small <= window and n_big < 0
         bound = (window + 1, window + 1)
-    return BiConeSeries(D, _iota_zonal(D, k, small, window, bound), tuple(windows))
+    return BiConeSeries._trusted(D, _iota_zonal(D, k, small, window, bound), tuple(windows))
 
 
 def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None) -> BiConeSeries:

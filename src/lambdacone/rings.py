@@ -213,8 +213,10 @@ class VarSpace:
 
     def _from_numerators(self, family: str, den: int, numerators: Mapping) -> "Poly":
         """``from_dense(family, {exps: n / den})`` for int n, unchecked: the
-        vectors are length-D and nonnegative (read off ``Poly.dense``), and
-        each coefficient is built by ``_quotient``; a zero n is dropped."""
+        vectors are nonnegative and at most D long, a shorter one leaving the
+        last variables at exponent 0, as ``Poly.dense`` and the cone tables
+        give them; each coefficient is built by ``_quotient``, and a zero n
+        is dropped."""
         names = _family_vars(self.D, family)
         out = {}
         for exps, n in numerators.items():

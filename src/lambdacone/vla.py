@@ -409,7 +409,13 @@ def jacobi_check_vla(S: VLAStructure, L: int, window: int) -> CheckReport:
 def borcherds_check(S: VLAStructure, L: int, F: Kernel, window: int) -> CheckReport:
     """The Borcherds identity with kernel F, on singular-part data.
 
-    For F = 1 this is the same comparison as :func:`jacobi_check_vla`.
+    For F = 1 this is the same comparison as :func:`jacobi_check_vla`.  The
+    verdict is determined by vertex-Lie data only for a polynomial F
+    (``z_exps`` and ``w_exps``).  A kernel with a z, w or (z-w) pole is
+    still expanded and compared, but then the identity reaches the regular
+    parts of the fields (in D = 1 the n-th products with n < 0), which
+    singular-part data lack, so valid structures can fail; the CLI offers no
+    pole kernel for that reason.
     """
     if F.D != S.D:
         raise WorkspaceError("kernel dimension mismatch")

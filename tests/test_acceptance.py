@@ -90,12 +90,12 @@ def _kernel_rank(D, m):
     vs = VarSpace(D, ("z",))
     monos = vs.monomials_of_degree("z", m)
     images = [vs.from_exps("z", exps).laplacian("z") for exps in monos]
-    targets = sorted({mono for img in images for mono in img.terms})
-    index = {mono: i for i, mono in enumerate(targets)}
+    targets = sorted({exps for img in images for exps in img.dense("z")})
+    index = {exps: i for i, exps in enumerate(targets)}
     matrix = [[Fraction(0)] * len(monos) for _ in targets]
     for col, img in enumerate(images):
-        for mono, coeff in img.terms.items():
-            matrix[index[mono]][col] = coeff
+        for exps, coeff in img.dense("z").items():
+            matrix[index[exps]][col] = coeff
     _, rank = rref(matrix)
     return len(monos) - rank
 

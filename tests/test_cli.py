@@ -142,6 +142,21 @@ def test_vla_axioms_via_cli(tmp_path):
     assert "vla-skew: pass" in out and "vla-jacobi: pass" in out and "borcherds: pass" in out
 
 
+def test_borcherds_kernels_via_cli_have_no_pole(tmp_path):
+    # A pole kernel would print FAIL on valid data: the identity then needs
+    # the regular parts of the fields, which vertex-Lie data lack.
+    path = tmp_path / "cur1.json"
+    path.write_text(serialize_vla(d1_bridge(build_cur(LieStructure.sl2(), 1))))
+    code, out, _ = run_cli("check", str(path), "--axioms", "borcherds",
+                           "--F-zexp", "1", "--window", "2")
+    assert code == 0 and out.splitlines()[0] == "borcherds: pass (L=1, window=2)"
+    for option in ("--F-k", "--F-a", "--F-b"):
+        code, out, err = run_cli("check", str(path), "--axioms", "borcherds",
+                                 option, "1", "--window", "2")
+        assert code == 2 and not out
+        assert f"unrecognized arguments: {option} 1" in err
+
+
 def test_vla_skew_negative_window_is_a_usage_error(tmp_path):
     path = tmp_path / "w1.json"
     path.write_text(serialize_vla(d1_bridge(build_wd(1))))

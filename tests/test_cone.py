@@ -26,6 +26,7 @@ from lambdacone import (
     VarSpace,
     Window,
     WorkspaceError,
+    basis_poly_in,
     bicone_from_poly,
     cone_from_poly,
     gauss_decompose,
@@ -36,7 +37,7 @@ from lambdacone import (
     iota_kernel,
 )
 from lambdacone.cone import (
-    _decompose_raw,
+    _decompose,
     _dh_table,
     _harmonic_raw,
     _pivots,
@@ -46,11 +47,24 @@ from lambdacone.cone import (
 )
 from lambdacone.linalg import kernel_basis, rref
 from lambdacone.pseudo import ModuleElement, pseudo_space
-from lambdacone.rings import _exact, dense_monomials
+from lambdacone.rings import _clear, _exact, dense_monomials
 
 
 def _zspace(D):
     return VarSpace(D, ("z",))
+
+
+def _table_values(table):
+    """An int table (den, ((key, int), ...)) as ((key, exact value), ...)."""
+    den, entries = table
+    return tuple((key, _exact(Fraction(q, den))) for key, q in entries)
+
+
+def _decomposition(D, m, raw, den=1):
+    """The degree-m polynomial raw / den, int or Fraction, decomposed as
+    {(j, m', sigma): exact value}."""
+    clear, (ints,) = _clear(raw)
+    return dict(_table_values(_decompose(D, m, ints, den * clear)))
 
 
 def brute_kernel_rank(D, m):
@@ -58,12 +72,12 @@ def brute_kernel_rank(D, m):
     vs = _zspace(D)
     monos = vs.monomials_of_degree("z", m)
     images = [vs.from_exps("z", exps).laplacian("z") for exps in monos]
-    targets = sorted({mono for img in images for mono in img.terms})
-    index = {mono: i for i, mono in enumerate(targets)}
+    targets = sorted({exps for img in images for exps in img.dense("z")})
+    index = {exps: i for i, exps in enumerate(targets)}
     matrix = [[Fraction(0)] * len(monos) for _ in targets]
     for col, img in enumerate(images):
-        for mono, coeff in img.terms.items():
-            matrix[index[mono]][col] = coeff
+        for exps, coeff in img.dense("z").items():
+            matrix[index[exps]][col] = coeff
     _, rank = rref(matrix)
     return len(monos) - rank
 
@@ -98,6 +112,17 @@ def test_harmonic_basis_is_harmonic():
             for h in harmonic_basis(D, m):
                 assert not h.laplacian("z")
                 assert {sum(exps) for exps in h.dense("z")} == {m}
+
+
+def test_basis_poly_in_a_wider_workspace():
+    # The exponent vectors of h_{m,sigma} are D long; the remaining z
+    # variables of the workspace stay at exponent 0.
+    vs = VarSpace(3, ("T", "z"))
+    z1, z2 = vs.var("z", 1), vs.var("z", 2)
+    assert basis_poly_in(2, 3, 1, vs) == z1 ** 3 - 3 * z1 * z2 ** 2
+    assert basis_poly_in(2, 2, 2, vs) == z1 * z2
+    with pytest.raises(WorkspaceError):
+        basis_poly_in(4, 1, 1, vs)
 
 
 def _rref_harmonic_basis(D, m):
@@ -141,7 +166,7 @@ def test_diff_parts_reads_the_derivative_at_the_pivots():
             for sigma, h in enumerate(numerators, start=1):
                 for a in range(D):
                     dh = {e[:a] + (e[a] - 1,) + e[a + 1:]: c * e[a] for e, c in h.items() if e[a]}
-                    expected = tuple(_decompose_raw(D, m - 1, dh, den).items()) if dh else ()
+                    expected = tuple(_decomposition(D, m - 1, dh, den).items()) if dh else ()
                     part_den, dh_part = _dh_table(D, m, sigma, a + 1)
                     x_den, x_part = _times_mono(D, m, sigma, tuple(int(b == a) for b in range(D)))
                     assert type(part_den) is int and part_den >= 1
@@ -203,16 +228,16 @@ def test_gauss_roundtrip_random():
 def test_decompose_raw_edge_cases():
     for D in (1, 2, 3):
         for m in (0, 1, 4):
-            assert _decompose_raw(D, m, {}) == {}
-    assert _decompose_raw(3, 0, {(0, 0, 0): Fraction(5)}) == {(0, 0, 1): 5}
+            assert _decomposition(D, m, {}) == {}
+    assert _decomposition(3, 0, {(0, 0, 0): Fraction(5)}) == {(0, 0, 1): 5}
     # Degree-1 harmonics are z1..zD in order, so z2 is sigma = 2.
-    assert _decompose_raw(3, 1, {(0, 1, 0): Fraction(2)}) == {(0, 1, 2): 2}
-    assert _decompose_raw(2, 1, {(1, 0): Fraction(3), (0, 1): Fraction(-1)}) == {
+    assert _decomposition(3, 1, {(0, 1, 0): Fraction(2)}) == {(0, 1, 2): 2}
+    assert _decomposition(2, 1, {(1, 0): Fraction(3), (0, 1): Fraction(-1)}) == {
         (0, 1, 1): 3, (0, 1, 2): -1,
     }
     # In one dimension z^4 = (z^2)^2 and there are no harmonics of degree > 1.
-    assert _decompose_raw(1, 4, {(4,): Fraction(1)}) == {(2, 0, 1): 1}
-    assert _decompose_raw(1, 5, {(5,): Fraction(3)}) == {(2, 1, 1): 3}
+    assert _decomposition(1, 4, {(4,): Fraction(1)}) == {(2, 0, 1): 1}
+    assert _decomposition(1, 5, {(5,): Fraction(3)}) == {(2, 1, 1): 3}
 
 
 def _exact_values(values):
@@ -222,7 +247,7 @@ def _exact_values(values):
 
 def test_decompose_raw_of_int_input_is_exact():
     # z1^2 = (z^2)/3 + (2 z1^2 - z2^2 - z3^2)/3 in D = 3: int input, thirds out.
-    out = _decompose_raw(3, 2, {(2, 0, 0): 1})
+    out = _decomposition(3, 2, {(2, 0, 0): 1})
     assert out[(1, 0, 1)] == Fraction(1, 3) and type(out[(1, 0, 1)]) is Fraction
     rng = random.Random(12)
     for D in range(1, 5):
@@ -230,15 +255,11 @@ def test_decompose_raw_of_int_input_is_exact():
             monos = dense_monomials(D, m)
             raw = {e: rng.choice((-1, 1)) * rng.randint(1, 9)
                    for e in rng.sample(monos, min(len(monos), 5))}
-            out = _decompose_raw(D, m, raw)
-            assert out == _decompose_raw(D, m, {e: Fraction(c) for e, c in raw.items()})
+            out = _decomposition(D, m, raw)
+            assert out == _decomposition(D, m, {e: Fraction(c) for e, c in raw.items()})
             assert _exact_values(out.values())
 
 
-def _table_values(table):
-    """An int table (den, ((key, int), ...)) as ((key, exact value), ...)."""
-    den, entries = table
-    return tuple((key, _exact(Fraction(q, den))) for key, q in entries)
 
 
 def test_cone_kernels_store_no_float():
@@ -258,6 +279,7 @@ def test_cone_kernels_store_no_float():
                         den, table = _times_harm(D, m, s1, m2, s2)
                         assert type(den) is int and den >= 1
                         assert all(type(q) is int and q for _, q in table)
+                        assert gcd(den, *(q for _, q in table)) == 1
                         assert _exact_values(q for _, q in _table_values((den, table)))
         for k, side in ((0, "zw"), (1, "zw"), (2, "wz")):
             assert _exact_values(iota_expand(D, k, side, 4).coeffs.values())
@@ -265,7 +287,7 @@ def test_cone_kernels_store_no_float():
     for _ in range(10):
         p = _random_zpoly(rng, rng.randint(1, 4))
         for _, pj in gauss_decompose(p):
-            assert _exact_values(pj.terms.values())
+            assert _exact_values(pj.dense("z").values())
         series = cone_from_poly(p)
         for changed in (series.scale(3), series.parity_flip(), series.scale(Fraction(1, 2))):
             assert _exact_values(changed.coeffs.values())
@@ -313,7 +335,7 @@ def test_decompose_raw_roundtrip_by_ring_arithmetic():
                    for e in rng.sample(monos, min(len(monos), 6))}
             p = sum((vs.from_exps("z", e, c) for e, c in raw.items()), vs.zero)
             pieces: dict = {}
-            for (j, d, sigma), value in _decompose_raw(D, m, raw).items():
+            for (j, d, sigma), value in _decomposition(D, m, raw).items():
                 assert 2 * j + d == m
                 pieces[j] = pieces.get(j, vs.zero) + harmonic_basis(D, d)[sigma - 1] * value
             rebuilt = vs.zero

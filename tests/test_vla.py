@@ -254,15 +254,17 @@ def test_checks_refuse_a_bool_or_non_int_L_or_window(L, window):
 
 
 def test_skew_bridge_agrees_with_pseudo():
-    for table in (build_cur(LieStructure.sl2(), 1), build_wd(1), _broken_table()):
+    # A window below P - 1, P the largest total pole degree -(2n + m) of the
+    # actions, can be too small to expose a violation: the bridged
+    # (T + 3 lam) L has P = 2 and passes at window 0.
+    for table in (build_cur(LieStructure.sl2(), 1), build_wd(1), _broken_table(),
+                  _broken_skew_table()):
         S = d1_bridge(table)
+        P = max((-(2 * n + m) for s in S.actions.values() for n, m, _ in s.coeffs), default=0)
         expected = skew_check(table).passed
-        for window in range(7):
-            got = skew_check_vla(S, window).passed
-            if window == 0 and not expected:
-                # a window can be too small to expose a violation
-                continue
-            assert got == expected
+        for window in range(max(P - 1, 0), 7):
+            assert skew_check_vla(S, window).passed == expected
+    assert not skew_check(_broken_skew_table()).passed
 
 
 def _exp_zT_oracle(series, zdeg):
@@ -400,6 +402,51 @@ def test_jacobi_d2_fixture_fails_with_witness():
             assert failure.label.startswith("(L,L,L)")
             assert failure.witness
         assert borcherds_check(S, 1, Kernel.one(2), window).failures == report.failures
+
+
+def _virasoro_chiral_pair(c=2, extra=0):
+    """The real form (A, B) = (L + Lbar, i(L - Lbar)) of the centreless
+    Virasoro chiral pair in D = 2: L(z)L(w) ~ 2L/zeta^2 + d_zeta L/zeta in
+    zeta = z1 + i z2, with L(z)Lbar(w) ~ 0, z^2 = zeta zetabar and
+    d_zeta = (T1 - i T2)/2.  The modes use h_{2,1} = z1^2 - z2^2,
+    h_{2,2} = z1 z2 and h_{1,sigma} = z_sigma.
+
+    ``c`` replaces the leading 2 of S(A,A) and S(A,B): c = 3 is the real
+    form of the D = 1 bracket (T + 3 lam) L, which is not Lie.  ``extra``
+    adds extra * B at mode (-1, 1, 2) of S(A,B) = S(B,A).
+    """
+    vs = pseudo_space(2)
+    T1, T2 = vs.var("T", 1), vs.var("T", 2)
+    half = Fraction(1, 2)
+    el = lambda a, b: ModuleElement(vs, 2, {0: a, 1: b})
+    aa = ConeSeries(2, "z", {
+        (-2, 2, 1): el(vs.const(c), vs.zero), (-2, 2, 2): el(vs.zero, vs.const(-2 * c)),
+        (-1, 1, 1): el(T1 * half, -T2 * half), (-1, 1, 2): el(-T2 * half, -T1 * half)})
+    ab = ConeSeries(2, "z", {
+        (-2, 2, 1): el(vs.zero, vs.const(c)), (-2, 2, 2): el(vs.const(2 * c), vs.zero),
+        (-1, 1, 1): el(T2 * half, T1 * half), (-1, 1, 2): el(T1 * half, -T2 * half + extra)})
+    return VLAStructure(2, ("A", "B"), {(0, 0): aa, (0, 1): ab, (1, 0): ab, (1, 1): -aa})
+
+
+_CHIRAL_KERNELS = (Kernel(2, z_exps=(1, 0)), Kernel(2, w_exps=(2, 0)))
+
+
+def test_virasoro_chiral_pair_passes_jacobi_and_polynomial_borcherds():
+    # The first valid nonzero D = 2 data: a D = 1 vertex Lie algebra in zeta
+    # with its conjugate in zetabar.
+    S = _virasoro_chiral_pair()
+    for window in (0, 2):
+        assert jacobi_check_vla(S, 2, window).passed
+        for F in _CHIRAL_KERNELS:
+            assert borcherds_check(S, 2, F, window).passed
+
+
+def test_virasoro_chiral_pair_mutants_fail():
+    c3, extra = _virasoro_chiral_pair(c=3), _virasoro_chiral_pair(extra=1)
+    for window, extra_failures in ((0, 354), (2, 450)):
+        assert len(jacobi_check_vla(c3, 2, window).failures) == 96
+        assert len(jacobi_check_vla(extra, 2, window).failures) == extra_failures
+    assert [len(borcherds_check(c3, 2, F, 0).failures) for F in _CHIRAL_KERNELS] == [192, 128]
 
 
 def _checker_depth(S, window):
