@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Mapping, Optional
 
@@ -93,26 +94,26 @@ def _projector(D: int, d: int) -> tuple:
     That part is K_d[q] = sum_i c_i (x^2)^i Delta^i q, with c_0 = 1 and
     c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)) (Axler, Bourdon and Ramey,
     Harmonic Function Theory, ch. 5).  Each canonical basis vector is 1 at
-    its own pivot and 0 at the others, so coordinate sigma is K_d[q] at pivot
-    sigma (``_pivots``).  Returns (den, stencils) with den the least common
-    denominator of the weights and one stencil per sigma: triples (i, exps,
-    int weight) with that coordinate = sum weight * (Delta^i q)[exps] / den.
+    its own pivot and 0 at the others, so coordinate sigma is K_d[q] at the
+    pivot p of sigma (``_pivots``): as (x^2)^i = sum_{|f|=i} i!/f! x^(2f),
+    the sum over f <= p // 2 of c_|f| |f|!/f! (Delta^|f| q)[p - 2f].
+    Returns (den, stencils), den the least common denominator of the weights
+    (the c_i are ints over prod_i 2i(D + 2d - 2i - 2), reduced by one gcd),
+    and one stencil per sigma: triples (i, exps, int weight) with that
+    coordinate = sum weight * (Delta^i q)[exps] / den.
     """
-    x2 = {tuple(2 * (a == b) for b in range(D)): 1 for a in range(D)}
-    terms = []
-    c, power = Fraction(1), {(0,) * D: 1}
-    for i in range(d // 2 + 1):
-        if i:
-            c = -c / (2 * i * (D + 2 * d - 2 * i - 2))
-            power = _raw_mul(power, x2)
-        terms.extend((i, exps, c * a) for exps, a in power.items())
-    stencils = []
-    for pivot in _pivots(D, d):
-        lows = ((i, tuple(x - y for x, y in zip(pivot, e)), w) for i, e, w in terms)
-        stencils.append([t for t in lows if min(t[1]) >= 0])
-    den = lcm(*(w.denominator for stencil in stencils for _, _, w in stencil))
-    return den, tuple(tuple((i, e, w.numerator * (den // w.denominator)) for i, e, w in stencil)
-                      for stencil in stencils)
+    steps = [2 * i * (D + 2 * d - 2 * i - 2) for i in range(1, d // 2 + 1)]
+    c = list(accumulate(steps, lambda c_i, step: -c_i // step, initial=prod(steps)))
+    stencils = [[(sum(f), tuple(x - 2 * y for x, y in zip(p, f)),
+                  c[sum(f)] * factorial(sum(f)) // prod(map(factorial, f)))
+                 for f in product(*(range(x // 2 + 1) for x in p))] for p in _pivots(D, d)]
+    g = gcd(c[0], *(w for stencil in stencils for _, _, w in stencil))
+    return c[0] // g, tuple(tuple((i, e, w // g) for i, e, w in stencil) for stencil in stencils)
+
+
+def _gauss_factor(D: int, d: int, j: int) -> int:
+    """N = prod_{k=1..j} 2k(2k + D - 2 + 2d): Delta^j (x^2)^j h = N h, h harmonic of degree d."""
+    return prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
 
 
 def _harmonic_parts(D: int, m: int, raw: dict):
@@ -120,8 +121,8 @@ def _harmonic_parts(D: int, m: int, raw: dict):
     coefficients: with p = sum_j (x^2)^j p_j and p_j harmonic of degree
     d = m - 2j, coordinate sigma of p_j is N / q.
 
-    Delta^j p = prod_{k=1..j} 2k(2k + D - 2 + 2d) p_j + (x^2)(...), so p_j is
-    the harmonic part of Delta^j p divided by that product.
+    Delta^j p = ``_gauss_factor(D, d, j)`` p_j + (x^2)(...), so p_j is the
+    harmonic part of Delta^j p divided by that factor.
     """
     laplacians = [raw]
     for _ in range(m // 2):
@@ -131,7 +132,7 @@ def _harmonic_parts(D: int, m: int, raw: dict):
             break
         d = m - 2 * j
         den, stencils = _projector(D, d)
-        q = den * prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
+        q = den * _gauss_factor(D, d, j)
         coords = {}
         for sigma, stencil in enumerate(stencils, start=1):
             value = sum(w * laplacians[j + i][e] for i, e, w in stencil
@@ -215,6 +216,7 @@ def harmonic_basis(D: int, m: int) -> tuple:
 
 def basis_poly_in(D: int, m: int, sigma: int, vs: VarSpace) -> Poly:
     """h_{m,sigma} written in the z variables of an arbitrary workspace."""
+    _validate_mode(D, (0, m, sigma))
     vs.check_var("z", D)
     den, numerators = _harmonic_raw(D, m)
     return vs._from_numerators("z", den, numerators[sigma - 1])
@@ -753,39 +755,26 @@ class Kernel:
         return cls(D)
 
 
-def _neg_binom(k: int, t: int) -> Fraction:
+def _neg_binom(k: int, t: int) -> int:
     """binom(-k, t) = (-1)^t binom(k + t - 1, t)."""
-    value = Fraction(comb(k + t - 1, t))
-    return -value if t % 2 else value
+    return (-1) ** t * comb(k + t - 1, t)
 
 
 @lru_cache(maxsize=None)
 def _zonal(D: int, d: int) -> tuple:
     """The zonal harmonic K_d[(z.w)^d] = sum G[s, s'] h_{d,s}(z) h_{d,s'}(w),
-    as a tuple of ((s, s'), G) with G nonzero.
+    as a tuple of ((s, s'), G) with G nonzero, in (s, s') order.
 
-    K_d is the harmonic projection in z of ``_projector``.  Since
-    Delta_z^i (z.w)^d = d!/(d-2i)! (w^2)^i (z.w)^(d-2i), its coordinate s is
-    a harmonic polynomial in w, whose coordinate s' is its coefficient at
-    pivot s' of ``_pivots``.
+    K_d[(z.w)^d] is harmonic in w, so its coordinate s' is its coefficient
+    at the pivot p of s' (``_pivots``), d!/p! K_d[z^p]; and K_d[z^p] is the
+    j = 0 part of the Gauss decomposition of z^p (``_harmonic_parts``).
     """
-    den, stencils = _projector(D, d)
     out = []
-    for s, stencil in enumerate(stencils, start=1):
-        for s2, pivot in enumerate(_pivots(D, d), start=1):
-            value = 0
-            for i, exps, weight in stencil:
-                # the coefficient of z^exps w^pivot in d!/(d-2i)! (w^2)^i (z.w)^(d-2i)
-                twice_f = [p - e for p, e in zip(pivot, exps)]
-                if min(twice_f) < 0 or any(x % 2 for x in twice_f):
-                    continue
-                f = [x // 2 for x in twice_f]
-                count = (factorial(d) // prod(map(factorial, exps))
-                         * factorial(i) // prod(map(factorial, f)))
-                value += weight * count
-            if value:
-                out.append(((s, s2), Fraction(value, den)))
-    return tuple(out)
+    for s2, pivot in enumerate(_pivots(D, d), start=1):
+        _, _, q, coords = next(_harmonic_parts(D, d, {pivot: 1}))
+        scale = factorial(d) // prod(map(factorial, pivot))
+        out.extend(((s, s2), Fraction(scale * n, q)) for s, n in coords.items())
+    return tuple(sorted(out))
 
 
 def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
@@ -796,11 +785,11 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
     ((z-w)^2)^(-k) = sum_{t,a} binom(-k,t) binom(t,a) (-2)^b
                      (big^2)^(-k-t) (small^2)^a (z.w)^b,
     and the Gauss decomposition of (z.w)^b in z is
-    sum_j b!/d! / prod_{i=1..j} 2i(2i + D - 2 + 2d) (z^2 w^2)^j K_d[(z.w)^d]
+    sum_j b!/d! / ``_gauss_factor(D, d, j)`` (z^2 w^2)^j K_d[(z.w)^d]
     (Delta_z^j (z.w)^b = b!/d! (w^2)^j (z.w)^d).  So each (t, a, j) fills
     the big mode (-k-t+j, d) and the small mode (a+j, d) with the zonal
-    coefficients, and the small total degree is a + t.  The sums run in
-    Fraction; an integral result is stored as an int.
+    coefficients of ``_zonal``, and the small total degree is a + t.  The
+    sums run in Fraction; an integral result is stored as an int.
     """
     big_bound, small_bound = bound[1 - small], bound[small]
     coeffs: dict = {}
@@ -815,8 +804,7 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
                     continue
                 n_z, n_w = (n_big, n_small) if small == 1 else (n_small, n_big)
                 d = b - 2 * j
-                scale = base * Fraction(factorial(b), factorial(d)) / prod(
-                    2 * i * (2 * i + D - 2 + 2 * d) for i in range(1, j + 1))
+                scale = Fraction(base * factorial(b) // factorial(d), _gauss_factor(D, d, j))
                 for (sz, sw), g in _zonal(D, d):
                     pair = ((n_z, d, sz), (n_w, d, sw))
                     coeffs[pair] = coeffs.get(pair, 0) + scale * g

@@ -332,6 +332,10 @@ GOLDEN_EMITS = [
      "a723ccdbfca90637dca474536045f603486ca2786f9d695fa9e738a680d4ad4e"),
     (["iota-expansion", "--dim", "1", "--k", "2", "--window", "5"],
      "05c7b903a8c42f7739a484bd00e5eeaf75494ab199bed2e8e3b587afda2a727c"),
+    (["iota-expansion", "--dim", "5", "--k", "1", "--window", "6"],
+     "8416d2d14114bd6e2080db0f9a685e9cb2ddcd0ba9971b7dedf3d4bbbeeebc7f"),
+    (["iota-expansion", "--dim", "4", "--k", "2", "--side", "wz", "--window", "8"],
+     "12857023f083fb74dcf74f790672e7a8180d0a42899880ff269d9925ee9f1095"),
 ]
 
 

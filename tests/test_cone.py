@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 import pytest
 
@@ -40,10 +41,13 @@ from lambdacone.cone import (
     _decompose,
     _dh_table,
     _harmonic_raw,
+    _neg_binom,
     _pivots,
     _projector,
+    _raw_mul,
     _times_harm,
     _times_mono,
+    _zonal,
 )
 from lambdacone.linalg import kernel_basis, rref
 from lambdacone.pseudo import ModuleElement, pseudo_space
@@ -123,6 +127,15 @@ def test_basis_poly_in_a_wider_workspace():
     assert basis_poly_in(2, 2, 2, vs) == z1 * z2
     with pytest.raises(WorkspaceError):
         basis_poly_in(4, 1, 1, vs)
+
+
+def test_basis_poly_in_rejects_a_mode_outside_the_basis():
+    # h_dim(2, 2) = 2, so sigma must be 1 or 2; m must be >= 0.
+    vs = _zspace(2)
+    for m, sigma, message in ((2, 0, "sigma 0 out of range"), (2, -1, "sigma -1 out of range"),
+                              (2, 3, "sigma 3 out of range"), (-1, 1, "m must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            basis_poly_in(2, m, sigma, vs)
 
 
 def _rref_harmonic_basis(D, m):
@@ -322,6 +335,75 @@ def test_cone_tables_are_integer_over_least_denominator():
     # is q - (x^2) Delta q / 6, so its weights are over 6.
     assert _harmonic_raw(2, 2) == (1, ({(2, 0): 1, (0, 2): -1}, {(1, 1): 1}))
     assert _projector(3, 2)[0] == 6
+
+
+def _filtered_projector(D, d):
+    """Reference projector stencils: every term of (x^2)^i built in Fraction,
+    paired with every pivot, and kept where it divides the pivot."""
+    x2 = {tuple(2 * (a == b) for b in range(D)): 1 for a in range(D)}
+    terms = []
+    c, power = Fraction(1), {(0,) * D: 1}
+    for i in range(d // 2 + 1):
+        if i:
+            c = -c / (2 * i * (D + 2 * d - 2 * i - 2))
+            power = _raw_mul(power, x2)
+        terms.extend((i, exps, c * a) for exps, a in power.items())
+    stencils = []
+    for pivot in _pivots(D, d):
+        lows = ((i, tuple(x - y for x, y in zip(pivot, e)), w) for i, e, w in terms)
+        stencils.append([t for t in lows if min(t[1]) >= 0])
+    den = lcm(*(w.denominator for stencil in stencils for _, _, w in stencil))
+    return den, [[(i, e, w.numerator * (den // w.denominator)) for i, e, w in stencil]
+                 for stencil in stencils]
+
+
+def _multinomial_zonal(D, d):
+    """Reference zonal table: G[s, s'] counted from the reference stencils.
+    Delta_z^i (z.w)^d = d!/(d-2i)! (w^2)^i (z.w)^(d-2i), whose coefficient at
+    z^exps w^pivot is a product of multinomials."""
+    den, stencils = _filtered_projector(D, d)
+    out = []
+    for s, stencil in enumerate(stencils, start=1):
+        for s2, pivot in enumerate(_pivots(D, d), start=1):
+            value = 0
+            for i, exps, weight in stencil:
+                twice_f = [p - e for p, e in zip(pivot, exps)]
+                if min(twice_f) < 0 or any(x % 2 for x in twice_f):
+                    continue
+                f = [x // 2 for x in twice_f]
+                count = (factorial(d) // prod(map(factorial, exps))
+                         * factorial(i) // prod(map(factorial, f)))
+                value += weight * count
+            if value:
+                out.append(((s, s2), Fraction(value, den)))
+    return tuple(out)
+
+
+_TABLE_RANGE = [(D, d) for D in range(1, 5) for d in range(9)] + [(5, d) for d in range(7)]
+
+
+def test_projector_stencils_match_the_filtered_build():
+    for D, d in _TABLE_RANGE:
+        den, stencils = _projector(D, d)
+        ref_den, ref_stencils = _filtered_projector(D, d)
+        assert den == ref_den and len(stencils) == len(ref_stencils) == h_dim(D, d)
+        for stencil, ref in zip(stencils, ref_stencils):
+            assert Counter(stencil) == Counter(ref)
+
+
+def test_zonal_matches_the_multinomial_count_and_is_symmetric():
+    for D, d in _TABLE_RANGE:
+        table = _zonal(D, d)
+        assert table == _multinomial_zonal(D, d)
+        G = dict(table)
+        assert all(G.get((s2, s)) == g for (s, s2), g in G.items())
+
+
+def test_neg_binom_is_an_int():
+    for k in range(1, 6):
+        for t in range(9):
+            value = _neg_binom(k, t)
+            assert type(value) is int and value == (-1) ** t * comb(k + t - 1, t)
 
 
 def test_decompose_raw_roundtrip_by_ring_arithmetic():
