@@ -790,6 +790,9 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
     the big mode (-k-t+j, d) and the small mode (a+j, d) with the zonal
     coefficients of ``_zonal``, and the small total degree is a + t.  The
     sums run in Fraction; an integral result is stored as an int.
+
+    In D = 1 only j = b // 2 is visited: there d = b - 2j <= 1, and
+    h_dim(1, d) = 0 for every d >= 2, so ``_zonal`` is empty at the others.
     """
     big_bound, small_bound = bound[1 - small], bound[small]
     coeffs: dict = {}
@@ -798,7 +801,7 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
         for a in range(min(t, depth - t, small_bound - 1) + 1):
             b = t - a
             base = c_t * comb(t, a) * (-2) ** b
-            for j in range(min(b // 2, small_bound - 1 - a) + 1):
+            for j in range(b // 2 if D == 1 else 0, min(b // 2, small_bound - 1 - a) + 1):
                 n_big, n_small = -k - t + j, a + j
                 if n_big >= big_bound:
                     continue
@@ -811,7 +814,7 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
     return {pair: _exact(c) for pair, c in coeffs.items()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def iota_expand(D: int, k: int, side: str, window: int, bound: Optional[tuple] = None) -> BiConeSeries:
     """Expansion of ((z-w)^2)^(-k) with the ``side``-second variable small.
 
@@ -825,7 +828,13 @@ def iota_expand(D: int, k: int, side: str, window: int, bound: Optional[tuple] =
     are formed; without it, every bi-mode is.  The windows do not depend on
     the bound, so ``get`` reads 0 at a mode outside it whatever the
     unbounded expansion holds there.
+
+    D, k and ``window`` must be ints, and the cache is typed, so a bool or a
+    float is refused before anything is cached, never served an int's entry.
     """
+    _require_int("D", D)
+    _require_int("k", k)
+    _require_int("window", window)
     if window < 0:
         raise ValueError("window must be >= 0")
     if D < 1:
@@ -862,6 +871,9 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     unbounded and 0 at the bound (0, 0).  When the prefactor is 1, the
     cached pole expansion is the result.
     """
+    _require_int("depth", depth)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     D = F.D
     small = 1 if side == "zw" else 0
     mono_deg = (sum(F.z_exps), sum(F.w_exps))[small]
@@ -886,6 +898,9 @@ def iota_antisym(F: Kernel, window: int) -> BiConeSeries:
     Zero exactly when F has no (z-w)^2 pole; the delta-like difference
     otherwise.
     """
+    _require_int("window", window)
+    if window < 0:
+        raise ValueError("window must be >= 0")
     left = iota_kernel(F, "zw", window)
     right = iota_kernel(F, "wz", window)
     box = (Window(window), Window(window))

@@ -29,7 +29,10 @@ checks is formed once per structure, not once per check: the pair terms
 a(z)(b(w)c), the lifted u-fields and one residual lhs - rhs per triple,
 kernel and depth live in the structure's private memo.  The depth does not
 involve L, so the checks of one structure at several L, and Borcherds at
-F = 1 after Jacobi, reuse the residuals.
+F = 1 after Jacobi, reuse the residuals.  In D = 1 it does not involve the
+window either (the singular region is finite; see ``_run_identity``), so a
+D = 1 window sweep forms and keeps one residual per triple and kernel; in
+D >= 2 each window's depth adds its own.
 """
 
 from __future__ import annotations
@@ -177,6 +180,13 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     min_hom(series) + zdeg: every deeper mode already received all its
     (finitely many) contributions.
 
+    The sum stops at the first empty term, since every later term is then
+    empty too.  In D = 1 that happens by t = P, P = -min_hom(series) the
+    pole order: every mode there has m <= 1, so n < 0 iff 2n + m <= -1, and
+    term t lies at total degree >= t - P.  So a D = 1 series costs at most P
+    steps whatever ``zdeg``; in D >= 2, z_a (x^2)^n h_m keeps a singular part
+    at every m and the sum runs to ``zdeg``.
+
     Each step is one ``_table_sum`` over the pairs (a, mode), with the
     coefficient acted on by T_a and the ``_times_mono`` table of z_a, so a
     term is kept as numerators over one int denominator, which collects the
@@ -196,6 +206,8 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
     term = out = series.singular_part().restrict(window)
     den = 1  # term_t = term / den
     for t in range(1, zdeg + 1):
+        if not term:
+            break  # (z.T) of nothing is nothing: every later term is empty too
         step_den, step = _table_sum((coeff.mul_T(a + 1), n, 1, _times_mono(D, m, s, z[a]))
                                     for a in range(D) for (n, m, s), coeff in term.coeffs.items())
         den *= step_den * t
@@ -362,21 +374,40 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
 def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
     """lhs - rhs of the identity with kernel F for the triple (i, j, k) at
     ``depth``, formed once per structure; both sides form only bi-modes with
-    n_z < 0 and n_w < 0.  A right-hand window below total degree -1 cannot
-    see that region: TruncationError, and nothing is stored."""
+    n_z < 0 and n_w < 0.  A window of either side below total degree -1
+    cannot see that region: TruncationError, and nothing is stored."""
     key = ("residual", i, j, k, F, depth)
     residual = S._memo.get(key)
     if residual is None:
-        rhs = _borcherds_rhs(S, i, j, k, F, depth)
-        if any(w.degmax is not None and w.degmax < -1 for w in rhs.windows):
+        residual = _borcherds_lhs(S, i, j, k, F, depth) - _borcherds_rhs(S, i, j, k, F, depth)
+        if any(w.degmax is not None and w.degmax < -1 for w in residual.windows):
             raise TruncationError(
                 "derived window does not reach the singular region; raise the window"
             )
-        residual = S._memo[key] = _borcherds_lhs(S, i, j, k, F, depth) - rhs
+        S._memo[key] = residual
     return residual
 
 
 def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) -> CheckReport:
+    """Compare lhs and rhs of the identity with kernel F on every triple.
+
+    The u-field poles folded into w cost the right-hand w window up to
+    2 * S.u_pole_bound in total degree, so the depth
+    window + 2 * S.u_pole_bound + 2 keeps both windows of the residual at
+    least window + 2 deep.
+
+    D = 1 uses the window-0 depth 2 * S.u_pole_bound + 2 whatever the
+    window.  There every mode has m <= 1, so n < 0 iff 2n + m <= -1: the
+    doubly singular region is the set of bi-modes of total degree <= -1 in
+    both slots, and it is finite.  A residual is exact on its windows, and
+    ``_residual`` refuses one whose windows (both sides) miss total degree
+    -1 in either slot.  So a residual it returns holds the whole doubly
+    singular region and equals the true doubly singular residual at every
+    window: the D = 1 report differs between windows only in its header.
+    Every window, every L and Borcherds at F = 1 read the one memoized
+    residual per (i, j, k, F).  In D >= 2 the singular region is infinite
+    and the depth follows the window.
+    """
     _require_int("L", L)
     _require_int("window", window)
     if window < 0:
@@ -386,10 +417,7 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
         raise ValueError(f"L = {L} is below the largest action pole order {needed}")
     failures = []
     records = []
-    # The u-field poles folded into w cost the RHS w window up to
-    # 2 * S.u_pole_bound in total degree; this depth keeps both RHS
-    # windows at least window + 2 deep.
-    depth = window + 2 * S.u_pole_bound + 2
+    depth = (0 if S.D == 1 else window) + 2 * S.u_pole_bound + 2
     for i in range(S.r):
         for j in range(S.r):
             for k in range(S.r):

@@ -336,6 +336,10 @@ GOLDEN_EMITS = [
      "8416d2d14114bd6e2080db0f9a685e9cb2ddcd0ba9971b7dedf3d4bbbeeebc7f"),
     (["iota-expansion", "--dim", "4", "--k", "2", "--side", "wz", "--window", "8"],
      "12857023f083fb74dcf74f790672e7a8180d0a42899880ff269d9925ee9f1095"),
+    (["iota-expansion", "--dim", "1", "--k", "1", "--window", "40"],
+     "5dab279088612e1a3dd58ae33e5ab5a637374615a32f1afa43db75d965e4eee8"),
+    (["iota-expansion", "--dim", "1", "--k", "2", "--side", "wz", "--window", "40"],
+     "0a9721db674267f73fc9672cbfd29c10024a20a27fe4484ccd1acfe34fce47e8"),
 ]
 
 

@@ -998,3 +998,28 @@ def test_kernels_need_a_positive_dimension():
         harmonic_basis(0, 1)
     with pytest.raises(ValueError, match="m must be >= 0"):
         harmonic_basis(2, -1)
+
+
+_ZW = Kernel(2, zw_pole=1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: iota_expand(2, 1, "zw", True), TypeError),
+    (lambda: iota_expand(2, 1, "zw", 2.5), TypeError),
+    (lambda: iota_expand(2, True, "zw", 1), TypeError),
+    (lambda: iota_expand(2.0, 1, "zw", 1), TypeError),
+    (lambda: iota_kernel(_ZW, "zw", -1), ValueError),
+    (lambda: iota_kernel(_ZW, "wz", True), TypeError),
+    (lambda: iota_antisym(_ZW, -1), ValueError),
+    (lambda: iota_antisym(_ZW, 1.5), TypeError),
+], ids=["window True", "window 2.5", "k True", "D 2.0", "kernel depth -1", "kernel depth True",
+        "antisym window -1", "antisym window 1.5"])
+def test_iota_refuses_bad_arguments_before_anything_is_cached(call, error):
+    # window=True used to be cached with Window(degmax=True) and then served
+    # for window=1; a negative kernel depth used to give a window-0 series.
+    iota_expand(2, 1, "zw", 1)  # a valid entry a refused call could hit
+    cached = iota_expand.cache_info().currsize
+    with pytest.raises(error):
+        call()
+    assert iota_expand.cache_info().currsize == cached
+    assert iota_expand(2, 1, "zw", 1).windows == (FULL_WINDOW, Window(1))

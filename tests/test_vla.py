@@ -319,6 +319,28 @@ def test_apply_exp_zT_is_the_singular_part_of_the_full_exponential():
             assert all(n < 0 for (n, _, _) in got.coeffs)
 
 
+def test_apply_exp_zT_stops_exactly_where_no_singular_mode_is_left():
+    # D = 1: z^t times a pole of total degree -P is regular once t >= P, so
+    # every z-degree from P - 1 on gives the same singular part.
+    for S in (make() for make in _D1_BRIDGES.values()):
+        for i in range(S.r):
+            for j in range(S.r):
+                series = S.action(j, i).parity_flip()
+                first = max(-series.min_hom() - 1, 0)
+                expected = apply_exp_zT(series, first).coeffs
+                for zdeg in range(first + 1, first + 7):
+                    assert apply_exp_zT(series, zdeg).coeffs == expected
+    # D = 2: z_1 (x^2)^-1 h_m keeps a singular part at every m, so no term of
+    # the exponential is empty.  From the lowest degree part of the source,
+    # term t is all that lands at total degree low + t.
+    action = _d2_fixture().action(0, 0).parity_flip()
+    low = action.min_hom()
+    series = ConeSeries(2, "z", {mode: c for mode, c in action.coeffs.items()
+                                 if 2 * mode[0] + mode[1] == low})
+    got = apply_exp_zT(series, 6)
+    assert {2 * n + m for (n, m, _) in got.coeffs} == set(range(low, low + 7))
+
+
 # ----------------------------------------------------------------------
 # Jacobi and Borcherds
 # ----------------------------------------------------------------------
@@ -450,7 +472,8 @@ def test_virasoro_chiral_pair_mutants_fail():
 
 
 def _checker_depth(S, window):
-    """The depth the identity checkers derive: window + 2 * u_pole_bound + 2."""
+    """window + 2 * u_pole_bound + 2: the depth of the identity checkers in
+    D >= 2, and in D = 1 at window 0 (the D = 1 depth at every window)."""
     t_degree = max(
         (p.total_degree() for series in S.actions.values()
          for el in series.coeffs.values() for p in el.coords.values()),
@@ -489,6 +512,56 @@ def test_identity_failures_need_a_window_reaching_the_singular_region():
                 assert ("residual", 0, 0, 0, F, depth) not in S._memo
             else:
                 vla._residual(S, 0, 0, 0, F, depth)
+
+
+_D1_BRIDGES = {
+    "Cur(sl2)": lambda: d1_bridge(build_cur(LieStructure.sl2(), 1)),
+    "W(1)": lambda: d1_bridge(build_wd(1)),
+    "broken": lambda: d1_bridge(_broken_table()),
+    "broken-skew": lambda: d1_bridge(_broken_skew_table()),
+}
+
+
+@pytest.mark.parametrize("name", list(_D1_BRIDGES))
+def test_d1_residuals_do_not_depend_on_the_depth(name):
+    # In D = 1 every mode has m <= 1, so n < 0 iff 2n + m <= -1: a residual
+    # whose windows reach total degree -1 in both slots holds the whole
+    # doubly singular region, and a deeper one holds nothing more.
+    S = _D1_BRIDGES[name]()
+    d0 = _checker_depth(S, 0)
+    triples = [(i, j, k) for i in range(S.r) for j in range(S.r) for k in range(S.r)]
+    for F in _golden_kernels(1).values():
+        for i, j, k in triples:
+            shallow = vla._residual(S, i, j, k, F, d0)
+            assert vla._residual(S, i, j, k, F, d0 + 6).items() == shallow.items()
+
+
+@pytest.mark.parametrize("name", list(_D1_BRIDGES))
+def test_d1_identity_reports_do_not_depend_on_the_window(name):
+    S = _D1_BRIDGES[name]()
+    L = S.max_pole()
+    for label, F in _golden_kernels(1).items():
+        check = ((lambda w: jacobi_check_vla(S, L, w)) if label == "1"
+                 else (lambda w, F=F: borcherds_check(S, L, F, w)))
+        base = check(0)
+        for window in (*range(1, 9), 200):
+            report = check(window)
+            assert report.detail == f"L={L}, window={window}"
+            assert replace(report, detail=base.detail) == base, (label, window)
+
+
+def test_d1_memo_does_not_grow_with_the_window():
+    for make in _D1_BRIDGES.values():
+        S = make()
+        L = S.max_pole()
+        F = _golden_kernels(1)["z1"]
+        jacobi_check_vla(S, L, 0)
+        borcherds_check(S, L, F, 0)
+        keys = set(S._memo)
+        for window in range(1, 7):
+            jacobi_check_vla(S, L, window)
+            borcherds_check(S, L, F, window)
+        assert set(S._memo) == keys
 
 
 # ----------------------------------------------------------------------
