@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
@@ -606,24 +606,30 @@ class BiConeSeries:
         vectors are summed in ints, and each coordinate becomes one exact
         value at the end, an int when the common denominator is 1.
 
-        Multiplying only raises n, so with ``bound`` = (bz, bw) only
-        bi-modes with n_z < bz and n_w < bw are formed.  The windows do not
-        depend on the bound, so ``get`` reads 0 at a mode outside it
-        whatever the unbounded product holds there.
+        Both cuts are decided per (left key, right key) pair, before its
+        ``_times_harm`` tables are read.  Multiplying only raises n, so with
+        ``bound`` = (bz, bw) a pair at n_z >= bz or n_w >= bw forms nothing
+        (each table entry, whose raise dj varies, is tested too).  Total
+        degree 2n + m adds, as h_m h_m' decomposes within degree m + m', so
+        a pair outside the windows, derived from all pairs first, forms
+        nothing either.  The windows do not depend on the bound, so ``get``
+        reads 0 at a mode outside it whatever the unbounded product holds.
         """
         windows = (FULL_WINDOW, FULL_WINDOW)
-        bz, bw = (None, None) if bound is None else bound
-        # (product, denominator) -> {(output bi-mode, key of right): int numerator}
-        parts: dict = {}
-        vectors: dict = {}
-        build = _scalar_from_vector
-        for index, (left, right) in enumerate(products):
+        for left, right in products:
             if left.D != D or right.D != D:
                 raise WorkspaceError("series mismatch")
             if not all(w.is_full for w in right.windows):
                 raise TruncationError("mul_series needs an exactly-known right factor")
             windows = tuple(window.intersect(w.shift(low)) for window, w, low
                             in zip(windows, left.windows, _least_degrees(right.coeffs)))
+        wz, ww = windows
+        bz, bw = (None, None) if bound is None else bound
+        # (product, denominator) -> {(output bi-mode, key of right): int numerator}
+        parts: dict = {}
+        vectors: dict = {}
+        build = _scalar_from_vector
+        for index, (left, right) in enumerate(products):
             if not left.coeffs or not right.coeffs:
                 continue
             views = vectors[index] = {}
@@ -638,7 +644,8 @@ class BiConeSeries:
                 for bkey, (b_den, _) in views.items():
                     (nb1, mb1, sb1), (nb2, mb2, sb2) = bkey
                     n1, n2 = na1 + nb1, na2 + nb2
-                    if bound is not None and (n1 >= bz or n2 >= bw):
+                    if (bound is not None and (n1 >= bz or n2 >= bw)
+                            or not (wz.contains(n1, ma1 + mb1) and ww.contains(n2, ma2 + mb2))):
                         continue
                     d1, z_table = _times_harm(D, ma1, sa1, mb1, sb1)
                     d2, w_table = _times_harm(D, ma2, sa2, mb2, sb2)
@@ -669,9 +676,7 @@ class BiConeSeries:
                         acc = out[key] = {}
                     for coord, v in views[bkey][1].items():
                         acc[coord] = acc.get(coord, 0) + weight * v
-        wz, ww = windows
-        return BiConeSeries._trusted(D, {key: build(den, acc) for key, acc in out.items()
-                                         if wz.contains(*key[0][:2]) and ww.contains(*key[1][:2])},
+        return BiConeSeries._trusted(D, {key: build(den, acc) for key, acc in out.items()},
                                      windows)
 
     def restrict(self, windows: tuple) -> "BiConeSeries":
@@ -793,9 +798,14 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
 
     In D = 1 only j = b // 2 is visited: there d = b - 2j <= 1, and
     h_dim(1, d) = 0 for every d >= 2, so ``_zonal`` is empty at the others.
+    The factor b!/d! / ``_gauss_factor(D, d, j)`` depends on (d, j) alone
+    (b!/d! = perm(b, 2j), b = d + 2j), so it is formed once per (d, j) in
+    ``factors``.  In D = 1 it is 1: prod_{k=1..j} 2k(2k - 1 + 2d) is
+    (2j)! = b! at d = 0 and (2j + 1)! = b! at d = 1, and d! = 1.
     """
     big_bound, small_bound = bound[1 - small], bound[small]
     coeffs: dict = {}
+    factors: dict = {}
     for t in range(depth + 1):
         c_t = _neg_binom(k, t)
         for a in range(min(t, depth - t, small_bound - 1) + 1):
@@ -807,7 +817,9 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
                     continue
                 n_z, n_w = (n_big, n_small) if small == 1 else (n_small, n_big)
                 d = b - 2 * j
-                scale = Fraction(base * factorial(b) // factorial(d), _gauss_factor(D, d, j))
+                if (d, j) not in factors:
+                    factors[d, j] = _exact(Fraction(perm(b, 2 * j), _gauss_factor(D, d, j)))
+                scale = base * factors[d, j]
                 for (sz, sw), g in _zonal(D, d):
                     pair = ((n_z, d, sz), (n_w, d, sw))
                     coeffs[pair] = coeffs.get(pair, 0) + scale * g

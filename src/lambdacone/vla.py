@@ -21,8 +21,9 @@ both z and w (which is how the outermost singular-part operation has to be
 read for them to have the same mode support), and only that part is formed:
 every product here (by monomials, by h(z-w), by the lifted u-field, by a
 kernel) only raises the mode index n, so the iota expansions and the products
-are bounded to n_z, n_w below the poles of the factor still to come, and no
-term that cannot land in the compared region is ever built.
+are bounded to n_z, n_w below the poles of the factor still to come; a
+product adds total degrees, so a pair of factor modes above the windows is
+skipped too, and no term that cannot land in the compared region is built.
 
 A structure is immutable after construction, so every term of the identity
 checks is formed once per structure, not once per check: the pair terms
@@ -353,7 +354,8 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     ``depth`` plus the least total degree of the u-field, whose poles fold
     into w.  The windows are those of the full product.  The sum over the
     modes is one ``BiConeSeries.sum_of_products``, so each output coefficient
-    is built once.
+    is built once, and a (kernel, u-field) mode pair above the windows is
+    skipped unformed.
     """
     fields_key = ("u-fields", i, j, k)
     u_fields = S._memo.get(fields_key)

@@ -4,6 +4,7 @@ and the D = 1 bridge that lets the pseudoalgebra engine cross-examine them."""
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, prod
@@ -562,6 +563,52 @@ def test_d1_memo_does_not_grow_with_the_window():
             jacobi_check_vla(S, L, window)
             borcherds_check(S, L, F, window)
         assert set(S._memo) == keys
+
+
+def _random_d1_table(rng, skew):
+    """A random D = 1 table on r = 1 or 2 generators: each coordinate of an
+    entry has coefficients in [-3, 3] on some T^a lam^b with a + b <= 2.  With
+    ``skew``, [b lam a] = -[a lam b] at lam -> -T - lam, and a diagonal entry
+    is e - e(lam -> -T - lam)."""
+    vs = pseudo_space(1)
+    T, lam = vs.var("T", 1), vs.var("lam", 1)
+    r = rng.choice((1, 2))
+    flip = {("lam", 1): -T - lam}
+
+    def entry():
+        return LambdaPoly(vs, r, {k: sum(rng.randint(-3, 3) * T ** a * lam ** b
+                                         for a in range(3) for b in range(3 - a)
+                                         if rng.random() < 0.3)
+                                  for k in range(r)})
+
+    entries = {}
+    for i in range(r):
+        for j in range(i if skew else 0, r):
+            e = entry()
+            if not skew:
+                entries[i, j] = e
+            elif i < j:
+                entries[i, j], entries[j, i] = e, -e.subst(flip)
+            else:
+                entries[i, i] = e - e.subst(flip)
+    return BracketTable(1, ("a", "b")[:r], entries)
+
+
+def test_d1_bridge_verdicts_match_pseudo_on_random_tables():
+    # The two engines judge the same D = 1 table: skew at window P - 1 (P the
+    # largest total pole degree of the actions) and Jacobi, per generator
+    # tuple.  Both kinds of table and both verdicts must occur.
+    rng = random.Random(2024)
+    seen = set()
+    for trial in range(60):
+        table = _random_d1_table(rng, skew=trial % 2)
+        S = d1_bridge(table)
+        P = max((-(2 * n + m) for s in S.actions.values() for n, m, _ in s.coeffs), default=0)
+        skew, jacobi = skew_check(table), jacobi_check(table)
+        assert skew_check_vla(S, max(P - 1, 0)).records == skew.records, trial
+        assert jacobi_check_vla(S, S.max_pole(), 0).records == jacobi.records, trial
+        seen.add((trial % 2, skew.passed, jacobi.passed))
+    assert {(0, False, False), (0, True, True), (1, True, False), (1, True, True)} <= seen
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ from lambdacone import (
     iota_expand,
     iota_kernel,
 )
+from lambdacone import cone
 from lambdacone.cone import FULL_WINDOW
 
 
@@ -118,3 +119,27 @@ def test_bounded_products_are_the_filtered_products():
                                       if key[0][0] < bound[0] and key[1][0] < bound[1]}
             kept.append(len(bounded.coeffs))
     assert 0 in kept and any(kept)
+
+
+def test_products_outside_the_windows_read_no_table(monkeypatch):
+    # A product mode's total degree in each slot is deg_left + deg_right, so
+    # a (left key, right key) pair above the result windows forms nothing:
+    # the right key of degree 3 in z against a window-0 left factor, and the
+    # one of degree 2 in w against a window -1, read no _times_harm table.
+    left_keys = {((-1, 0, 1), (-1, 1, 1)): 3, ((-1, 1, 2), (-2, 2, 1)): Fraction(1, 2)}
+    right = BiConeSeries(2, {((0, 0, 1), (0, 0, 1)): 1, ((0, 3, 1), (0, 0, 1)): 2,
+                             ((0, 0, 1), (0, 2, 2)): Fraction(-1, 3)})
+    windowed = BiConeSeries(2, left_keys, (Window(0), Window(-1)))
+    read = set()
+    times_harm = cone._times_harm
+
+    def recorder(*args):
+        read.add(args)
+        return times_harm(*args)
+
+    monkeypatch.setattr(cone, "_times_harm", recorder)
+    product = windowed.mul_series(right)
+    assert read == {(2, 0, 1, 0, 1), (2, 1, 1, 0, 1), (2, 1, 2, 0, 1), (2, 2, 1, 0, 1)}
+    assert product.windows == (Window(0), Window(-1)) and product.coeffs
+    full = BiConeSeries(2, left_keys).mul_series(right)
+    assert product == full.restrict(product.windows)
