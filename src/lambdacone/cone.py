@@ -768,18 +768,20 @@ def _neg_binom(k: int, t: int) -> int:
 @lru_cache(maxsize=None)
 def _zonal(D: int, d: int) -> tuple:
     """The zonal harmonic K_d[(z.w)^d] = sum G[s, s'] h_{d,s}(z) h_{d,s'}(w),
-    as a tuple of ((s, s'), G) with G nonzero, in (s, s') order.
+    as (den, ((s, s'), int) pairs) with G = int / den nonzero, in (s, s')
+    order, den least.
 
     K_d[(z.w)^d] is harmonic in w, so its coordinate s' is its coefficient
     at the pivot p of s' (``_pivots``), d!/p! K_d[z^p]; and K_d[z^p] is the
-    j = 0 part of the Gauss decomposition of z^p (``_harmonic_parts``).
+    j = 0 part of the Gauss decomposition of z^p (``_harmonic_parts``), over
+    the one denominator q of ``_projector(D, d)`` for every pivot.
     """
-    out = []
+    out, q = [], 1
     for s2, pivot in enumerate(_pivots(D, d), start=1):
         _, _, q, coords = next(_harmonic_parts(D, d, {pivot: 1}))
         scale = factorial(d) // prod(map(factorial, pivot))
-        out.extend(((s, s2), Fraction(scale * n, q)) for s, n in coords.items())
-    return tuple(sorted(out))
+        out.extend(((s, s2), scale * n) for s, n in coords.items())
+    return _least(q, sorted(out))
 
 
 def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
@@ -793,8 +795,9 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
     sum_j b!/d! / ``_gauss_factor(D, d, j)`` (z^2 w^2)^j K_d[(z.w)^d]
     (Delta_z^j (z.w)^b = b!/d! (w^2)^j (z.w)^d).  So each (t, a, j) fills
     the big mode (-k-t+j, d) and the small mode (a+j, d) with the zonal
-    coefficients of ``_zonal``, and the small total degree is a + t.  The
-    sums run in Fraction; an integral result is stored as an int.
+    coefficients of ``_zonal``, and the small total degree is a + t.  Each
+    (n_z, n_w, d) scales one table, so its scalars are summed first, in ints
+    over one denominator, and each bi-mode is one product and one division.
 
     In D = 1 only j = b // 2 is visited: there d = b - 2j <= 1, and
     h_dim(1, d) = 0 for every d >= 2, so ``_zonal`` is empty at the others.
@@ -804,7 +807,7 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
     (2j)! = b! at d = 0 and (2j + 1)! = b! at d = 1, and d! = 1.
     """
     big_bound, small_bound = bound[1 - small], bound[small]
-    coeffs: dict = {}
+    sums: dict = {}  # (n_z, n_w, d) -> (numerator, denominator)
     factors: dict = {}
     for t in range(depth + 1):
         c_t = _neg_binom(k, t)
@@ -815,15 +818,17 @@ def _iota_zonal(D: int, k: int, small: int, depth: int, bound: tuple) -> dict:
                 n_big, n_small = -k - t + j, a + j
                 if n_big >= big_bound:
                     continue
-                n_z, n_w = (n_big, n_small) if small == 1 else (n_small, n_big)
                 d = b - 2 * j
+                key = (n_big, n_small, d) if small == 1 else (n_small, n_big, d)
                 if (d, j) not in factors:
-                    factors[d, j] = _exact(Fraction(perm(b, 2 * j), _gauss_factor(D, d, j)))
-                scale = base * factors[d, j]
-                for (sz, sw), g in _zonal(D, d):
-                    pair = ((n_z, d, sz), (n_w, d, sw))
-                    coeffs[pair] = coeffs.get(pair, 0) + scale * g
-    return {pair: _exact(c) for pair, c in coeffs.items()}
+                    f = Fraction(perm(b, 2 * j), _gauss_factor(D, d, j))
+                    factors[d, j] = f.numerator, f.denominator
+                num, den = factors[d, j]
+                total, total_den = sums.get(key, (0, den))
+                common = lcm(total_den, den)
+                sums[key] = total * (common // total_den) + base * num * (common // den), common
+    return {((n_z, d, sz), (n_w, d, sw)): _quotient(num * g, den * _zonal(D, d)[0])
+            for (n_z, n_w, d), (num, den) in sums.items() for (sz, sw), g in _zonal(D, d)[1]}
 
 
 @lru_cache(maxsize=None, typed=True)

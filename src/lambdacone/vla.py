@@ -25,15 +25,14 @@ are bounded to n_z, n_w below the poles of the factor still to come; a
 product adds total degrees, so a pair of factor modes above the windows is
 skipped too, and no term that cannot land in the compared region is built.
 
-A structure is immutable after construction, so every term of the identity
-checks is formed once per structure, not once per check: the pair terms
-a(z)(b(w)c), the lifted u-fields and one residual lhs - rhs per triple,
-kernel and depth live in the structure's private memo.  The depth does not
-involve L, so the checks of one structure at several L, and Borcherds at
-F = 1 after Jacobi, reuse the residuals.  In D = 1 it does not involve the
-window either (the singular region is finite; see ``_run_identity``), so a
-D = 1 window sweep forms and keeps one residual per triple and kernel; in
-D >= 2 each window's depth adds its own.
+A structure is immutable after construction, so every term of the checks
+is formed once per structure, in its private memo: the pair terms
+a(z)(b(w)c), the lifted u-fields, each skew difference and residual lhs - rhs
+at the deepest depth asked for (restricted, it is the shallower one), and one
+report body per kernel and depth.  A polynomial kernel F iota-expands to
+itself and only raises n, so its residual is F times the F = 1 (Jacobi) one:
+Jacobi passing implies Borcherds passing, not conversely.  L, and in D = 1
+the window, leave the depth alone, so such checks share one report.
 """
 
 from __future__ import annotations
@@ -67,10 +66,8 @@ class VLAStructure:
 
     The structure is immutable after construction: ``actions`` is a
     read-only view that cannot be reassigned, and ``u_pole_bound`` is
-    derived from it once.  The identity checkers keep the pair terms, the
-    lifted u-fields and the residuals in ``_memo``, keyed by the arguments
-    of the function that forms each one, so each is formed once per
-    structure.
+    derived from it once.  The checkers keep the terms they form in
+    ``_memo``, so each is formed once per structure.
     """
 
     def __init__(self, D: int, generators, actions: Mapping):
@@ -110,8 +107,9 @@ class VLAStructure:
              for el in series.coeffs.values() for p in el.coords.values()),
             default=0,
         )
-        # ("pair", outer, inner, k), ("u-fields", i, j, k) and ("residual",
-        # i, j, k, F, depth) -> the term they name.
+        # ("pair", outer, inner, k), ("u-fields", i, j, k) -> the term; ("skew",
+        # i, j), ("residual", i, j, k, F) -> (the deepest depth formed, the
+        # term); ("report", F, depth) -> (failures, records).
         self._memo: dict = {}
 
     @property
@@ -246,7 +244,10 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
 
     The exponential is truncated at z-degree ``window``; the two sides are
     compared on the region the truncation still answers for exactly, and the
-    report records that region.
+    report records that region.  The deepest difference per pair is kept and
+    restricted (``apply_exp_zT`` is exact to min_hom + zdeg).  In D = 1 it
+    stops by zdeg = P = -min_hom, whose window 0 holds every singular mode
+    (2n + m <= -1): formed there it is complete, and a window only cuts it.
     """
     _require_int("window", window)
     if window < 0:
@@ -256,8 +257,15 @@ def skew_check_vla(S: VLAStructure, window: int) -> CheckReport:
     for i in range(S.r):
         for j in range(S.r):
             label = f"({S.generators[i]},{S.generators[j]})"
-            rhs = apply_exp_zT(S.action(j, i).parity_flip(), window)
-            diff = S.action(i, j).restrict(rhs.window) - rhs
+            source = S.action(j, i)
+            deepest = -source.min_hom() if S.D == 1 else window
+            zdeg = min(window, deepest)
+            stored, diff = S._memo.get(("skew", i, j), (-1, None))
+            if stored < zdeg:
+                rhs = apply_exp_zT(source.parity_flip(), deepest)
+                stored, diff = deepest, S.action(i, j).restrict(rhs.window) - rhs
+                S._memo["skew", i, j] = (stored, diff)
+            diff = diff.restrict(diff.window.shift(zdeg - stored))
             records.append((label, not diff))
             for mode, coeff in diff.items():
                 failures.append(
@@ -373,21 +381,51 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     return BiConeSeries.sum_of_products(S.D, products, (0, 0))
 
 
+def _times_polynomial(S: VLAStructure, i: int, j: int, k: int, F: Kernel,
+                      depth: int) -> BiConeSeries:
+    """F times the F = 1 residual: for F = z^e w^f, iota_zw F = iota_wz F = F
+    and F only raises n.  The direct path expands each slot at least to F's
+    degree c there, so its windows are the F = 1 ones raised by
+    max(depth, c) - depth.  F is homogeneous, so those windows need the
+    F = 1 residual only to them lowered by c, which it holds: cut there, it
+    is an exactly known factor."""
+    one = _residual(S, i, j, k, Kernel.one(S.D), depth)
+    degrees = (sum(F.z_exps), sum(F.w_exps))
+    windows = tuple(w.shift(max(depth, c) - depth) for w, c in zip(one.windows, degrees))
+    cut = one.restrict(tuple(w.shift(-c) for w, c in zip(windows, degrees)))
+    vs = VarSpace(S.D, ("z", "w"))
+    kernel = bicone_from_poly(vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps))
+    return kernel.mul_series(BiConeSeries._trusted(S.D, cut.coeffs), (0, 0)).restrict(windows)
+
+
 def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
     """lhs - rhs of the identity with kernel F for the triple (i, j, k) at
-    ``depth``, formed once per structure; both sides form only bi-modes with
-    n_z < 0 and n_w < 0.  A window of either side below total degree -1
-    cannot see that region: TruncationError, and nothing is stored."""
-    key = ("residual", i, j, k, F, depth)
-    residual = S._memo.get(key)
-    if residual is None:
-        residual = _borcherds_lhs(S, i, j, k, F, depth) - _borcherds_rhs(S, i, j, k, F, depth)
-        if any(w.degmax is not None and w.degmax < -1 for w in residual.windows):
-            raise TruncationError(
-                "derived window does not reach the singular region; raise the window"
-            )
-        S._memo[key] = residual
-    return residual
+    ``depth``; both sides form only bi-modes with n_z < 0 and n_w < 0.
+
+    The deepest residual per (i, j, k, F) is kept.  Each window is
+    max(depth, c) plus a shift free of the depth, c F's least degree in that
+    slot (``iota_kernel`` expands at least that deep), and the residual is
+    exact on its windows, so a shallower one is it restricted, each window
+    moved by max(depth, c) - max(stored, c).  A window below total degree -1
+    cannot see the singular region: TruncationError, and nothing is stored.
+    """
+    key = ("residual", i, j, k, F)
+    floors = (sum(F.z_exps) - 2 * F.z_pole, sum(F.w_exps) - 2 * F.w_pole)
+    stored, residual = S._memo.get(key, (-1, None))
+    if stored < depth:
+        if F == Kernel.one(S.D) or F.z_pole or F.w_pole or F.zw_pole:
+            residual = _borcherds_lhs(S, i, j, k, F, depth) - _borcherds_rhs(S, i, j, k, F, depth)
+        else:
+            residual = _times_polynomial(S, i, j, k, F, depth)
+        stored = depth
+    windows = tuple(w.shift(max(depth, c) - max(stored, c))
+                    for w, c in zip(residual.windows, floors))
+    if any(w.degmax is not None and w.degmax < -1 for w in windows):
+        raise TruncationError(
+            "derived window does not reach the singular region; raise the window"
+        )
+    S._memo[key] = (stored, residual)
+    return residual if stored == depth else residual.restrict(windows)
 
 
 def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) -> CheckReport:
@@ -406,9 +444,10 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
     -1 in either slot.  So a residual it returns holds the whole doubly
     singular region and equals the true doubly singular residual at every
     window: the D = 1 report differs between windows only in its header.
-    Every window, every L and Borcherds at F = 1 read the one memoized
-    residual per (i, j, k, F).  In D >= 2 the singular region is infinite
-    and the depth follows the window.
+    In D >= 2 the singular region is infinite and the depth follows the
+    window.  The failures and records are kept per (F, depth): a check
+    repeated at another L or D = 1 window, or as Borcherds at F = 1 after
+    Jacobi, builds only its header.
     """
     _require_int("L", L)
     _require_int("window", window)
@@ -417,18 +456,20 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
     needed = S.max_pole()
     if L < needed:
         raise ValueError(f"L = {L} is below the largest action pole order {needed}")
-    failures = []
-    records = []
     depth = (0 if S.D == 1 else window) + 2 * S.u_pole_bound + 2
-    for i in range(S.r):
-        for j in range(S.r):
-            for k in range(S.r):
-                label = f"({S.generators[i]},{S.generators[j]},{S.generators[k]})"
-                found = [Failure(f"{label} modes {key}", coeff.format(S.generators))
-                         for key, coeff in _residual(S, i, j, k, F, depth).items()]
-                records.append((label, not found))
-                failures.extend(found)
-    return CheckReport(name, tuple(failures), f"L={L}, window={window}", tuple(records))
+    if ("report", F, depth) not in S._memo:
+        failures, records = [], []
+        for i in range(S.r):
+            for j in range(S.r):
+                for k in range(S.r):
+                    label = f"({S.generators[i]},{S.generators[j]},{S.generators[k]})"
+                    found = [Failure(f"{label} modes {key}", coeff.format(S.generators))
+                             for key, coeff in _residual(S, i, j, k, F, depth).items()]
+                    records.append((label, not found))
+                    failures.extend(found)
+        S._memo["report", F, depth] = (tuple(failures), tuple(records))
+    failures, records = S._memo["report", F, depth]
+    return CheckReport(name, failures, f"L={L}, window={window}", records)
 
 
 def jacobi_check_vla(S: VLAStructure, L: int, window: int) -> CheckReport:
@@ -441,12 +482,15 @@ def borcherds_check(S: VLAStructure, L: int, F: Kernel, window: int) -> CheckRep
 
     For F = 1 this is the same comparison as :func:`jacobi_check_vla`.  The
     verdict is determined by vertex-Lie data only for a polynomial F
-    (``z_exps`` and ``w_exps``).  A kernel with a z, w or (z-w) pole is
-    still expanded and compared, but then the identity reaches the regular
-    parts of the fields (in D = 1 the n-th products with n < 0), which
-    singular-part data lack, so valid structures can fail; the CLI offers no
-    pole kernel for that reason.
+    (``z_exps`` and ``w_exps``), F times the Jacobi residual: Jacobi passing
+    implies Borcherds passing, not conversely.  A kernel with a z, w or
+    (z-w) pole is still expanded and compared, but then the identity reaches
+    the regular parts of the fields (in D = 1 the n-th products with n < 0),
+    which singular-part data lack, so valid structures can fail; the CLI
+    offers no pole kernel for that reason.
     """
+    if not isinstance(F, Kernel):
+        raise TypeError(f"F must be a Kernel, got {F!r}")
     if F.D != S.D:
         raise WorkspaceError("kernel dimension mismatch")
     return _run_identity(S, L, F, window, "borcherds")

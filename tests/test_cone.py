@@ -393,9 +393,10 @@ def test_projector_stencils_match_the_filtered_build():
 
 def test_zonal_matches_the_multinomial_count_and_is_symmetric():
     for D, d in _TABLE_RANGE:
-        table = _zonal(D, d)
-        assert table == _multinomial_zonal(D, d)
-        G = dict(table)
+        den, table = _zonal(D, d)
+        assert all(type(g) is int for _, g in table) and gcd(den, *(g for _, g in table)) == 1
+        G = {key: Fraction(g, den) for key, g in table}
+        assert tuple(G.items()) == _multinomial_zonal(D, d)
         assert all(G.get((s2, s)) == g for (s, s2), g in G.items())
 
 

@@ -399,6 +399,14 @@ def test_borcherds_polynomial_kernels_pass_on_valid_structures():
     assert report.checked == 27
 
 
+@pytest.mark.parametrize("F", [None, 1, "z1"])
+def test_borcherds_refuses_a_kernel_that_is_not_a_kernel(F):
+    S = d1_bridge(build_wd(1))
+    with pytest.raises(TypeError, match=f"F must be a Kernel, got {F!r}"):
+        borcherds_check(S, S.max_pole(), F, 2)
+    assert not S._memo
+
+
 def test_identity_reports_do_not_depend_on_L():
     # L only has to bound the pole order: the locality factor it stands for
     # cancels exactly, so every report is a function of (S, F, window).
@@ -510,7 +518,7 @@ def test_identity_failures_need_a_window_reaching_the_singular_region():
             if w_degmax < -1:
                 with pytest.raises(TruncationError):
                     vla._residual(S, 0, 0, 0, F, depth)
-                assert ("residual", 0, 0, 0, F, depth) not in S._memo
+                assert ("residual", 0, 0, 0, F) not in S._memo
             else:
                 vla._residual(S, 0, 0, 0, F, depth)
 
@@ -563,6 +571,49 @@ def test_d1_memo_does_not_grow_with_the_window():
             jacobi_check_vla(S, L, window)
             borcherds_check(S, L, F, window)
         assert set(S._memo) == keys
+
+
+_POLYNOMIAL_ORACLE_STRUCTURES = {
+    **_D1_BRIDGES,
+    "D=2 fixture": _d2_fixture,
+    "current-like D=3": lambda: _current_like_fixture(3),
+    "Virasoro chiral pair": _virasoro_chiral_pair,
+}
+
+
+@pytest.mark.parametrize("name", list(_POLYNOMIAL_ORACLE_STRUCTURES))
+def test_polynomial_kernel_residual_is_the_direct_comparison(name):
+    # A polynomial kernel's residual is F times the F = 1 residual; the direct
+    # path expands both sides with F, and must agree with it coefficient for
+    # coefficient and window for window.
+    S = _POLYNOMIAL_ORACLE_STRUCTURES[name]()
+    D = S.D
+    e1, eD = (1,) + (0,) * (D - 1), (0,) * (D - 1) + (1,)
+    kernels = (Kernel(D, z_exps=e1), Kernel(D, w_exps=(2,) + (0,) * (D - 1)),
+               Kernel(D, z_exps=e1, w_exps=eD))
+    triples = [(i, j, k) for i in range(S.r) for j in range(S.r) for k in range(S.r)]
+    for window in (0, 2):
+        depth = _checker_depth(S, window)
+        for F in kernels:
+            for i, j, k in triples:
+                direct = (vla._borcherds_lhs(S, i, j, k, F, depth)
+                          - vla._borcherds_rhs(S, i, j, k, F, depth))
+                derived = vla._residual(S, i, j, k, F, depth)
+                assert derived.windows == direct.windows, (F, window, (i, j, k))
+                assert derived.items() == direct.items(), (F, window, (i, j, k))
+
+
+@pytest.mark.parametrize("name", [*_D1_BRIDGES, "D=2 fixture"])
+def test_polynomial_kernel_of_degree_above_the_depth_keeps_the_direct_windows(name):
+    # The direct path expands each slot at least to the kernel's degree there,
+    # so a kernel of degree 9 > depth widens that window past the F = 1 one.
+    S = _POLYNOMIAL_ORACLE_STRUCTURES[name]()
+    D, depth = S.D, _checker_depth(S, 0)
+    assert depth < 9
+    for F in (Kernel(D, z_exps=(9,) + (0,) * (D - 1)), Kernel(D, w_exps=(0,) * (D - 1) + (9,))):
+        direct = vla._borcherds_lhs(S, 0, 0, 0, F, depth) - vla._borcherds_rhs(S, 0, 0, 0, F, depth)
+        derived = vla._residual(S, 0, 0, 0, F, depth)
+        assert (derived.windows, derived.items()) == (direct.windows, direct.items()), F
 
 
 def _random_d1_table(rng, skew):
@@ -802,6 +853,37 @@ def test_identity_golden_digest_on_one_structure(name):
     low, high = jacobi_check_vla(S, p, 2), jacobi_check_vla(S, p + 1, 2)
     assert (low.detail, high.detail) == (f"L={p}, window=2", f"L={p + 1}, window=2")
     assert replace(low, detail=high.detail) == high
+
+
+# (structure, window orders): ascending, descending and shuffled sweeps.
+_SWEEPS = {
+    "D=2 fixture": (_d2_fixture, ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [2, 0, 4, 1, 3])),
+    "current-like D=3": (lambda: _current_like_fixture(3), ([0, 1, 2], [2, 1, 0], [1, 0, 2])),
+}
+
+
+def _sweep_reports(S, windows):
+    F = _golden_kernels(S.D)["z1"]
+    return [(window, _report_text(jacobi_check_vla(S, 1, window)),
+             _report_text(skew_check_vla(S, window)),
+             _report_text(borcherds_check(S, 1, F, window))) for window in windows]
+
+
+@pytest.mark.parametrize("name", list(_SWEEPS))
+def test_window_sweeps_in_any_order_match_fresh_structures(name):
+    # A structure keeps the deepest skew difference and residual it formed and
+    # restricts them to shallower windows: a sweep in any order reports what
+    # fresh structures do, and keeps one residual per triple and kernel, at
+    # the deepest depth.
+    make, orders = _SWEEPS[name]
+    fresh = {window: _sweep_reports(make(), [window])[0] for window in orders[0]}
+    for order in orders:
+        S = make()
+        assert _sweep_reports(S, order) == [fresh[window] for window in order], order
+        residuals = {key: entry for key, entry in S._memo.items() if key[0] == "residual"}
+        assert set(residuals) == {("residual", 0, 0, 0, F) for F in
+                                  (Kernel.one(S.D), _golden_kernels(S.D)["z1"])}
+        assert {depth for depth, _ in residuals.values()} == {_checker_depth(S, max(order))}
 
 
 _SKEW_STRUCTURES = {
