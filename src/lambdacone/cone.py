@@ -122,8 +122,12 @@ def _harmonic_parts(D: int, m: int, raw: dict):
     d = m - 2j, coordinate sigma of p_j is N / q.
 
     Delta^j p = ``_gauss_factor(D, d, j)`` p_j + (x^2)(...), so p_j is the
-    harmonic part of Delta^j p divided by that factor.
+    harmonic part of Delta^j p divided by that factor.  In D = 1, where
+    h_dim(1, d) = 0 for d >= 2, c x^m is (x^2)^(m // 2) c x^(m % 2) at once.
     """
+    if D == 1:
+        yield from ((m // 2, m % 2, 1, {1: c}) for c in raw.values())
+        return
     laplacians = [raw]
     for _ in range(m // 2):
         laplacians.append(_raw_laplacian(laplacians[-1]))
@@ -600,11 +604,13 @@ class BiConeSeries:
         One integer kernel forms the sum.  The left coefficients are cleared
         to int numerators, each right coefficient once into an int vector
         (one entry for a scalar, the ``_int_view`` of a module element), and
-        the ``_times_harm`` tables are int numerators.  The weights of each
-        output bi-mode are grouped by the product of their denominators and
-        brought to the common one by one int factor per group; the weighted
-        vectors are summed in ints, and each coordinate becomes one exact
-        value at the end, an int when the common denominator is 1.
+        the ``_times_harm`` tables are int numerators.  A first pass keeps
+        the (left key, right key) pairs that form something, each with its
+        denominator; a second brings every pair to the lcm of those by one
+        int factor and adds its weighted vector straight into the one
+        accumulator of each output bi-mode.  Each coordinate becomes one
+        exact value at the end, an int when the common denominator is 1; a
+        coordinate or bi-mode that cancels to 0 is dropped by the builders.
 
         Both cuts are decided per (left key, right key) pair, before its
         ``_times_harm`` tables are read.  Multiplying only raises n, so with
@@ -625,14 +631,10 @@ class BiConeSeries:
                             in zip(windows, left.windows, _least_degrees(right.coeffs)))
         wz, ww = windows
         bz, bw = (None, None) if bound is None else bound
-        # (product, denominator) -> {(output bi-mode, key of right): int numerator}
-        parts: dict = {}
-        vectors: dict = {}
+        kept = []  # (denominator, left numerator, n_z, n_w, z table, w table, right vector)
         build = _scalar_from_vector
-        for index, (left, right) in enumerate(products):
-            if not left.coeffs or not right.coeffs:
-                continue
-            views = vectors[index] = {}
+        for left, right in products:
+            views = {}
             for bkey, c in right.coeffs.items():
                 if type(c) is int or type(c) is Fraction:
                     views[bkey] = c.denominator, {(): c.numerator}
@@ -641,40 +643,32 @@ class BiConeSeries:
                     build = c._from_int_view
             a_den, (left_ints,) = _clear(left.coeffs)
             for ((na1, ma1, sa1), (na2, ma2, sa2)), ca in left_ints.items():
-                for bkey, (b_den, _) in views.items():
-                    (nb1, mb1, sb1), (nb2, mb2, sb2) = bkey
+                for ((nb1, mb1, sb1), (nb2, mb2, sb2)), (b_den, vector) in views.items():
                     n1, n2 = na1 + nb1, na2 + nb2
                     if (bound is not None and (n1 >= bz or n2 >= bw)
                             or not (wz.contains(n1, ma1 + mb1) and ww.contains(n2, ma2 + mb2))):
                         continue
                     d1, z_table = _times_harm(D, ma1, sa1, mb1, sb1)
                     d2, w_table = _times_harm(D, ma2, sa2, mb2, sb2)
-                    group = (index, a_den * d1 * d2 * b_den)
-                    weights = parts.get(group)
-                    if weights is None:
-                        weights = parts[group] = {}
-                    for (dj1, m1b, s1b), q1 in z_table:
-                        if bound is not None and n1 + dj1 >= bz:
-                            continue
-                        c1 = ca * q1
-                        mode1 = (n1 + dj1, m1b, s1b)
-                        for (dj2, m2b, s2b), q2 in w_table:
-                            if bound is not None and n2 + dj2 >= bw:
-                                continue
-                            wkey = ((mode1, (n2 + dj2, m2b, s2b)), bkey)
-                            weights[wkey] = weights.get(wkey, 0) + c1 * q2
-        den = lcm(*(group_den for _, group_den in parts))
+                    kept.append((a_den * d1 * d2 * b_den, ca, n1, n2, z_table, w_table, vector))
+        den = lcm(*(pair_den for pair_den, *_ in kept))
         out: dict = {}
-        for (index, group_den), weights in parts.items():
-            scale = den // group_den
-            views = vectors[index]
-            for (key, bkey), weight in weights.items():
-                if weight:
-                    weight *= scale
+        for pair_den, ca, n1, n2, z_table, w_table, vector in kept:
+            ca *= den // pair_den
+            for (dj1, m1b, s1b), q1 in z_table:
+                if bound is not None and n1 + dj1 >= bz:
+                    continue
+                c1 = ca * q1
+                mode1 = (n1 + dj1, m1b, s1b)
+                for (dj2, m2b, s2b), q2 in w_table:
+                    if bound is not None and n2 + dj2 >= bw:
+                        continue
+                    key = (mode1, (n2 + dj2, m2b, s2b))
                     acc = out.get(key)
                     if acc is None:
                         acc = out[key] = {}
-                    for coord, v in views[bkey][1].items():
+                    weight = c1 * q2
+                    for coord, v in vector.items():
                         acc[coord] = acc.get(coord, 0) + weight * v
         return BiConeSeries._trusted(D, {key: build(den, acc) for key, acc in out.items()},
                                      windows)

@@ -157,6 +157,20 @@ def test_borcherds_kernels_via_cli_have_no_pole(tmp_path):
         assert f"unrecognized arguments: {option} 1" in err
 
 
+def test_high_degree_d1_kernel_returns_at_once(tmp_path):
+    # In D = 1, c x^m is (x^2)^(m // 2) c x^(m % 2): the Gauss decomposition
+    # of z^99999999 needs no chain of Laplacians.
+    path = tmp_path / "cur1.json"
+    path.write_text(serialize_vla(d1_bridge(build_cur(LieStructure.sl2(), 1))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lambdacone.cli", "check", str(path), "--axioms", "borcherds",
+         "--F-zexp", "99999999", "--window", "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "borcherds: pass (L=1, window=0)"
+
+
 def test_vla_skew_negative_window_is_a_usage_error(tmp_path):
     path = tmp_path / "w1.json"
     path.write_text(serialize_vla(d1_bridge(build_wd(1))))

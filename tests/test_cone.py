@@ -663,11 +663,16 @@ def test_sum_of_products_is_the_sum_of_the_products():
             right = BiConeSeries(D, {key: _random_module_element(rng, D)
                                      for key in _random_bimodes(rng, D, 3, (-2, 0))})
             products.append((left, right))
+        # a pair and its negative cancel everywhere
+        products.append((-products[0][0], products[0][1]))
         for bound in (None, (0, 1)):
             total = BiConeSeries.zero(D)
             for left, right in products:
                 total = total + _mul_series_oracle(left, right, bound)
-            assert BiConeSeries.sum_of_products(D, products, bound) == total
+            result = BiConeSeries.sum_of_products(D, products, bound)
+            assert result == total
+            assert not BiConeSeries.sum_of_products(D, products[::3], bound)
+            assert all(c and all(_coefficient_values(c)) for c in result.coeffs.values())
         assert BiConeSeries.sum_of_products(D, ()) == BiConeSeries.zero(D)
 
 
