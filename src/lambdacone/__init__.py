@@ -6,6 +6,7 @@ every axiom check is a hard symbolic-zero assertion (or an exact comparison
 on a declared truncation window).
 """
 
+from . import cone, pseudo, rings, vla
 from .cone import (
     BiConeSeries,
     ConeSeries,
@@ -66,6 +67,16 @@ from .vla import (
 
 __version__ = "0.1.0"
 
+
+def clear_caches() -> None:
+    """Empty every module-level ``lru_cache`` of rings, cone, pseudo and vla:
+    these memo tables are unbounded, and refill on demand with the same values."""
+    for module in (rings, cone, pseudo, vla):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and getattr(value, "__module__", None) == module.__name__:
+                value.cache_clear()
+
+
 __all__ = [
     "BiConeSeries", "BracketTable", "CheckReport", "ChiVector", "ConeSeries",
     "DeltaDistribution", "FAMILIES", "FULL_WINDOW", "Failure",
@@ -73,7 +84,7 @@ __all__ = [
     "ModuleElement", "Poly", "TruncationError", "VLAStructure", "VarSpace",
     "Window", "WorkspaceError", "apply_exp_zT", "basis_poly_in",
     "bicone_from_poly", "borcherds_check", "bracket_extend", "build_cur", "build_hd", "build_wd",
-    "commutator_from_lambda", "cone_from_poly", "current_extend",
+    "clear_caches", "commutator_from_lambda", "cone_from_poly", "current_extend",
     "d1_bridge", "delta_mul_pow", "delta_pair", "extend_action",
     "gauss_decompose", "h_dim", "harmonic_basis", "iota_antisym",
     "iota_expand", "iota_kernel", "jacobi_check", "jacobi_check_vla",

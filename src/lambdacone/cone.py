@@ -24,8 +24,8 @@ from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Mapping, Optional
 
 from .errors import TruncationError, WorkspaceError
-from .rings import (Poly, VarSpace, _clear, _exact, _no_float, _quotient, _require_int,
-                    dense_monomials)
+from .rings import (Poly, VarSpace, _clear, _exact, _Memo, _no_float, _quotient,
+                    _require_int, dense_monomials)
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
 
@@ -52,13 +52,23 @@ def _raw_mul(a: dict, b: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _raw_laplacian(raw: dict) -> dict:
+@lru_cache(maxsize=None)
+def _laplacian_table(D: int, m: int) -> _Memo:
+    """{exps: ((lower exps, e(e - 1)), ...)}: the Laplacian stencil of each
+    degree-m monomial in D variables, filled only for the monomials asked for."""
+    return _Memo(lambda exps: tuple((exps[:a] + (e - 2,) + exps[a + 1:], e * (e - 1))
+                                    for a, e in enumerate(exps) if e >= 2))
+
+
+def _raw_laplacian(raw: dict, D: int, m: int) -> dict:
+    """The Laplacian of a degree-m raw {exps: int} polynomial in D variables,
+    each monomial's stencil read from ``_laplacian_table``."""
+    table = _laplacian_table(D, m)
     out: dict = {}
+    get = out.get
     for exps, c in raw.items():
-        for alpha, e in enumerate(exps):
-            if e >= 2:
-                low = exps[:alpha] + (e - 2,) + exps[alpha + 1:]
-                out[low] = out.get(low, 0) + c * e * (e - 1)
+        for low, w in table[exps]:
+            out[low] = get(low, 0) + c * w
     return {k: v for k, v in out.items() if v}
 
 
@@ -74,17 +84,23 @@ def _harmonic_raw(D: int, m: int) -> tuple:
     {exps: int} dicts with h_{m,sigma} = numerators[sigma - 1] / den, where
     den is the least common denominator of the basis.  h_{m,sigma} is
     sum_j (-1)^j e!/(2j+e)! x_D^(2j+e) Delta'^j x'^a for pivot sigma x'^a x_D^e,
-    Delta' the Laplacian in x_1..x_{D-1}: 1 at pivot sigma, 0 at the others."""
-    basis = []
+    Delta' the Laplacian in x_1..x_{D-1}: 1 at pivot sigma, 0 at the others.
+
+    The coefficients are ints N over M = m!, c = M e!/(2j+e)!: exact while the
+    chain is nonempty, as then 2j + e <= m and (2j+e)!/e! divides m!.  With
+    g = gcd(M, N_1, ..., N_n), M / g is the least common denominator of the
+    N_i / M: any common denominator L has M | L N_i and M | L M, so M | L g."""
+    M, basis = factorial(m), []
     for pivot in _pivots(D, m):
-        e, c, term, h = pivot[-1], Fraction(1), {pivot[:-1]: 1}, {}
+        e, c, term, h = pivot[-1], M, {pivot[:-1]: 1}, {}
         while term:
             h.update((a + (e,), c * v) for a, v in term.items())
+            c //= -(e + 1) * (e + 2)
+            term = _raw_laplacian(term, D - 1, m - e)
             e += 2
-            c /= -e * (e - 1)
-            term = _raw_laplacian(term)
         basis.append(h)
-    return _clear(*basis)
+    g = gcd(M, *(v for h in basis for v in h.values()))
+    return M // g, tuple({exps: v // g for exps, v in h.items()} for h in basis)
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +145,9 @@ def _harmonic_parts(D: int, m: int, raw: dict):
         yield from ((m // 2, m % 2, 1, {1: c}) for c in raw.values())
         return
     laplacians = [raw]
-    for _ in range(m // 2):
-        laplacians.append(_raw_laplacian(laplacians[-1]))
+    for k in range(m // 2):
+        laplacians.append(_raw_laplacian(laplacians[-1], D, m - 2 * k))
+    gets = [laplacian.get for laplacian in laplacians]
     for j in range(m // 2 + 1):
         if not laplacians[j]:
             break
@@ -139,8 +156,10 @@ def _harmonic_parts(D: int, m: int, raw: dict):
         q = den * _gauss_factor(D, d, j)
         coords = {}
         for sigma, stencil in enumerate(stencils, start=1):
-            value = sum(w * laplacians[j + i][e] for i, e, w in stencil
-                        if e in laplacians[j + i])
+            value = 0
+            for i, e, w in stencil:
+                if c := gets[j + i](e):
+                    value += w * c
             if value:
                 coords[sigma] = value
         yield j, d, q, coords
@@ -239,8 +258,10 @@ def gauss_decompose(p: Poly) -> list:
     Returns [(j, p_j)] with nonzero p_j, sorted by j; exact reconstruction.
     A monomial of p_j has degree m - 2j, so it takes terms from the degree-m
     part of p only: each (degree, j) part is one int sum over one
-    denominator, built as a polynomial without re-validation, and the parts
-    of one j, on disjoint monomials, are added.
+    denominator, read from int tables filled once per monomial or degree (the
+    Laplacian stencils, the harmonic basis, the projector and the monomial
+    keys of ``rings``) and built as a polynomial without re-validation; the
+    parts of one j, on disjoint monomials, are added.
     """
     family = _single_family(p)
     vs, D = p.vs, p.vs.D
@@ -253,9 +274,10 @@ def gauss_decompose(p: Poly) -> list:
         for j, d, q, coords in _harmonic_parts(D, degree, raw):
             den, numerators = _harmonic_raw(D, d)
             sums: dict = {}
+            get = sums.get
             for sigma, n in coords.items():
                 for exps, c in numerators[sigma - 1].items():
-                    sums[exps] = sums.get(exps, 0) + n * c
+                    sums[exps] = get(exps, 0) + n * c
             part = vs._from_numerators(family, q * clear * den, sums)
             levels[j] = levels[j] + part if j in levels else part
     return [(j, levels[j]) for j in sorted(levels) if levels[j]]

@@ -53,16 +53,19 @@ Monomial = tuple  # sorted tuple of (Var, exponent) pairs, exponents > 0
 _FAMILY_POS = {name: pos for pos, name in enumerate(FAMILIES)}
 
 
-class _VarKeys(dict):
-    """Sort key (family position, index) of each variable, filled on demand."""
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``, once."""
 
-    def __missing__(self, var: Var) -> tuple:
-        family, index = var
-        key = self[var] = (_FAMILY_POS[family], index)
-        return key
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
-_VAR_KEYS = _VarKeys()
+# Sort key (family position, index) of each variable, filled on demand.
+_VAR_KEYS = _Memo(lambda var: (_FAMILY_POS[var[0]], var[1]))
 
 
 def _no_float(value):
@@ -202,13 +205,14 @@ class VarSpace:
         """
         if family not in self.families:
             raise WorkspaceError(f"family {family!r} not in workspace {self.families}")
+        keys = _dense_keys(self.D, family)
         out = {}
         for exps, coeff in terms.items():
             if len(exps) != self.D or min(exps, default=0) < 0:
                 raise ValueError(f"bad exponent vector {exps!r} for D = {self.D}")
             c = _exact(coeff)
             if c:
-                out[tuple(((family, i), e) for i, e in enumerate(exps, 1) if e)] = c
+                out[keys[exps]] = c
         return Poly._trusted(self, out)
 
     def _from_numerators(self, family: str, den: int, numerators: Mapping) -> "Poly":
@@ -217,11 +221,11 @@ class VarSpace:
         last variables at exponent 0, as ``Poly.dense`` and the cone tables
         give them; each coefficient is built by ``_quotient``, and a zero n
         is dropped."""
-        names = _family_vars(self.D, family)
+        keys = _dense_keys(self.D, family)
         out = {}
         for exps, n in numerators.items():
             if n:
-                out[tuple((v, e) for v, e in zip(names, exps) if e)] = _quotient(n, den)
+                out[keys[exps]] = _quotient(n, den)
         return Poly._trusted(self, out)
 
     def from_exps(self, family: str, exps: Iterable[int], coeff=1) -> "Poly":
@@ -512,8 +516,11 @@ class Poly:
 
 
 @lru_cache(maxsize=None)
-def _family_vars(D: int, family: str) -> tuple:
-    return tuple((family, i) for i in range(1, D + 1))
+def _dense_keys(D: int, family: str) -> _Memo:
+    """{exps: monomial}: the stored monomial of each dense vector of one
+    family, at most D long, filled only for the vectors asked for."""
+    names = tuple((family, i) for i in range(1, D + 1))
+    return _Memo(lambda exps: tuple((v, e) for v, e in zip(names, exps) if e))
 
 
 @lru_cache(maxsize=None)

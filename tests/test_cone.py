@@ -41,6 +41,7 @@ from lambdacone.cone import (
     _decompose,
     _dh_table,
     _harmonic_raw,
+    _laplacian_table,
     _neg_binom,
     _pivots,
     _projector,
@@ -455,6 +456,45 @@ GOLDEN_GAUSS = "fad7b44a5714708964afa505f518e5e26d98875d8066801cd9d758580cfecd55
 def test_gauss_decompose_golden_digest():
     digest = hashlib.sha256(_gauss_golden_text().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_GAUSS
+
+
+def _sparse_pair(D, a):
+    """z1^(a // 2) z2^(a - a // 2) in D variables."""
+    return _zspace(D).from_exps("z", (a // 2, a - a // 2) + (0,) * (D - 2))
+
+
+def _gauss_wide_golden_text():
+    """gauss_decompose beyond GOLDEN_GAUSS: one dense polynomial with 12-digit
+    int coefficients per harness shape (D, m), and one sparse high-degree
+    monomial z1^(a // 2) z2^(a - a // 2) per (D, a)."""
+    rng = random.Random(2718)
+    dense = [_zspace(D).from_dense("z", {e: rng.randint(-10 ** 12, 10 ** 12)
+                                         for e in dense_monomials(D, m)})
+             for D, m in ((3, 10), (4, 8), (5, 6))]
+    sparse = [_sparse_pair(D, a) for D, a in ((3, 30), (4, 16), (2, 120))]
+    lines = []
+    for p in dense + sparse:
+        pieces = [(j, sorted((e, type(c).__name__, str(c)) for e, c in pj.dense("z").items()))
+                  for j, pj in gauss_decompose(p)]
+        lines.append(f"{p.vs.D}: {pieces}")
+    return "\n".join(lines)
+
+
+# sha256 of _gauss_wide_golden_text(), recorded before the Gauss tables moved to ints.
+GOLDEN_GAUSS_WIDE = "1cfde246336182792dc9e630108ac5fc9e21733faf3066592843276b34630413"
+
+
+def test_gauss_decompose_wide_golden_digest():
+    digest = hashlib.sha256(_gauss_wide_golden_text().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_GAUSS_WIDE
+
+
+def test_gauss_fills_the_laplacian_table_only_where_asked():
+    # Of the 496 degree-30 monomials in D = 3, the Laplacian chain of
+    # z1^15 z2^15 starts from one.
+    _laplacian_table.cache_clear()
+    gauss_decompose(_sparse_pair(3, 30))
+    assert len(_laplacian_table(3, 30)) == 1 < len(dense_monomials(3, 30)) == 496
 
 
 # ----------------------------------------------------------------------
