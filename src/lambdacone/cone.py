@@ -400,13 +400,7 @@ class ConeSeries:
         return self._like({mode: -c for mode, c in self.coeffs.items()}, self.window)
 
     def __sub__(self, other):
-        if self.D != other.D or self.var != other.var:
-            raise WorkspaceError("series mismatch")
-        out = dict(self.coeffs)
-        for mode, coeff in other.coeffs.items():
-            total = out.get(mode)
-            out[mode] = -coeff if total is None else total - coeff
-        return self._like(out, self.window.intersect(other.window))
+        return self + (-other)
 
     def scale(self, factor) -> "ConeSeries":
         factor = _exact(factor)  # rejects a float
@@ -598,14 +592,7 @@ class BiConeSeries:
         return self._like({key: -c for key, c in self.coeffs.items()}, self.windows)
 
     def __sub__(self, other):
-        if self.D != other.D:
-            raise WorkspaceError("series mismatch")
-        out = dict(self.coeffs)
-        for key, coeff in other.coeffs.items():
-            total = out.get(key)
-            out[key] = -coeff if total is None else total - coeff
-        return self._like(out, (self.windows[0].intersect(other.windows[0]),
-                                self.windows[1].intersect(other.windows[1])))
+        return self + (-other)
 
     def scale(self, factor) -> "BiConeSeries":
         factor = _exact(factor)  # rejects a float
@@ -614,14 +601,20 @@ class BiConeSeries:
         )
 
     def mul_series(self, other: "BiConeSeries", bound: Optional[tuple] = None) -> "BiConeSeries":
-        """Product of a series with scalar coefficients and an exactly-known
-        (full-window) finite series: :meth:`sum_of_products` of one pair."""
+        """Product of a series with scalar coefficients and a finite series,
+        either of them exactly known (full windows): :meth:`sum_of_products`
+        of one pair."""
         return BiConeSeries.sum_of_products(self.D, ((self, other),), bound)
 
     @staticmethod
     def sum_of_products(D: int, products, bound: Optional[tuple] = None) -> "BiConeSeries":
         """The sum of left * right over the (left, right) pairs of ``products``,
-        each left with scalar coefficients, each right exactly known and finite.
+        each left with scalar coefficients, each right finite, and in each pair
+        at least one factor exactly known (full windows).  The windowed factor's
+        windows, raised by the exact factor's least total degrees, bound what
+        the product knows: a product mode of degree W + c in a slot reads the
+        windowed factor only to degree W when the exact one starts at c.  Two
+        windowed factors raise TruncationError.
 
         One integer kernel forms the sum.  The left coefficients are cleared
         to int numerators, each right coefficient once into an int vector
@@ -632,7 +625,8 @@ class BiConeSeries:
         int factor and adds its weighted vector straight into the one
         accumulator of each output bi-mode.  Each coordinate becomes one
         exact value at the end, an int when the common denominator is 1; a
-        coordinate or bi-mode that cancels to 0 is dropped by the builders.
+        bi-mode whose accumulator cancels to 0 is never built, so a sum whose
+        signs encode a difference builds only the coefficients that survive.
 
         Both cuts are decided per (left key, right key) pair, before its
         ``_times_harm`` tables are read.  Multiplying only raises n, so with
@@ -647,10 +641,13 @@ class BiConeSeries:
         for left, right in products:
             if left.D != D or right.D != D:
                 raise WorkspaceError("series mismatch")
+            exact, windowed = right, left
             if not all(w.is_full for w in right.windows):
-                raise TruncationError("mul_series needs an exactly-known right factor")
+                exact, windowed = left, right
+            if not all(w.is_full for w in exact.windows):
+                raise TruncationError("a product needs one exactly-known factor")
             windows = tuple(window.intersect(w.shift(low)) for window, w, low
-                            in zip(windows, left.windows, _least_degrees(right.coeffs)))
+                            in zip(windows, windowed.windows, _least_degrees(exact.coeffs)))
         wz, ww = windows
         bz, bw = (None, None) if bound is None else bound
         kept = []  # (denominator, left numerator, n_z, n_w, z table, w table, right vector)
@@ -692,8 +689,8 @@ class BiConeSeries:
                     weight = c1 * q2
                     for coord, v in vector.items():
                         acc[coord] = acc.get(coord, 0) + weight * v
-        return BiConeSeries._trusted(D, {key: build(den, acc) for key, acc in out.items()},
-                                     windows)
+        return BiConeSeries._trusted(D, {key: build(den, acc) for key, acc in out.items()
+                                         if any(acc.values())}, windows)
 
     def restrict(self, windows: tuple) -> "BiConeSeries":
         return self._like(
@@ -914,7 +911,7 @@ def iota_kernel(F: Kernel, side: str, depth: int, bound: Optional[tuple] = None)
     pole_depth = max(0, depth - mono_deg + 2 * pole)
     pole_bound = None if bound is None else (bound[0] + F.z_pole, bound[1] + F.w_pole)
     expansion = iota_expand(D, F.zw_pole, side, pole_depth, pole_bound)
-    if F == Kernel(D, zw_pole=F.zw_pole):
+    if not (F.z_pole or F.w_pole or any(F.z_exps) or any(F.w_exps)):
         return expansion
     vs = VarSpace(D, ("z", "w"))
     poly = bicone_from_poly(vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps))

@@ -13,26 +13,31 @@ products, and neither z nor T lowers a mode's n, so each regular mode is
 dropped as soon as it is formed.
 
 The right-hand side of the Jacobi identity is assembled directly: the
-(z-w)-kernels of a(z-w)b are iota-expanded in both regions and subtracted,
-multiplied by the u-field of each coefficient acting on c evaluated at u = w
-(the locality factor ((u+z-w)^2)^L of the textbook derivation cancels there;
-see ``_borcherds_rhs``).  The two sides are compared on the part singular in
-both z and w (which is how the outermost singular-part operation has to be
-read for them to have the same mode support), and only that part is formed:
-every product here (by monomials, by h(z-w), by the lifted u-field, by a
-kernel) only raises the mode index n, so the iota expansions and the products
-are bounded to n_z, n_w below the poles of the factor still to come; a
-product adds total degrees, so a pair of factor modes above the windows is
-skipped too, and no term that cannot land in the compared region is built.
+difference of the iota expansions of each (z-w)-kernel of a(z-w)b in both
+regions, multiplied by the u-field of each coefficient acting on c evaluated
+at u = w (the locality factor ((u+z-w)^2)^L of the textbook derivation
+cancels there; see ``_borcherds_rhs``).  Both sides are lists of (scalar
+kernel, field) products, the u-fields negated, and each residual lhs - rhs
+is one signed integer sum of them (``BiConeSeries.sum_of_products``), so no
+coefficient is built only to cancel: on valid data nothing is built.  The
+two sides are compared on the part singular in both z and w (which is how
+the outermost singular-part operation has to be read for them to have the
+same mode support), and only that part is formed: every product here (by
+monomials, by h(z-w), by the lifted u-field, by a kernel) only raises the
+mode index n, so the iota expansions and the products are bounded to n_z,
+n_w below the poles of the factor still to come; a product adds total
+degrees, so a pair of factor modes above the windows is skipped too, and no
+term that cannot land in the compared region is built.
 
 A structure is immutable after construction, so every term of the checks
 is formed once per structure, in its private memo: the pair terms
 a(z)(b(w)c), the lifted u-fields, each skew difference and residual lhs - rhs
 at the deepest depth asked for (restricted, it is the shallower one), and one
 report body per kernel and depth.  A polynomial kernel F iota-expands to
-itself and only raises n, so its residual is F times the F = 1 (Jacobi) one:
-Jacobi passing implies Borcherds passing, not conversely.  L, and in D = 1
-the window, leave the depth alone, so such checks share one report.
+itself and only raises n, so its residual is the single product of F and
+the F = 1 (Jacobi) one: Jacobi passing implies Borcherds passing, not
+conversely.  L, and in D = 1 the window, leave the depth alone, so such
+checks share one report.
 """
 
 from __future__ import annotations
@@ -313,30 +318,33 @@ def _lhs_pair_term(S: VLAStructure, outer: int, inner: int, k: int) -> BiConeSer
     return term
 
 
-def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
-    """a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout;
-    at F = 1 it is the difference of the two field terms, whatever ``depth``.
+def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> list:
+    """The (kernel, field) products whose sum is
+    a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout.
 
     The term b(w)(a(z)c) is the pair term a(z)(b(w)c) of the triple
     (b, a, c) with its z and w modes swapped, so each pair term is formed
-    once per structure and serves both triples.  For a kernel F only the
-    part singular in both z and w is formed: the kernel product raises n,
-    and both field terms have poles of order at most ``S.u_pole_bound`` in
-    z and in w, so only the kernel bi-modes below that bound are expanded.
+    once per structure and serves both triples.  Without a (z-w) pole,
+    iota_zw F = iota_wz F, so the left-hand side is one product, of that
+    expansion and the difference of the two pair terms; with one, it is two
+    products, the second with -iota_wz F.  Only the part singular in both z
+    and w is formed: the kernel product raises n, and both field terms have
+    poles of order at most ``S.u_pole_bound`` in z and in w, so only the
+    kernel bi-modes below that bound are expanded.
     """
     term1 = _lhs_pair_term(S, i, j, k)
     swapped = _lhs_pair_term(S, j, i, k)
     term2 = BiConeSeries._trusted(S.D, {(wm, zm): c for (zm, wm), c in swapped.coeffs.items()})
-    if F == Kernel.one(S.D):
-        return term1 - term2
-    pole = S.u_pole_bound
-    left = iota_kernel(F, "zw", depth, (pole, pole)).mul_series(term1, (0, 0))
-    right = iota_kernel(F, "wz", depth, (pole, pole)).mul_series(term2, (0, 0))
-    return left - right
+    bound = (S.u_pole_bound, S.u_pole_bound)
+    zw = iota_kernel(F, "zw", depth, bound)
+    if not F.zw_pole:
+        return [(zw, term1 - term2)]
+    return [(zw, term1), (-iota_kernel(F, "wz", depth, bound), term2)]
 
 
-def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
-    """The part singular in both z and w of the sum over the modes
+def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> list:
+    """The (kernel, field) products whose sum is minus the right-hand side:
+    the part singular in both z and w of the sum over the modes
     (n, m, sigma) of a(z-w)b, with coefficient x, of
     (iota_zw - iota_wz)(F ((z-w)^2)^n) h_{m,sigma}(z-w) x(w)c.
 
@@ -344,12 +352,12 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     ((u+z-w)^2)^L, evaluates the u-field x(u)c at u = w and divides by
     (z^2)^L.  At u = w the factor is exactly (z^2)^L, and the u-fields here
     are finite and exactly known, so the two steps cancel: evaluating x(u)c
-    at u = w is the w-slot mode product that ``mul_series`` computes once
-    the u-field is lifted into the w slot at z-mode (0, 0, 1).  L is thus
-    only the precondition L >= max pole order (the identity is stated for
-    fields local of that order), checked by the caller.  The lifted
-    u-fields do not depend on F or the depth: they are formed once per
-    structure.
+    at u = w is the w-slot mode product that ``sum_of_products`` computes
+    once the u-field is lifted into the w slot at z-mode (0, 0, 1).  L is
+    thus only the precondition L >= max pole order (the identity is stated
+    for fields local of that order), checked by the caller.  The lifted
+    u-fields do not depend on F or the depth: they are formed, negated,
+    once per structure, so the products carry the sign of lhs - rhs.
 
     No term outside the singular joint region is formed.  Multiplying by
     h(z-w) and by the lifted u-field only raises n, and the lift leaves z
@@ -358,12 +366,9 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     are bounded there.  In particular the iota_wz half, whose z modes have
     n >= -z_pole, adds nothing unless F has a z pole.
 
-    The z window is ``depth`` (the iota expansions); the w window is
-    ``depth`` plus the least total degree of the u-field, whose poles fold
-    into w.  The windows are those of the full product.  The sum over the
-    modes is one ``BiConeSeries.sum_of_products``, so each output coefficient
-    is built once, and a (kernel, u-field) mode pair above the windows is
-    skipped unformed.
+    The z window of the sum is ``depth`` (the iota expansions); the w window
+    is ``depth`` plus the least total degree of the u-field, whose poles fold
+    into w.
     """
     fields_key = ("u-fields", i, j, k)
     u_fields = S._memo.get(fields_key)
@@ -372,35 +377,37 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
         u_fields = []
         for mode, element in S.action(i, j).coeffs.items():
             u_field = extend_action(S, element, gen_k)
-            lifted = {((0, 0, 1), umode): coeff for umode, coeff in u_field.coeffs.items()}
+            lifted = {((0, 0, 1), umode): -coeff for umode, coeff in u_field.coeffs.items()}
             u_fields.append((mode, BiConeSeries._trusted(S.D, lifted)))
         S._memo[fields_key] = u_fields
     bound = (0, S.u_pole_bound)
-    products = [(_rhs_kernel(F, n, m, sigma, depth, bound), lifted)
-                for (n, m, sigma), lifted in u_fields]
-    return BiConeSeries.sum_of_products(S.D, products, (0, 0))
+    return [(_rhs_kernel(F, n, m, sigma, depth, bound), lifted)
+            for (n, m, sigma), lifted in u_fields]
 
 
 def _times_polynomial(S: VLAStructure, i: int, j: int, k: int, F: Kernel,
-                      depth: int) -> BiConeSeries:
-    """F times the F = 1 residual: for F = z^e w^f, iota_zw F = iota_wz F = F
-    and F only raises n.  The direct path expands each slot at least to F's
-    degree c there, so its windows are the F = 1 ones raised by
-    max(depth, c) - depth.  F is homogeneous, so those windows need the
-    F = 1 residual only to them lowered by c, which it holds: cut there, it
-    is an exactly known factor."""
+                      depth: int) -> tuple:
+    """The one (kernel, field) product F times the F = 1 residual: for
+    F = z^e w^f, iota_zw F = iota_wz F = F and F only raises n.  The direct
+    path expands each slot at least to F's degree c there, so its windows
+    are the F = 1 ones raised by max(depth, c) - depth.  F is homogeneous,
+    so the product raises every window by c, and the F = 1 residual enters
+    cut to its windows lowered by min(depth, c): an exactly known F times a
+    windowed factor, with nothing outside the windows formed."""
     one = _residual(S, i, j, k, Kernel.one(S.D), depth)
     degrees = (sum(F.z_exps), sum(F.w_exps))
-    windows = tuple(w.shift(max(depth, c) - depth) for w, c in zip(one.windows, degrees))
-    cut = one.restrict(tuple(w.shift(-c) for w, c in zip(windows, degrees)))
+    cut = one.restrict(tuple(w.shift(-min(depth, c)) for w, c in zip(one.windows, degrees)))
     vs = VarSpace(S.D, ("z", "w"))
-    kernel = bicone_from_poly(vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps))
-    return kernel.mul_series(BiConeSeries._trusted(S.D, cut.coeffs), (0, 0)).restrict(windows)
+    return bicone_from_poly(vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps)), cut
 
 
 def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
     """lhs - rhs of the identity with kernel F for the triple (i, j, k) at
-    ``depth``; both sides form only bi-modes with n_z < 0 and n_w < 0.
+    ``depth``: one ``BiConeSeries.sum_of_products`` over the products of
+    ``_borcherds_lhs`` and ``_borcherds_rhs`` (whose signs encode the
+    difference), or over the one product of ``_times_polynomial`` for a
+    polynomial kernel, so only the coefficients that survive are built, and
+    only bi-modes with n_z < 0 and n_w < 0 are formed.
 
     The deepest residual per (i, j, k, F) is kept.  Each window is
     max(depth, c) plus a shift free of the depth, c F's least degree in that
@@ -414,9 +421,10 @@ def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) ->
     stored, residual = S._memo.get(key, (-1, None))
     if stored < depth:
         if F == Kernel.one(S.D) or F.z_pole or F.w_pole or F.zw_pole:
-            residual = _borcherds_lhs(S, i, j, k, F, depth) - _borcherds_rhs(S, i, j, k, F, depth)
+            products = _borcherds_lhs(S, i, j, k, F, depth) + _borcherds_rhs(S, i, j, k, F, depth)
         else:
-            residual = _times_polynomial(S, i, j, k, F, depth)
+            products = [_times_polynomial(S, i, j, k, F, depth)]
+        residual = BiConeSeries.sum_of_products(S.D, products, (0, 0))
         stored = depth
     windows = tuple(w.shift(max(depth, c) - max(stored, c))
                     for w, c in zip(residual.windows, floors))

@@ -13,6 +13,7 @@ import pytest
 
 from lambdacone import vla
 from lambdacone import (
+    BiConeSeries,
     BracketTable,
     ConeSeries,
     Kernel,
@@ -491,6 +492,13 @@ def _checker_depth(S, window):
     return window + 2 * (S.max_pole() + t_degree) + 2
 
 
+def _summed(S, products):
+    """The series of a list of (kernel, field) products, summed as
+    ``vla._residual`` sums them.  The products of ``vla._borcherds_rhs``
+    sum to minus the right-hand side, with the same windows."""
+    return BiConeSeries.sum_of_products(S.D, products, (0, 0))
+
+
 def test_borcherds_rhs_windows_are_honest():
     # A deeper expansion agrees with a shallower one on everything the
     # shallower one claims to know.
@@ -498,8 +506,8 @@ def test_borcherds_rhs_windows_are_honest():
         for F in _kernels(S.D):
             for window in (0, 2):
                 depth = _checker_depth(S, window)
-                shallow = vla._borcherds_rhs(S, 0, 0, 0, F, depth)
-                deep = vla._borcherds_rhs(S, 0, 0, 0, F, depth + 6)
+                shallow = _summed(S, vla._borcherds_rhs(S, 0, 0, 0, F, depth))
+                deep = _summed(S, vla._borcherds_rhs(S, 0, 0, 0, F, depth + 6))
                 restricted = deep.restrict(shallow.windows)
                 assert restricted.windows == shallow.windows
                 assert restricted.coeffs == shallow.coeffs
@@ -513,7 +521,7 @@ def test_identity_failures_need_a_window_reaching_the_singular_region():
     for S in (d1_bridge(build_wd(1)), _d2_fixture()):
         F = Kernel.one(S.D)
         for depth, w_degmax in ((0, -3), (1, -2), (2, -1)):
-            rhs = vla._borcherds_rhs(S, 0, 0, 0, F, depth)
+            rhs = _summed(S, vla._borcherds_rhs(S, 0, 0, 0, F, depth))
             assert [w.degmax for w in rhs.windows] == [depth, w_degmax]
             if w_degmax < -1:
                 with pytest.raises(TruncationError):
@@ -581,6 +589,27 @@ _POLYNOMIAL_ORACLE_STRUCTURES = {
 }
 
 
+@pytest.mark.parametrize("name, window, violations", [
+    ("W(1)", 0, 0), ("Cur(sl2)", 0, 0), ("broken", 0, 6),
+    ("Virasoro chiral pair", 4, 0), ("current-like D=3", 2, 2375),
+])
+def test_identity_builds_one_coefficient_per_violation(monkeypatch, name, window, violations):
+    # Both sides of a residual are one signed integer sum, so no module
+    # coefficient is built only to cancel: each one built is a violation.
+    S = _POLYNOMIAL_ORACLE_STRUCTURES[name]()
+    built = []
+    from_int_view = ModuleElement._from_int_view
+
+    def counting(self, den, numerators):
+        built.append(den)
+        return from_int_view(self, den, numerators)
+
+    monkeypatch.setattr(ModuleElement, "_from_int_view", counting)
+    report = jacobi_check_vla(S, S.max_pole(), window)
+    assert len(report.failures) == violations
+    assert len(built) == violations
+
+
 @pytest.mark.parametrize("name", list(_POLYNOMIAL_ORACLE_STRUCTURES))
 def test_polynomial_kernel_residual_is_the_direct_comparison(name):
     # A polynomial kernel's residual is F times the F = 1 residual; the direct
@@ -596,8 +625,8 @@ def test_polynomial_kernel_residual_is_the_direct_comparison(name):
         depth = _checker_depth(S, window)
         for F in kernels:
             for i, j, k in triples:
-                direct = (vla._borcherds_lhs(S, i, j, k, F, depth)
-                          - vla._borcherds_rhs(S, i, j, k, F, depth))
+                direct = _summed(S, vla._borcherds_lhs(S, i, j, k, F, depth)
+                                 + vla._borcherds_rhs(S, i, j, k, F, depth))
                 derived = vla._residual(S, i, j, k, F, depth)
                 assert derived.windows == direct.windows, (F, window, (i, j, k))
                 assert derived.items() == direct.items(), (F, window, (i, j, k))
@@ -611,7 +640,8 @@ def test_polynomial_kernel_of_degree_above_the_depth_keeps_the_direct_windows(na
     D, depth = S.D, _checker_depth(S, 0)
     assert depth < 9
     for F in (Kernel(D, z_exps=(9,) + (0,) * (D - 1)), Kernel(D, w_exps=(0,) * (D - 1) + (9,))):
-        direct = vla._borcherds_lhs(S, 0, 0, 0, F, depth) - vla._borcherds_rhs(S, 0, 0, 0, F, depth)
+        direct = _summed(S, vla._borcherds_lhs(S, 0, 0, 0, F, depth)
+                         + vla._borcherds_rhs(S, 0, 0, 0, F, depth))
         derived = vla._residual(S, 0, 0, 0, F, depth)
         assert (derived.windows, derived.items()) == (direct.windows, direct.items()), F
 
@@ -702,8 +732,9 @@ def _sha256(text):
 
 
 # sha256 of the report text at L = max pole (jacobi_check_vla for F = 1,
-# borcherds_check otherwise) followed by _windows_text(_borcherds_rhs(S, 0, 0,
-# 0, F, depth).windows) at the checker's depth, per (structure, F, window).
+# borcherds_check otherwise) followed by _windows_text of the windows of the
+# summed _borcherds_rhs(S, 0, 0, 0, F, depth) at the checker's depth, per
+# (structure, F, window).
 GOLDEN_IDENTITIES = {
     ("Cur(sl2)", "1", 0):
         "46a096466edf46c421baa871460252724ca7eedd4583f9d47d5df39a7cd7b7c5",
@@ -828,8 +859,8 @@ def _golden_identity_digest(S, case):
         report = jacobi_check_vla(S, L, window)
     else:
         report = borcherds_check(S, L, F, window)
-    windows = vla._borcherds_rhs(S, 0, 0, 0, F, _checker_depth(S, window)).windows
-    return _sha256(_report_text(report) + _windows_text(windows))
+    rhs = _summed(S, vla._borcherds_rhs(S, 0, 0, 0, F, _checker_depth(S, window)))
+    return _sha256(_report_text(report) + _windows_text(rhs.windows))
 
 
 @pytest.mark.parametrize("case", list(GOLDEN_IDENTITIES), ids=lambda case: "-".join(map(str, case)))

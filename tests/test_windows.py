@@ -87,6 +87,26 @@ def test_mul_series_requires_exact_factor():
         windowed.mul_series(windowed)
 
 
+def test_one_exact_factor_lets_the_other_be_windowed():
+    # An exactly known factor times a windowed one is known to the windowed
+    # factor's windows raised by the exact factor's least degrees, and a
+    # deeper expansion of the windowed factor agrees there.
+    for D in (1, 2, 3):
+        vs = VarSpace(D, ("z", "w"))
+        z1, w1 = vs.var("z", 1), vs.var("w", 1)
+        for poly, degrees in ((z1 * w1, (1, 1)), (w1 ** 2, (0, 2)), (vs.one, (0, 0))):
+            exact = bicone_from_poly(poly)
+            for k, side, window in ((1, "zw", 3), (2, "wz", 2), (1, "wz", 4)):
+                windowed = iota_expand(D, k, side, window)
+                for bound in (None, (0, 0), (1, 2)):
+                    shallow = exact.mul_series(windowed, bound)
+                    deep = exact.mul_series(iota_expand(D, k, side, window + 8), bound)
+                    assert shallow.windows == tuple(
+                        w.shift(c) for w, c in zip(windowed.windows, degrees))
+                    assert deep.restrict(shallow.windows) == shallow, (D, poly, k, side, bound)
+                    assert shallow or bound == (0, 0)
+
+
 def test_tensor_and_scale():
     a = ConeSeries(1, "z", {(-1, 0, 1): Fraction(2)})
     b = ConeSeries(1, "w", {(0, 1, 1): Fraction(3)})
