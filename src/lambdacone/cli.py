@@ -164,6 +164,9 @@ def _cmd_check(args) -> int:
     axioms = [a for a in args.axioms.split(",") if a]
     if not axioms:
         raise CliError("--axioms must name at least one axiom")
+    repeated = next((a for pos, a in enumerate(axioms) if a in axioms[:pos]), None)
+    if repeated:
+        raise CliError(f"--axioms names {repeated!r} more than once")
     code, lines = run_checks(loaded, axioms, args)
     for line in lines:
         print(line)

@@ -450,10 +450,11 @@ def _bracket_of_images(table: BracketTable, x_images: list, y_images: list) -> L
     return LambdaPoly(table.vs, table.r, coords)
 
 
-def _packed_entries(table: BracketTable) -> tuple:
-    """A packing for the table's entries and their pairwise products, and each entry packed."""
+def _packed_entries(table: BracketTable, tags: int = 0) -> tuple:
+    """A packing for the table's entries and their pairwise products, with
+    ``tags`` tag fields, and each entry packed."""
     polys = [p for entry in table.entries.values() for p in entry.coords.values()]
-    packing = Packing(table.vs, max([1] + [p.total_degree() for p in polys]))
+    packing = Packing(table.vs, max([1] + [p.total_degree() for p in polys]), tags, table.r)
     return packing, {key: [(k, packing.pack(p)) for k, p in entry.coords.items()]
                      for key, entry in table.entries.items()}
 
@@ -495,55 +496,63 @@ def jacobi_check(table: BracketTable) -> CheckReport:
     All three terms are assembled in C[T, lam, mu] by polynomial substitution:
     second-slot sesquilinearity shifts T by the outer bracket variable, and
     the first slot of the composed bracket evaluates its T-coefficients at
-    -(lam+mu).  It runs on packed monomials (``rings.Packing``): each of the
-    five substitutions meets each packed entry once, a triple's residual is
-    one packed dict per output generator, and only failing residuals are
-    unpacked, for witnesses.
+    -(lam+mu).  It runs on packed monomials (``rings.Packing``) with the
+    generator indices (j, k, l) in three tag fields: per first generator i,
+    each term is one product per contracted generator kp of two tagged sums,
+    each setting the tags it knows, and those 3 * r products split by tag
+    into the residuals of all r^2 triples (i, j, k).  Each of the five
+    substitutions meets each packed entry once, inside a tagged sum; only
+    failing residuals are unpacked, for witnesses.
     """
-    vs = table.vs
-    r = table.r
-    packing, packed = _packed_entries(table)
+    vs, r, names = table.vs, table.r, table.generators
+    packing, packed = _packed_entries(table, 3)
     var, ids = vs.var, range(1, vs.D + 1)
     rename_mu = {("lam", a): var("mu", a) for a in ids}
     neg_numu = {("T", a): -var("lam", a) - var("mu", a) for a in ids}
     lam_plus_mu = {("lam", a): var("lam", a) + var("mu", a) for a in ids}
 
-    def substituted(assignment):
-        images, cache = packing.images(assignment), {}
-        return {key: [(k, packing.subst(p, images, cache)) for k, p in coords]
-                for key, coords in packed.items()}
+    inner_lam, inner_mu, outer_mu, inner_sum, outer_sum = (
+        (packing.images(assignment), {}) for assignment in (
+            {**rename_mu, **_shift_T_by(vs, "lam")}, _shift_T_by(vs, "mu"),
+            rename_mu, neg_numu, lam_plus_mu))
 
-    inner_lam = substituted({**rename_mu, **_shift_T_by(vs, "lam")})
-    inner_mu = substituted(_shift_T_by(vs, "mu"))
-    outer_mu = substituted(rename_mu)
-    inner_sum = substituted(neg_numu)
-    outer_sum = substituted(lam_plus_mu)
+    def sums(items, substitution=None):
+        # Per kp, the sum of its (kp, tag values, p) items tagged, then substituted.
+        out = [{} for _ in range(r)]
+        for kp, values, p in items:
+            out[kp].update(packing.tag(p, values))
+        return [packing.subst(p, *substitution) for p in out] if substitution else out
+
+    # (a, b, c, p): p is coordinate c of [a_a lam a_b].  The factors tagged
+    # (j, k), (j, l) and (k, l) do not depend on i; those tagged l, k, j do.
+    coords = [(a, b, c, p) for (a, b), ps in packed.items() for c, p in ps]
+    lam_left = sums(((c, (a, b, None), p) for a, b, c, p in coords), inner_lam)
+    mu_right = sums(((b, (a, None, c), p) for a, b, c, p in coords), outer_mu)
+    sum_right = sums(((a, (None, b, c), p) for a, b, c, p in coords), outer_sum)
     failures = []
     records = []
     for i in range(r):
+        row = [(b, c, p) for b in range(r) for c, p in packed[(i, b)]]
+        lam_right = sums((b, (None, None, c), p) for b, c, p in row)
+        mu_left = sums(((c, (None, b, None), p) for b, c, p in row), inner_mu)
+        sum_left = sums(((c, (b, None, None), p) for b, c, p in row), inner_sum)
+        # [a_i lam [a_j mu a_k]] - [a_j mu [a_i lam a_k]] - [[a_i lam a_j]_(lam+mu) a_k]
+        residual: dict = {}
+        for kp in range(r):
+            _mul_add(residual, lam_left[kp], lam_right[kp], 1)
+            _mul_add(residual, mu_left[kp], mu_right[kp], -1)
+            _mul_add(residual, sum_left[kp], sum_right[kp], -1)
+        nonzero: dict = {}
+        for (j, k, l), terms in packing.split(residual).items():
+            nonzero.setdefault((j, k), []).append((l, terms))
         for j in range(r):
             for k in range(r):
-                residual: dict = {}
-                # [a_i lam [a_j mu a_k]] - [a_j mu [a_i lam a_k]] - [[a_i lam a_j]_(lam+mu) a_k]
-                for kp, factor in inner_lam[(j, k)]:
-                    for l, pol in packed[(i, kp)]:
-                        _mul_add(residual.setdefault(l, {}), factor, pol, 1)
-                for kp, factor in inner_mu[(i, k)]:
-                    for l, pol in outer_mu[(j, kp)]:
-                        _mul_add(residual.setdefault(l, {}), factor, pol, -1)
-                for kp, factor in inner_sum[(i, j)]:
-                    for l, pol in outer_sum[(kp, k)]:
-                        _mul_add(residual.setdefault(l, {}), factor, pol, -1)
-
-                gi, gj, gk = (table.generators[t] for t in (i, j, k))
-                label = f"({gi},{gj},{gk})"
-                bad = any(any(terms.values()) for terms in residual.values())
+                label = f"({names[i]},{names[j]},{names[k]})"
+                bad = nonzero.get((j, k))
                 records.append((label, not bad))
                 if bad:
-                    polys = sorted((l, packing.unpack(terms)) for l, terms in residual.items())
-                    witness = " + ".join(
-                        f"({p})*{table.generators[l]}" for l, p in polys if p
-                    )
+                    polys = sorted((l, packing.unpack(terms)) for l, terms in bad)
+                    witness = " + ".join(f"({p})*{names[l]}" for l, p in polys)
                     failures.append(Failure(label, witness))
     return CheckReport("jacobi", tuple(failures), records=tuple(records))
 
@@ -629,9 +638,9 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     The change of variables T -> T - lam is a ring automorphism of
     C[T, lam], so R = 0 exactly when S = sum_b Q_b(T) A_{x,b} = 0 with
     A_{x,b} = sum_a P_a(-lam) E_ab(T - lam, lam).  The D^2 entries E_ab are
-    substituted once per check and each A_{x,b} is built once per basis
-    element, so a pair costs at most D products against its unshifted
-    Q_b(T).
+    substituted once per check.  The basis indices x and y ride in two tag
+    fields, so the A_{x,b} of every x come out of D^2 products of tagged sums
+    and the S of every pair out of D more, split by tag.
 
     It runs on packed monomials (``rings.Packing``) with int coefficients:
     each basis element is packed once, cleared of denominators, and serves
@@ -642,9 +651,10 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     the largest total degree m among the packed polynomials, not ``degmax``.
     That is enough although S multiplies three factors: P_a(-lam) has only
     lam and Q_b only T, and deg E_ab <= m, so every exponent of S is at most
-    2 * m.  A pair passes when its packed S has no nonzero coefficient; the
-    witnesses of a failing pair come from its unscaled bracket, one per
-    lam-monomial whose coefficient has nonzero divergence.
+    2 * m; and each tag field is set by one factor.  A pair passes when its
+    packed S has no nonzero coefficient; the witnesses of a failing pair come
+    from its unscaled bracket, one per lam-monomial whose coefficient has
+    nonzero divergence.
     """
     if degmax < 1:
         raise ValueError("degmax must be >= 1")
@@ -660,7 +670,7 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
         for key, entry in table.entries.items()
     }
     polys = list(composed.values()) + [p for x in basis for p in x.coords.values()]
-    packing = Packing(vs, max(p.total_degree() for p in polys))
+    packing = Packing(vs, max(p.total_degree() for p in polys), 2, len(basis))
     _, cleared = _clear(*(packing.pack(p) for p in composed.values()))
     composed = dict(zip(composed, cleared))
     # Each basis element, packed and cleared once, gives its P_a and its Q_b.
@@ -668,25 +678,29 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     for x in basis:
         _, coords = _clear(*map(packing.pack, x.coords.values()))
         packed.append(list(zip(x.coords, coords)))
-    flip, cache = packing.images(neg_lam), {}
-    # A_{x,b} for every basis element x and every generator b.
-    partials = []
-    for x_packed in packed:
-        row = [{} for _ in range(D)]
+    # Per generator a, the P_a tagged x and the Q_a tagged y of every basis
+    # element; then per b, A_{x,b} of every x is one tagged sum over a, and
+    # S of every pair is one product per b, split by tag.
+    lefts, rights = [{} for _ in range(D)], [{} for _ in range(D)]
+    for x, x_packed in enumerate(packed):
         for a, P in x_packed:
-            P_neg = packing.subst(P, flip, cache)
-            for b in range(D):
-                _mul_add(row[b], P_neg, composed[(a, b)], 1)
-        partials.append([{m: c for m, c in A.items() if c} for A in row])
+            lefts[a].update(packing.tag(P, (x, None)))
+            rights[a].update(packing.tag(P, (None, x)))
+    flip, cache = packing.images(neg_lam), {}
+    lefts = [packing.subst(P, flip, cache) for P in lefts]
+    total: dict = {}
+    for b in range(D):
+        A: dict = {}
+        for a in range(D):
+            _mul_add(A, lefts[a], composed[(a, b)], 1)
+        _mul_add(total, {m: c for m, c in A.items() if c}, rights[b], 1)
+    nonzero = packing.split(total)
     failures = []
     records = []
-    for i, row in enumerate(partials):
-        for j, y_packed in enumerate(packed):
+    for i in range(len(basis)):
+        for j in range(len(basis)):
             label = f"pair ({i},{j})"
-            total: dict = {}
-            for b, Q in y_packed:
-                _mul_add(total, Q, row[b], 1)
-            bad = any(total.values())
+            bad = (i, j) in nonzero
             records.append((label, not bad))
             if bad:
                 bracket = _bracket_of_images(

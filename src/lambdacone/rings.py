@@ -29,9 +29,9 @@ built.
 
 ``Packing`` is a second, private layout that lives inside one computation
 (the skew, Jacobi and S(D, chi) closure checks): a monomial is one int with a
-bit field per variable.  It is exact by its degree bound: the fields hold
-twice the packed degree, and only degree-preserving substitutions run on
-packed terms.
+bit field per variable, and tag fields for generator indices above them.
+It is exact by its degree bound: the fields hold twice the packed degree,
+and only degree-preserving substitutions run on packed terms.
 """
 
 from __future__ import annotations
@@ -564,15 +564,24 @@ class Packing:
     A longer product is the caller's to bound: the closure check multiplies
     three factors whose variable families split so that each exponent still
     stays <= 2 * degree (``pseudo.sd_closure_check``).
+
+    Above them sit ``tags`` tag fields, each wide enough for ``r - 1``.  When
+    each tag field of a product is set (:meth:`tag`) by one factor only, the
+    caller's to keep as the degree bound is, a product of tagged sums holds
+    every product of their summands, and :meth:`split` sorts it by tag.
     """
 
-    def __init__(self, vs: VarSpace, degree: int):
-        self.vs, self.degree = vs, degree
+    def __init__(self, vs: VarSpace, degree: int, tags: int = 0, r: int = 1):
+        self.vs, self.degree, self.r = vs, degree, r
         self.width = (2 * degree).bit_length()
         self.mask = (1 << self.width) - 1
         families = sorted(vs.families, key=_FAMILY_POS.__getitem__)
         order = [(family, i) for family in families for i in range(1, vs.D + 1)]
         self.shifts = {var: pos * self.width for pos, var in enumerate(order)}
+        base, tag_width = len(order) * self.width, (r - 1).bit_length()
+        self.tag_shifts = tuple(base + t * tag_width for t in range(tags))
+        self.monomial_mask, self.tag_mask = (1 << base) - 1, (1 << tag_width) - 1
+        self.offsets = _Memo(self._offset)
 
     def pack(self, poly: Poly) -> dict:
         if poly.total_degree() > self.degree:
@@ -594,9 +603,11 @@ class Packing:
         return mask, fields
 
     def subst(self, terms: dict, images: tuple, cache: dict) -> dict:
-        """Substitute ``images``; ``cache`` (one per images) maps ``key & mask`` to its image."""
+        """Substitute ``images``, keeping tag fields; ``cache`` (one per images)
+        maps ``key & mask`` to its image."""
         mask, fields = images
         out: dict = {}
+        get = out.get
         for key, coeff in terms.items():
             part = key & mask
             image = cache.get(part)
@@ -606,8 +617,29 @@ class Packing:
                     for _ in range(part >> shift & self.mask):
                         image = _mul_add({}, image, value, 1)
                 image = cache[part] = {m: c for m, c in image.items() if c}
-            _mul_add(out, {key - part: coeff}, image, 1)
+            rest = key - part
+            for m, c in image.items():
+                m += rest
+                out[m] = get(m, 0) + coeff * c
         return {m: c for m, c in out.items() if c}
+
+    def tag(self, terms: dict, values: tuple) -> dict:
+        """``terms`` moved into the tag ``values``, one per tag field; None leaves a field 0."""
+        offset = self.offsets[values]
+        return {key + offset: c for key, c in terms.items()}
+
+    def _offset(self, values: tuple) -> int:
+        if len(values) != len(self.tag_shifts) or {*values} - {None, *range(self.r)}:
+            raise ValueError(f"tag values {values} do not fit the tag fields of range({self.r})")
+        return sum(v << shift for shift, v in zip(self.tag_shifts, values) if v is not None)
+
+    def split(self, terms: dict) -> dict:
+        """``{tag tuple: {monomial key: c}}`` of a tagged sum, nonzero c only."""
+        low, mask, out = self.monomial_mask, self.tag_mask, {}
+        for key, c in terms.items():
+            if c:
+                out.setdefault(tuple(key >> s & mask for s in self.tag_shifts), {})[key & low] = c
+        return out
 
     def unpack(self, terms: dict) -> Poly:
         mask, out = self.mask, {}

@@ -76,6 +76,14 @@ def test_exit_two_on_inapplicable_axiom():
     assert "not applicable" in err
 
 
+@pytest.mark.parametrize("axioms", ["jacobi,jacobi", "skew,jacobi,skew"])
+def test_exit_two_on_an_axiom_named_twice(axioms):
+    code, out, err = run_cli("check", "W", "--dim", "2", "--axioms", axioms)
+    assert code == 2 and out == ""
+    repeated = axioms.split(",")[0]
+    assert f"error: --axioms names {repeated!r} more than once" in err
+
+
 def test_exit_two_on_unknown_target():
     code, _, err = run_cli("check", "NoSuchThing", "--axioms", "skew")
     assert code == 2

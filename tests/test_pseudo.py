@@ -762,3 +762,102 @@ def test_builtin_s_file_golden_digest(tmp_path):
     path = tmp_path / "s3.json"
     assert cli_main(["builtin", "S", "--dim", "3", "--chi=1/2,0,-3", "--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_BUILTIN_S
+
+
+# ----------------------------------------------------------------------
+# golden digests for r >= 4: generator indices past two bits
+# ----------------------------------------------------------------------
+
+def _mutated_wd(D, seed):
+    """W(D) with one coefficient of a seeded off-diagonal entry changed by a nonzero Fraction."""
+    rng = random.Random(seed)
+    table = build_wd(D)
+    vs = table.vs
+    a, b = rng.sample(range(D), 2)
+    entry = table.entry(a, b)
+    k = rng.choice(sorted(entry.coords))
+    poly = entry.coords[k]
+    dense = poly.dense("T", "lam")
+    exps = rng.choice(sorted(dense))
+    delta = 0
+    while not delta or dense[exps] + delta == 0:
+        delta = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    mono = vs.from_exps("T", exps[:D]) * vs.from_exps("lam", exps[D:])
+    entries = dict(table.entries)
+    entries[(a, b)] = LambdaPoly(vs, D, {**entry.coords, k: poly + mono.scale(delta)})
+    return BracketTable(D, table.generators, entries)
+
+
+_WIDE_TABLES = {
+    "W5 mutated": lambda: _mutated_wd(5, 5),
+    "W8 mutated": lambda: _mutated_wd(8, 8),
+    "W8 extended to D=9": lambda: current_extend(build_wd(8), 9),
+}
+
+# sha256 of (checked, records, (label, witness) failures, detail) per report.
+GOLDEN_WIDE_REPORTS = {
+    ("skew", "W5 mutated"):
+        "1533b02dc63092962f493e0802811032b3d8a26db070e4bbde846a37625c1d9c",
+    ("jacobi", "W5 mutated"):
+        "664a0471585ef299bff6bee248f85d7e029fbfc280e735818e8ad944a014d865",
+    ("skew", "W8 mutated"):
+        "f80071ee81c3f874f514819c9a234173cde3fb2048d54f732bcb182c29e77de9",
+    ("jacobi", "W8 mutated"):
+        "fd81125ad268875679775d6a2b3f6e882397068d6b35674cf553e0218e0c8d9d",
+    ("skew", "W8 extended to D=9"):
+        "421276e4a581be473ae62453e94d6a321b3540a42a2b43fe9616b893784d395b",
+    ("jacobi", "W8 extended to D=9"):
+        "478b33febad3c65ae72b18e3fb8ae9da018cdcdf5b9da159ab2126d28f46436f",
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_WIDE_REPORTS), ids="-".join)
+def test_wide_report_golden_digest(case):
+    check = {"skew": skew_check, "jacobi": jacobi_check}[case[0]]
+    assert _report_digest(check(_WIDE_TABLES[case[1]]())) == GOLDEN_WIDE_REPORTS[case]
+
+
+def _random_wide_table(seed):
+    """A random table in D = seed % 3 with r = 4 + seed % 6 generators and
+    Fraction entries of degree <= 2; most axioms fail."""
+    rng = random.Random(seed)
+    D, r = seed % 3, 4 + seed % 6
+    vs = pseudo_space(D)
+    entries = {}
+    for i in range(r):
+        for j in range(r):
+            coords = {
+                k: _random_high_degree_poly(rng, vs, 2) for k in range(r) if rng.random() < 0.3
+            }
+            entries[(i, j)] = LambdaPoly(vs, r, coords)
+    return BracketTable(D, tuple(f"g{i + 1}" for i in range(r)), entries)
+
+
+# sha256 over the report digests of skew then jacobi on random wide tables 0..9.
+GOLDEN_WIDE_RANDOM = "034ab522adfa9088c00003fbefd0308192d157c19e4dc233076ff887f4020340"
+
+
+def test_wide_random_reports_golden_digest():
+    digest = hashlib.sha256()
+    for seed in range(10):
+        table = _random_wide_table(seed)
+        for check in (skew_check, jacobi_check):
+            digest.update(_report_digest(check(table)).encode())
+    assert digest.hexdigest() == GOLDEN_WIDE_RANDOM
+
+
+def test_checks_multiply_tagged_sums_not_single_pairs(monkeypatch):
+    """Jacobi makes 3 * r products per first generator, closure D^2 + D per check."""
+    calls = []
+    mul_add = pseudo._mul_add
+
+    def counted(*args):
+        calls.append(1)
+        return mul_add(*args)
+
+    monkeypatch.setattr(pseudo, "_mul_add", counted)
+    assert jacobi_check(build_wd(8)).passed
+    assert len(calls) <= 3 * 8 ** 2
+    calls.clear()
+    assert sd_closure_check(3, ChiVector.unit(3, 1), 3).passed
+    assert len(calls) <= 3 ** 2 + 3

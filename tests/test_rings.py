@@ -413,3 +413,39 @@ def test_packing_rejects_high_degree_and_bad_images():
             packing.images({("T", 1): image})
     with pytest.raises(WorkspaceError):
         packing.images({("z", 1): T1})
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8, 9, 17])
+@pytest.mark.parametrize("D", [0, 1, 3])
+def test_tag_fields_are_exact(D, r):
+    """Tagged sums multiply every pair of summands; split gives each product under its tags."""
+    rng = random.Random(100 * D + r)
+    vs, degree = pseudo_space(D), 3
+    packing = Packing(vs, degree, 2, r)
+    # The last variable (mu_D) at exponent ``degree`` in both factors fills
+    # the field just below the tags to 2 * degree.
+    top = vs.var("mu", D) ** degree if D else vs.const(1)
+    tags = sorted({0, r // 2, r - 1})
+    left = {a: _pseudo_poly(rng, vs, degree, True) + top.scale(a + 1) for a in tags}
+    right = {b: _pseudo_poly(rng, vs, degree, False) - top for b in tags}
+    left_sum, right_sum = {}, {}
+    for a in tags:
+        left_sum.update(packing.tag(packing.pack(left[a]), (a, None)))
+        right_sum.update(packing.tag(packing.pack(right[a]), (None, a)))
+    split = packing.split(_mul_add({}, left_sum, right_sum, 1))
+    expected = {(a, b): left[a] * right[b] for a in tags for b in tags}
+    assert set(split) == {key for key, product in expected.items() if product}
+    for key, terms in split.items():
+        assert packing.unpack(terms) == expected[key]
+    if D:
+        assert all(any(exps[-1] == 2 * degree for exps in p.coefficients_in(("mu",)))
+                   for p in expected.values())
+        # A substitution keeps the tags of what it substitutes.
+        images, cache = packing.images({("T", 1): vs.var("T", 1) + vs.var("lam", 1)}), {}
+        moved = packing.split(packing.subst(left_sum, images, cache))
+        assert {key[0]: packing.unpack(terms) for key, terms in moved.items()} == {
+            a: p.subst({("T", 1): vs.var("T", 1) + vs.var("lam", 1)})
+            for a, p in left.items() if p}
+    for bad in ((r, None), (None, -1), (0,), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            packing.tag({0: 1}, bad)
