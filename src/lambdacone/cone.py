@@ -165,6 +165,19 @@ def _harmonic_parts(D: int, m: int, raw: dict):
         yield j, d, q, coords
 
 
+def _gauss_terms(D: int, c: int) -> int:
+    """S(c, D) = sum_k binom(c - 2k + D - 1, D - 1): the monomials of the
+    degrees c, c - 2, ... that the Laplacian chain of a degree-c polynomial
+    can reach in ``_harmonic_parts``, a bound on the terms its Gauss
+    decomposition forms.  Closed form, O(D): S(c, D) + S(c - 1, D) =
+    binom(c + D, D) counts every degree <= c, and S(c, D) - S(c - 1, D), the
+    alternating sum, is S(c, D - 1); S(c, 0) is 1 for even c, else 0."""
+    terms = 1 - c % 2
+    for d in range(1, D + 1):
+        terms = (comb(c + d, d) + terms) // 2
+    return terms
+
+
 def _least(den: int, table) -> tuple:
     """(R, ((key, int), ...)) with each int N of ``table`` over ``den`` read
     as N' / R, R least: R = den / gcd(den, N_1, ..., N_n)."""
@@ -616,81 +629,27 @@ class BiConeSeries:
         windowed factor only to degree W when the exact one starts at c.  Two
         windowed factors raise TruncationError.
 
-        One integer kernel forms the sum.  The left coefficients are cleared
-        to int numerators, each right coefficient once into an int vector
-        (one entry for a scalar, the ``_int_view`` of a module element), and
-        the ``_times_harm`` tables are int numerators.  A first pass keeps
-        the (left key, right key) pairs that form something, each with its
-        denominator; a second brings every pair to the lcm of those by one
-        int factor and adds its weighted vector straight into the one
-        accumulator of each output bi-mode.  Each coordinate becomes one
-        exact value at the end, an int when the common denominator is 1; a
-        bi-mode whose accumulator cancels to 0 is never built, so a sum whose
-        signs encode a difference builds only the coefficients that survive.
-
-        Both cuts are decided per (left key, right key) pair, before its
-        ``_times_harm`` tables are read.  Multiplying only raises n, so with
-        ``bound`` = (bz, bw) a pair at n_z >= bz or n_w >= bw forms nothing
-        (each table entry, whose raise dj varies, is tested too).  Total
-        degree 2n + m adds, as h_m h_m' decomposes within degree m + m', so
-        a pair outside the windows, derived from all pairs first, forms
-        nothing either.  The windows do not depend on the bound, so ``get``
-        reads 0 at a mode outside it whatever the unbounded product holds.
+        The sum is the integer kernel :func:`_int_sum_of_products` over the
+        int form (:func:`_int_form`) of each right factor, and each surviving
+        accumulator is built into one exact coefficient at the end (a scalar,
+        or a module element through its ``_from_int_view``), an int when the
+        common denominator is 1.  A bi-mode whose accumulator cancels to 0 is
+        never built, so a sum whose signs encode a difference builds only the
+        coefficients that survive.  The windows do not depend on ``bound``,
+        so ``get`` reads 0 at a mode outside it whatever the unbounded
+        product holds.
         """
-        windows = (FULL_WINDOW, FULL_WINDOW)
+        build = _scalar_from_vector
+        forms = []
         for left, right in products:
             if left.D != D or right.D != D:
                 raise WorkspaceError("series mismatch")
-            exact, windowed = right, left
-            if not all(w.is_full for w in right.windows):
-                exact, windowed = left, right
-            if not all(w.is_full for w in exact.windows):
-                raise TruncationError("a product needs one exactly-known factor")
-            windows = tuple(window.intersect(w.shift(low)) for window, w, low
-                            in zip(windows, windowed.windows, _least_degrees(exact.coeffs)))
-        wz, ww = windows
-        bz, bw = (None, None) if bound is None else bound
-        kept = []  # (denominator, left numerator, n_z, n_w, z table, w table, right vector)
-        build = _scalar_from_vector
-        for left, right in products:
-            views = {}
-            for bkey, c in right.coeffs.items():
-                if type(c) is int or type(c) is Fraction:
-                    views[bkey] = c.denominator, {(): c.numerator}
-                else:
-                    views[bkey] = c._int_view()
-                    build = c._from_int_view
-            a_den, (left_ints,) = _clear(left.coeffs)
-            for ((na1, ma1, sa1), (na2, ma2, sa2)), ca in left_ints.items():
-                for ((nb1, mb1, sb1), (nb2, mb2, sb2)), (b_den, vector) in views.items():
-                    n1, n2 = na1 + nb1, na2 + nb2
-                    if (bound is not None and (n1 >= bz or n2 >= bw)
-                            or not (wz.contains(n1, ma1 + mb1) and ww.contains(n2, ma2 + mb2))):
-                        continue
-                    d1, z_table = _times_harm(D, ma1, sa1, mb1, sb1)
-                    d2, w_table = _times_harm(D, ma2, sa2, mb2, sb2)
-                    kept.append((a_den * d1 * d2 * b_den, ca, n1, n2, z_table, w_table, vector))
-        den = lcm(*(pair_den for pair_den, *_ in kept))
-        out: dict = {}
-        for pair_den, ca, n1, n2, z_table, w_table, vector in kept:
-            ca *= den // pair_den
-            for (dj1, m1b, s1b), q1 in z_table:
-                if bound is not None and n1 + dj1 >= bz:
-                    continue
-                c1 = ca * q1
-                mode1 = (n1 + dj1, m1b, s1b)
-                for (dj2, m2b, s2b), q2 in w_table:
-                    if bound is not None and n2 + dj2 >= bw:
-                        continue
-                    key = (mode1, (n2 + dj2, m2b, s2b))
-                    acc = out.get(key)
-                    if acc is None:
-                        acc = out[key] = {}
-                    weight = c1 * q2
-                    for coord, v in vector.items():
-                        acc[coord] = acc.get(coord, 0) + weight * v
-        return BiConeSeries._trusted(D, {key: build(den, acc) for key, acc in out.items()
-                                         if any(acc.values())}, windows)
+            forms.append((left, _int_form(right)))
+            build = next((c._from_int_view for c in right.coeffs.values()
+                          if type(c) is not int and type(c) is not Fraction), build)
+        den, sums, windows = _int_sum_of_products(D, forms, bound)
+        return BiConeSeries._trusted(D, {key: build(den, vector) for key, vector in sums.items()},
+                                     windows)
 
     def restrict(self, windows: tuple) -> "BiConeSeries":
         return self._like(
@@ -715,6 +674,87 @@ def _least_degrees(coeffs: Mapping) -> tuple:
         if w_low is None or 2 * n2 + m2 < w_low:
             w_low = 2 * n2 + m2
     return z_low, w_low
+
+
+def _int_form(series: BiConeSeries) -> tuple:
+    """(den, {bi-mode: int vector}, windows) with each coefficient of ``series``
+    its vector over den, den least: a scalar c is {(): c * den}, a module
+    element the numerators of its ``_int_view``.  The form in which
+    :func:`_int_sum_of_products` reads a right factor and returns a sum."""
+    views = {key: (c.denominator, {(): c.numerator}) if type(c) is int or type(c) is Fraction
+             else c._int_view() for key, c in series.coeffs.items()}
+    den = lcm(*(d for d, _ in views.values()))
+    return den, {key: vector if d == den else {coord: n * (den // d) for coord, n in vector.items()}
+                 for key, (d, vector) in views.items()}, series.windows
+
+
+def _int_sum_of_products(D: int, products, bound: Optional[tuple] = None) -> tuple:
+    """The integer kernel of :meth:`BiConeSeries.sum_of_products`: the sum of
+    left * right over the (left series, right int form) pairs of
+    ``products``, all of dimension D, as an int form (den, {bi-mode: int
+    vector}, windows) that holds only the bi-modes whose vector does not
+    cancel to 0.  Nothing is
+    built from the vectors, so a residual stays integer data until a report
+    formats it, and a sum can be a right factor again.
+
+    The left coefficients are cleared to int numerators, and the
+    ``_times_harm`` tables are int numerators.  A first pass keeps the
+    (left key, right key) pairs that form something, each with its
+    denominator; a second brings every pair to the lcm of those by one int
+    factor and adds its weighted vector straight into the one accumulator of
+    each output bi-mode.
+
+    Both cuts are decided per (left key, right key) pair, before its
+    ``_times_harm`` tables are read.  Multiplying only raises n, so with
+    ``bound`` = (bz, bw) a pair at n_z >= bz or n_w >= bw forms nothing
+    (each table entry, whose raise dj varies, is tested too).  Total degree
+    2n + m adds, as h_m h_m' decomposes within degree m + m', so a pair
+    outside the windows, derived from all pairs first, forms nothing either.
+    """
+    windows = (FULL_WINDOW, FULL_WINDOW)
+    for left, (_, vectors, right_windows) in products:
+        exact, windowed = vectors, left.windows
+        if not all(w.is_full for w in right_windows):
+            exact, windowed = left.coeffs, right_windows
+            if not all(w.is_full for w in left.windows):
+                raise TruncationError("a product needs one exactly-known factor")
+        windows = tuple(window.intersect(w.shift(low)) for window, w, low
+                        in zip(windows, windowed, _least_degrees(exact)))
+    wz, ww = windows
+    bz, bw = (None, None) if bound is None else bound
+    kept = []  # (denominator, left numerator, n_z, n_w, z table, w table, right vector)
+    for left, (b_den, vectors, _) in products:
+        a_den, (left_ints,) = _clear(left.coeffs)
+        a_den *= b_den
+        for ((na1, ma1, sa1), (na2, ma2, sa2)), ca in left_ints.items():
+            for ((nb1, mb1, sb1), (nb2, mb2, sb2)), vector in vectors.items():
+                n1, n2 = na1 + nb1, na2 + nb2
+                if (bound is not None and (n1 >= bz or n2 >= bw)
+                        or not (wz.contains(n1, ma1 + mb1) and ww.contains(n2, ma2 + mb2))):
+                    continue
+                d1, z_table = _times_harm(D, ma1, sa1, mb1, sb1)
+                d2, w_table = _times_harm(D, ma2, sa2, mb2, sb2)
+                kept.append((a_den * d1 * d2, ca, n1, n2, z_table, w_table, vector))
+    den = lcm(*(pair_den for pair_den, *_ in kept))
+    out: dict = {}
+    for pair_den, ca, n1, n2, z_table, w_table, vector in kept:
+        ca *= den // pair_den
+        for (dj1, m1b, s1b), q1 in z_table:
+            if bound is not None and n1 + dj1 >= bz:
+                continue
+            c1 = ca * q1
+            mode1 = (n1 + dj1, m1b, s1b)
+            for (dj2, m2b, s2b), q2 in w_table:
+                if bound is not None and n2 + dj2 >= bw:
+                    continue
+                key = (mode1, (n2 + dj2, m2b, s2b))
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                weight = c1 * q2
+                for coord, v in vector.items():
+                    acc[coord] = acc.get(coord, 0) + weight * v
+    return den, {key: acc for key, acc in out.items() if any(acc.values())}, windows
 
 
 def _scalar_from_vector(den: int, vector: dict):

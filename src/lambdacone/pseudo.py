@@ -16,12 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Mapping
 
 from .errors import WorkspaceError
 from .linalg import kernel_basis
 from .report import CheckReport, Failure
-from .rings import Packing, Poly, VarSpace, _clear, _mul_add, _no_float
+from .rings import (Packing, Poly, VarSpace, _clear, _dense_keys, _Memo, _mono_str, _mul_add,
+                    _no_float, dense_key)
 
 PSEUDO_FAMILIES = ("T", "lam", "mu")
 
@@ -197,6 +199,48 @@ class ModuleElement(LambdaPoly):
         vs = self.vs
         polys = ((k, vs._from_numerators("T", den, terms)) for k, terms in by_generator.items())
         return ModuleElement._trusted(vs, self.r, {k: p for k, p in polys if p})
+
+
+@lru_cache(maxsize=None)
+def _monomial_texts(D: int) -> _Memo:
+    """{T exponent vector: (its ``dense_key``, its text as ``Poly.__str__``
+    writes it)}, filled only for the vectors asked for."""
+    keys = _dense_keys(D, "T")
+    return _Memo(lambda exps: (dense_key(exps), _mono_str(keys[exps])))
+
+
+def _format_int_view(den: int, numerators: Mapping, names=None) -> str:
+    """The text of ``ModuleElement.format(names)`` for the element
+    numerators / den, given in the form of :meth:`ModuleElement._int_view`
+    (den > 0 need not be least, and a zero numerator is skipped), without
+    building the element: each coefficient is reduced by one gcd and written
+    as ``str`` writes an int or a ``Fraction``, the terms of a coordinate in
+    ``dense_key`` order, and ``+ -`` rewritten as ``Poly.__str__`` does."""
+    coords: dict = {}
+    for (k, exps), n in numerators.items():
+        if n:
+            coords.setdefault(k, []).append((exps, n))
+    if not coords:
+        return "0"
+    texts = _monomial_texts(len(exps))  # every vector is D long
+    parts = []
+    for k in sorted(coords):
+        terms = []
+        for (_, mono), n in sorted((texts[exps], n) for exps, n in coords[k]):
+            g = gcd(n, den)
+            coeff = str(n // g) if g == den else f"{n // g}/{den // g}"
+            if mono == "1":
+                terms.append(coeff)
+            elif coeff == "1":
+                terms.append(mono)
+            elif coeff == "-1":
+                terms.append(f"-{mono}")
+            else:
+                terms.append(f"{coeff}*{mono}")
+        text = " + ".join(terms).replace("+ -", "- ")
+        name = names[k] if names else f"a{k + 1}"
+        parts.append(name if text == "1" else f"({text})*{name}")
+    return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -452,11 +496,14 @@ def _bracket_of_images(table: BracketTable, x_images: list, y_images: list) -> L
 
 def _packed_entries(table: BracketTable, tags: int = 0) -> tuple:
     """A packing for the table's entries and their pairwise products, with
-    ``tags`` tag fields, and each entry packed."""
-    polys = [p for entry in table.entries.values() for p in entry.coords.values()]
-    packing = Packing(table.vs, max([1] + [p.total_degree() for p in polys]), tags, table.r)
-    return packing, {key: [(k, packing.pack(p)) for k, p in entry.coords.items()]
-                     for key, entry in table.entries.items()}
+    ``tags`` tag fields, and each entry packed; each entry's total degree is
+    scanned once, to size the packing and to pack it."""
+    entries = {key: [(k, p, p.total_degree()) for k, p in entry.coords.items()]
+               for key, entry in table.entries.items()}
+    degree = max([1] + [d for coords in entries.values() for _, _, d in coords])
+    packing = Packing(table.vs, degree, tags, table.r)
+    return packing, {key: [(k, packing.pack(p, d)) for k, p, d in coords]
+                     for key, coords in entries.items()}
 
 
 def skew_check(table: BracketTable) -> CheckReport:

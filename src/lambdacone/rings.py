@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import WorkspaceError
 
@@ -583,9 +583,13 @@ class Packing:
         self.monomial_mask, self.tag_mask = (1 << base) - 1, (1 << tag_width) - 1
         self.offsets = _Memo(self._offset)
 
-    def pack(self, poly: Poly) -> dict:
-        if poly.total_degree() > self.degree:
-            raise ValueError(f"total degree {poly.total_degree()} exceeds {self.degree}")
+    def pack(self, poly: Poly, degree: Optional[int] = None) -> dict:
+        """``poly`` packed; ``degree`` is its total degree when the caller has
+        already scanned it.  A degree above the packing's raises ValueError."""
+        if degree is None:
+            degree = poly.total_degree()
+        if degree > self.degree:
+            raise ValueError(f"total degree {degree} exceeds {self.degree}")
         shifts = self.shifts
         return {sum(e << shifts[v] for v, e in mono): c for mono, c in poly.terms.items()}
 
@@ -599,7 +603,7 @@ class Packing:
             if any(mono_degree(mono) != 1 for mono in value.terms):
                 raise ValueError(f"image {value} of {var} is not homogeneous linear")
             mask |= self.mask << self.shifts[var]
-            fields.append((self.shifts[var], self.pack(value)))
+            fields.append((self.shifts[var], self.pack(value, 1 if value else 0)))
         return mask, fields
 
     def subst(self, terms: dict, images: tuple, cache: dict) -> dict:

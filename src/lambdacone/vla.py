@@ -18,8 +18,10 @@ regions, multiplied by the u-field of each coefficient acting on c evaluated
 at u = w (the locality factor ((u+z-w)^2)^L of the textbook derivation
 cancels there; see ``_borcherds_rhs``).  Both sides are lists of (scalar
 kernel, field) products, the u-fields negated, and each residual lhs - rhs
-is one signed integer sum of them (``BiConeSeries.sum_of_products``), so no
-coefficient is built only to cancel: on valid data nothing is built.  The
+is one signed integer sum of them (``cone._int_sum_of_products``), kept as
+int vectors over one denominator: no coefficient is built, only to cancel
+or at all, and a violation becomes text once, written straight from its
+vector (``pseudo._format_int_view``).  The
 two sides are compared on the part singular in both z and w (which is how
 the outermost singular-part operation has to be read for them to have the
 same mode support), and only that part is formed: every product here (by
@@ -35,9 +37,9 @@ a(z)(b(w)c), the lifted u-fields, each skew difference and residual lhs - rhs
 at the deepest depth asked for (restricted, it is the shallower one), and one
 report body per kernel and depth.  A polynomial kernel F iota-expands to
 itself and only raises n, so its residual is the single product of F and
-the F = 1 (Jacobi) one: Jacobi passing implies Borcherds passing, not
-conversely.  L, and in D = 1 the window, leave the depth alone, so such
-checks share one report.
+the F = 1 (Jacobi) one, which enters as it is kept: Jacobi passing implies
+Borcherds passing, not conversely.  L, and in D = 1 the window, leave the
+depth alone, so such checks share one report.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ from .cone import (
     ConeSeries,
     Kernel,
     Window,
+    _gauss_terms,
+    _int_form,
+    _int_sum_of_products,
     _table_sum,
     _times_mono,
     basis_poly_in,
@@ -61,9 +66,16 @@ from .cone import (
 )
 from .errors import TruncationError, WorkspaceError
 from .ope1d import jth_from_lambda
-from .pseudo import BracketTable, ModuleElement, _generator_names, pseudo_space
+from .pseudo import (BracketTable, ModuleElement, _format_int_view, _generator_names,
+                     pseudo_space)
 from .report import CheckReport, Failure
 from .rings import VarSpace, _require_int
+
+
+# The most terms a D >= 2 kernel's monomial part may form in its Gauss
+# decomposition (``cone._gauss_terms``); above it, ``borcherds_check``
+# refuses the kernel before building any table.
+MAX_KERNEL_TERMS = 10**4
 
 
 class VLAStructure:
@@ -113,8 +125,9 @@ class VLAStructure:
             default=0,
         )
         # ("pair", outer, inner, k), ("u-fields", i, j, k) -> the term; ("skew",
-        # i, j), ("residual", i, j, k, F) -> (the deepest depth formed, the
-        # term); ("report", F, depth) -> (failures, records).
+        # i, j) -> (the deepest depth formed, the term); ("residual", i, j, k,
+        # F) -> (the deepest depth formed, its int form (den, {bi-mode: int
+        # vector}, windows)); ("report", F, depth) -> (failures, records).
         self._memo: dict = {}
 
     @property
@@ -387,27 +400,39 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
 
 def _times_polynomial(S: VLAStructure, i: int, j: int, k: int, F: Kernel,
                       depth: int) -> tuple:
-    """The one (kernel, field) product F times the F = 1 residual: for
+    """The one (kernel, int form) product F times the F = 1 residual: for
     F = z^e w^f, iota_zw F = iota_wz F = F and F only raises n.  The direct
     path expands each slot at least to F's degree c there, so its windows
     are the F = 1 ones raised by max(depth, c) - depth.  F is homogeneous,
     so the product raises every window by c, and the F = 1 residual enters
-    cut to its windows lowered by min(depth, c): an exactly known F times a
-    windowed factor, with nothing outside the windows formed."""
+    as it is kept, int vectors over one denominator, cut to its windows
+    lowered by min(depth, c): an exactly known F times a windowed factor,
+    with nothing outside the windows formed."""
     one = _residual(S, i, j, k, Kernel.one(S.D), depth)
     degrees = (sum(F.z_exps), sum(F.w_exps))
-    cut = one.restrict(tuple(w.shift(-min(depth, c)) for w, c in zip(one.windows, degrees)))
+    cut = _restricted(one, tuple(w.shift(-min(depth, c)) for w, c in zip(one[2], degrees)))
     vs = VarSpace(S.D, ("z", "w"))
     return bicone_from_poly(vs.from_exps("z", F.z_exps) * vs.from_exps("w", F.w_exps)), cut
 
 
-def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> BiConeSeries:
+def _restricted(form: tuple, windows: tuple) -> tuple:
+    """An int form (den, {bi-mode: int vector}, windows) restricted to
+    ``windows``, as ``BiConeSeries.restrict`` restricts a series."""
+    den, vectors, own = form
+    wz, ww = windows = tuple(a.intersect(b) for a, b in zip(own, windows))
+    return den, {(m1, m2): vector for (m1, m2), vector in vectors.items()
+                 if wz.contains(m1[0], m1[1]) and ww.contains(m2[0], m2[1])}, windows
+
+
+def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> tuple:
     """lhs - rhs of the identity with kernel F for the triple (i, j, k) at
-    ``depth``: one ``BiConeSeries.sum_of_products`` over the products of
+    ``depth``, as the int form (den, {bi-mode: int vector}, windows) of
+    ``cone._int_sum_of_products``: one integer sum over the products of
     ``_borcherds_lhs`` and ``_borcherds_rhs`` (whose signs encode the
     difference), or over the one product of ``_times_polynomial`` for a
-    polynomial kernel, so only the coefficients that survive are built, and
-    only bi-modes with n_z < 0 and n_w < 0 are formed.
+    polynomial kernel.  Only bi-modes with n_z < 0 and n_w < 0 are formed,
+    and no coefficient is built: a violation stays int vectors until
+    ``_run_identity`` formats it.
 
     The deepest residual per (i, j, k, F) is kept.  Each window is
     max(depth, c) plus a shift free of the depth, c F's least degree in that
@@ -421,19 +446,20 @@ def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) ->
     stored, residual = S._memo.get(key, (-1, None))
     if stored < depth:
         if F == Kernel.one(S.D) or F.z_pole or F.w_pole or F.zw_pole:
-            products = _borcherds_lhs(S, i, j, k, F, depth) + _borcherds_rhs(S, i, j, k, F, depth)
+            products = [(kernel, _int_form(field)) for kernel, field
+                        in _borcherds_lhs(S, i, j, k, F, depth) + _borcherds_rhs(S, i, j, k, F, depth)]
         else:
             products = [_times_polynomial(S, i, j, k, F, depth)]
-        residual = BiConeSeries.sum_of_products(S.D, products, (0, 0))
+        residual = _int_sum_of_products(S.D, products, (0, 0))
         stored = depth
     windows = tuple(w.shift(max(depth, c) - max(stored, c))
-                    for w, c in zip(residual.windows, floors))
+                    for w, c in zip(residual[2], floors))
     if any(w.degmax is not None and w.degmax < -1 for w in windows):
         raise TruncationError(
             "derived window does not reach the singular region; raise the window"
         )
     S._memo[key] = (stored, residual)
-    return residual if stored == depth else residual.restrict(windows)
+    return residual if stored == depth else _restricted(residual, windows)
 
 
 def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) -> CheckReport:
@@ -453,9 +479,13 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
     singular region and equals the true doubly singular residual at every
     window: the D = 1 report differs between windows only in its header.
     In D >= 2 the singular region is infinite and the depth follows the
-    window.  The failures and records are kept per (F, depth): a check
-    repeated at another L or D = 1 window, or as Borcherds at F = 1 after
-    Jacobi, builds only its header.
+    window.
+
+    Each violation is written straight from its int vector
+    (``pseudo._format_int_view``, the text of ``ModuleElement.format``), so
+    no module element is built for a report.  The failures and records are
+    kept per (F, depth): a check repeated at another L or D = 1 window, or
+    as Borcherds at F = 1 after Jacobi, builds only its header.
     """
     _require_int("L", L)
     _require_int("window", window)
@@ -467,12 +497,14 @@ def _run_identity(S: VLAStructure, L: int, F: Kernel, window: int, name: str) ->
     depth = (0 if S.D == 1 else window) + 2 * S.u_pole_bound + 2
     if ("report", F, depth) not in S._memo:
         failures, records = [], []
+        names = S.generators
         for i in range(S.r):
             for j in range(S.r):
                 for k in range(S.r):
-                    label = f"({S.generators[i]},{S.generators[j]},{S.generators[k]})"
-                    found = [Failure(f"{label} modes {key}", coeff.format(S.generators))
-                             for key, coeff in _residual(S, i, j, k, F, depth).items()]
+                    label = f"({names[i]},{names[j]},{names[k]})"
+                    den, vectors, _ = _residual(S, i, j, k, F, depth)
+                    found = [Failure(f"{label} modes {key}", _format_int_view(den, vectors[key], names))
+                             for key in sorted(vectors)]
                     records.append((label, not found))
                     failures.extend(found)
         S._memo["report", F, depth] = (tuple(failures), tuple(records))
@@ -496,9 +528,22 @@ def borcherds_check(S: VLAStructure, L: int, F: Kernel, window: int) -> CheckRep
     the regular parts of the fields (in D = 1 the n-th products with n < 0),
     which singular-part data lack, so valid structures can fail; the CLI
     offers no pole kernel for that reason.
+
+    In D >= 2 the Gauss decomposition of F's monomial part has no closed
+    form: a kernel whose decomposition could form more than
+    ``MAX_KERNEL_TERMS`` terms (``cone._gauss_terms`` per slot, the
+    monomials its Laplacian chain reaches) raises ValueError, with that
+    count, before any table is built.  D = 1 decomposes in closed form.
     """
     if not isinstance(F, Kernel):
         raise TypeError(f"F must be a Kernel, got {F!r}")
     if F.D != S.D:
         raise WorkspaceError("kernel dimension mismatch")
+    if S.D >= 2:
+        terms = sum(_gauss_terms(S.D, sum(exps)) for exps in (F.z_exps, F.w_exps))
+        if terms > MAX_KERNEL_TERMS:
+            raise ValueError(
+                f"the Gauss decomposition of the kernel's monomial part would form up to "
+                f"{terms} terms, above the limit of {MAX_KERNEL_TERMS}; lower its degree"
+            )
     return _run_identity(S, L, F, window, "borcherds")

@@ -11,15 +11,19 @@ import sys
 
 import pytest
 
-from lambdacone import cli
+from lambdacone import cli, cone
 from lambdacone import (
     ChiVector,
+    ConeSeries,
     LieStructure,
+    ModuleElement,
+    VLAStructure,
     build_cur,
     build_hd,
     build_wd,
     current_extend,
     d1_bridge,
+    pseudo_space,
 )
 from lambdacone.algfiles import (
     AlgebraFileError,
@@ -177,6 +181,28 @@ def test_high_degree_d1_kernel_returns_at_once(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "borcherds: pass (L=1, window=0)"
+
+
+def test_high_degree_kernel_in_d2_is_a_usage_error(tmp_path, monkeypatch):
+    # D = 2 has no closed form: the kernel z1^99999999 is refused with exit 2
+    # and the term count, before any Gauss table is built.
+    def no_tables(*args):
+        raise AssertionError("a Gauss table was built")
+
+    vs = pseudo_space(2)
+    el = lambda p: ModuleElement(vs, 1, {0: p})
+    S = VLAStructure(2, ("L",), {(0, 0): ConeSeries(2, "z", {
+        (-1, 0, 1): el(vs.const(2)), (-1, 1, 1): el(vs.var("T", 1)),
+        (-1, 1, 2): el(vs.var("T", 2))})})
+    path = tmp_path / "d2.json"
+    path.write_text(serialize_vla(S))
+    monkeypatch.setattr(cone, "_harmonic_parts", no_tables)
+    code, out, err = run_cli("check", str(path), "--axioms", "borcherds",
+                             "--F-zexp", "99999999,0", "--window", "0")
+    assert code == 2 and not out
+    assert err.startswith("error: the Gauss decomposition of the kernel's monomial part "
+                          "would form up to 2500000050000001 terms")
+    assert "Traceback" not in err
 
 
 def test_vla_skew_negative_window_is_a_usage_error(tmp_path):

@@ -40,11 +40,13 @@ from lambdacone import (
 from lambdacone.cone import (
     _decompose,
     _dh_table,
+    _gauss_terms,
     _harmonic_raw,
     _laplacian_table,
     _neg_binom,
     _pivots,
     _projector,
+    _raw_laplacian,
     _raw_mul,
     _times_harm,
     _times_mono,
@@ -495,6 +497,24 @@ def test_gauss_fills_the_laplacian_table_only_where_asked():
     _laplacian_table.cache_clear()
     gauss_decompose(_sparse_pair(3, 30))
     assert len(_laplacian_table(3, 30)) == 1 < len(dense_monomials(3, 30)) == 496
+
+
+def test_gauss_terms_bounds_the_laplacian_chain():
+    # The closed form is the sum it stands for, and that sum bounds the
+    # monomials the Laplacian chain of any degree-c monomial reaches.
+    for D in range(1, 7):
+        for c in range(40):
+            assert _gauss_terms(D, c) == sum(comb(c - 2 * k + D - 1, D - 1)
+                                             for k in range(c // 2 + 1)), (D, c)
+    for D, c in ((2, 12), (3, 9), (4, 7)):
+        reached = 0
+        for exps in dense_monomials(D, c):
+            chain = [{exps: 1}]
+            for k in range(c // 2):
+                chain.append(_raw_laplacian(chain[-1], D, c - 2 * k))
+            reached = max(reached, sum(map(len, chain)))
+        assert reached <= _gauss_terms(D, c)
+    assert _gauss_terms(2, 99999999) == 2500000050000000
 
 
 # ----------------------------------------------------------------------

@@ -269,6 +269,38 @@ def test_bracket_values_keep_their_invariants():
             check(v - w, LambdaPoly)
 
 
+def test_int_view_formatter_writes_the_text_of_format():
+    # The vertex-Lie identity checks write each violation straight from its
+    # int vectors; the text must be that of ModuleElement.format, over the
+    # least denominator and over a multiple of it.
+    rng = random.Random(1931)
+    values = (0, 1, -1, 2, -3, 12, Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3),
+              Fraction(-7, 6), Fraction(3, 4))
+    seen = set()
+    for trial in range(400):
+        D, r = rng.randint(1, 4), rng.randint(1, 3)
+        vs = pseudo_space(D)
+        names = tuple(rng.choice(("L", "J_x", "phi", "a")) + str(k) for k in range(r))
+        coords = {}
+        for k in range(r):
+            terms = {}
+            for _ in range(rng.choice((0, 1, 1, 2, 4, 7))):
+                exps = tuple(rng.randint(0, 2) if rng.random() < 0.6 else 0 for _ in range(D))
+                terms[exps] = rng.choice(values)
+            coords[k] = vs.from_dense("T", terms)
+        element = ModuleElement(vs, r, coords)
+        den, numerators = element._int_view()
+        scaled = {key: 6 * n for key, n in numerators.items()}
+        for given in (names, None):
+            text = element.format(given)
+            assert pseudo._format_int_view(den, numerators, given) == text, trial
+            assert pseudo._format_int_view(6 * den, scaled, given) == text, trial
+        seen.update(kind for kind, present in (
+            ("zero", not element), ("fraction", den > 1), ("negative", "- " in text),
+            ("bare generator", {*text.split(" + ")} & {*names}), ("several terms", " + " in text)) if present)
+    assert seen == {"zero", "fraction", "negative", "bare generator", "several terms"}
+
+
 # ----------------------------------------------------------------------
 # skewsymmetry
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from math import factorial, prod
 
 import pytest
 
-from lambdacone import vla
+from lambdacone import cone, vla
 from lambdacone import (
     BiConeSeries,
     BracketTable,
@@ -499,6 +499,15 @@ def _summed(S, products):
     return BiConeSeries.sum_of_products(S.D, products, (0, 0))
 
 
+def _residual_series(S, i, j, k, F, depth):
+    """``vla._residual``, kept as int vectors over one denominator, read as the
+    series ``_summed`` gives: each vector built into its module element."""
+    den, vectors, windows = vla._residual(S, i, j, k, F, depth)
+    element = S.generator_element(0)
+    return BiConeSeries._trusted(S.D, {key: element._from_int_view(den, vector)
+                                       for key, vector in vectors.items()}, windows)
+
+
 def test_borcherds_rhs_windows_are_honest():
     # A deeper expansion agrees with a shallower one on everything the
     # shallower one claims to know.
@@ -549,8 +558,8 @@ def test_d1_residuals_do_not_depend_on_the_depth(name):
     triples = [(i, j, k) for i in range(S.r) for j in range(S.r) for k in range(S.r)]
     for F in _golden_kernels(1).values():
         for i, j, k in triples:
-            shallow = vla._residual(S, i, j, k, F, d0)
-            assert vla._residual(S, i, j, k, F, d0 + 6).items() == shallow.items()
+            shallow = _residual_series(S, i, j, k, F, d0)
+            assert _residual_series(S, i, j, k, F, d0 + 6).items() == shallow.items()
 
 
 @pytest.mark.parametrize("name", list(_D1_BRIDGES))
@@ -594,20 +603,27 @@ _POLYNOMIAL_ORACLE_STRUCTURES = {
     ("Virasoro chiral pair", 4, 0), ("current-like D=3", 2, 2375),
 ])
 def test_identity_builds_one_coefficient_per_violation(monkeypatch, name, window, violations):
-    # Both sides of a residual are one signed integer sum, so no module
-    # coefficient is built only to cancel: each one built is a violation.
+    # Both sides of a residual are one signed integer sum, kept as int
+    # vectors: no module coefficient is built, and each violation's
+    # coefficient is written once, as text, straight from its vector.
     S = _POLYNOMIAL_ORACLE_STRUCTURES[name]()
-    built = []
-    from_int_view = ModuleElement._from_int_view
+    built, formatted = [], []
+    from_int_view, format_int_view = ModuleElement._from_int_view, vla._format_int_view
 
-    def counting(self, den, numerators):
+    def counting_build(self, den, numerators):
         built.append(den)
         return from_int_view(self, den, numerators)
 
-    monkeypatch.setattr(ModuleElement, "_from_int_view", counting)
+    def counting_format(den, numerators, names=None):
+        formatted.append(den)
+        return format_int_view(den, numerators, names)
+
+    monkeypatch.setattr(ModuleElement, "_from_int_view", counting_build)
+    monkeypatch.setattr(vla, "_format_int_view", counting_format)
     report = jacobi_check_vla(S, S.max_pole(), window)
     assert len(report.failures) == violations
-    assert len(built) == violations
+    assert len(built) == 0
+    assert len(formatted) == violations
 
 
 @pytest.mark.parametrize("name", list(_POLYNOMIAL_ORACLE_STRUCTURES))
@@ -627,7 +643,7 @@ def test_polynomial_kernel_residual_is_the_direct_comparison(name):
             for i, j, k in triples:
                 direct = _summed(S, vla._borcherds_lhs(S, i, j, k, F, depth)
                                  + vla._borcherds_rhs(S, i, j, k, F, depth))
-                derived = vla._residual(S, i, j, k, F, depth)
+                derived = _residual_series(S, i, j, k, F, depth)
                 assert derived.windows == direct.windows, (F, window, (i, j, k))
                 assert derived.items() == direct.items(), (F, window, (i, j, k))
 
@@ -642,8 +658,29 @@ def test_polynomial_kernel_of_degree_above_the_depth_keeps_the_direct_windows(na
     for F in (Kernel(D, z_exps=(9,) + (0,) * (D - 1)), Kernel(D, w_exps=(0,) * (D - 1) + (9,))):
         direct = _summed(S, vla._borcherds_lhs(S, 0, 0, 0, F, depth)
                          + vla._borcherds_rhs(S, 0, 0, 0, F, depth))
-        derived = vla._residual(S, 0, 0, 0, F, depth)
+        derived = _residual_series(S, 0, 0, 0, F, depth)
         assert (derived.windows, derived.items()) == (direct.windows, direct.items()), F
+
+
+def test_borcherds_refuses_a_kernel_too_large_to_decompose(monkeypatch):
+    # D >= 2 has no closed-form Gauss decomposition: a kernel whose Laplacian
+    # chains could reach more than MAX_KERNEL_TERMS monomials is refused, with
+    # that count, before any cone table is built.
+    def no_tables(*args):
+        raise AssertionError("a Gauss table was built")
+
+    huge = Kernel(2, z_exps=(99999999, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(cone, "_harmonic_parts", no_tables)
+        with pytest.raises(ValueError, match="up to 2500000050000001 terms"):
+            borcherds_check(_d2_fixture(), 1, huge, 0)
+    # z1^2 z2 reaches 6 monomials and w^0 one: the limit is inclusive.
+    F = Kernel(2, z_exps=(2, 1))
+    monkeypatch.setattr(vla, "MAX_KERNEL_TERMS", 7)
+    assert borcherds_check(_d2_fixture(), 1, F, 0).records == (("(L,L,L)", False),)
+    monkeypatch.setattr(vla, "MAX_KERNEL_TERMS", 6)
+    with pytest.raises(ValueError, match="up to 7 terms, above the limit of 6"):
+        borcherds_check(_d2_fixture(), 1, F, 0)
 
 
 def _random_d1_table(rng, skew):
