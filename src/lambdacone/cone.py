@@ -524,9 +524,9 @@ def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
 class BiConeSeries:
     """Windowed series over pairs of cone modes, the first in z, the second in w.
 
-    The one product is :meth:`mul_series`, a sum of products of one pair
-    (:meth:`sum_of_products`); a polynomial factor enters it as its exact
-    expansion :func:`bicone_from_poly`.
+    The one product is :meth:`mul_series`, the integer kernel
+    :func:`_int_sum_of_products` of one pair; a polynomial factor enters it
+    as its exact expansion :func:`bicone_from_poly`.
     """
 
     __slots__ = ("D", "coeffs", "windows")
@@ -615,41 +615,23 @@ class BiConeSeries:
 
     def mul_series(self, other: "BiConeSeries", bound: Optional[tuple] = None) -> "BiConeSeries":
         """Product of a series with scalar coefficients and a finite series,
-        either of them exactly known (full windows): :meth:`sum_of_products`
-        of one pair."""
-        return BiConeSeries.sum_of_products(self.D, ((self, other),), bound)
+        either of them exactly known (full windows); two windowed factors
+        raise TruncationError (see :func:`_int_sum_of_products`).
 
-    @staticmethod
-    def sum_of_products(D: int, products, bound: Optional[tuple] = None) -> "BiConeSeries":
-        """The sum of left * right over the (left, right) pairs of ``products``,
-        each left with scalar coefficients, each right finite, and in each pair
-        at least one factor exactly known (full windows).  The windowed factor's
-        windows, raised by the exact factor's least total degrees, bound what
-        the product knows: a product mode of degree W + c in a slot reads the
-        windowed factor only to degree W when the exact one starts at c.  Two
-        windowed factors raise TruncationError.
-
-        The sum is the integer kernel :func:`_int_sum_of_products` over the
-        int form (:func:`_int_form`) of each right factor, and each surviving
-        accumulator is built into one exact coefficient at the end (a scalar,
-        or a module element through its ``_from_int_view``), an int when the
-        common denominator is 1.  A bi-mode whose accumulator cancels to 0 is
-        never built, so a sum whose signs encode a difference builds only the
-        coefficients that survive.  The windows do not depend on ``bound``,
-        so ``get`` reads 0 at a mode outside it whatever the unbounded
-        product holds.
+        The product is the integer kernel over the int form of ``other``
+        (:func:`_int_form`), and each surviving accumulator is built into one
+        exact coefficient at the end (a scalar, or a module element through
+        its ``_from_int_view``), an int when the common denominator is 1.
+        The windows do not depend on ``bound``, so ``get`` reads 0 at a mode
+        outside it whatever the unbounded product holds.
         """
-        build = _scalar_from_vector
-        forms = []
-        for left, right in products:
-            if left.D != D or right.D != D:
-                raise WorkspaceError("series mismatch")
-            forms.append((left, _int_form(right)))
-            build = next((c._from_int_view for c in right.coeffs.values()
-                          if type(c) is not int and type(c) is not Fraction), build)
-        den, sums, windows = _int_sum_of_products(D, forms, bound)
-        return BiConeSeries._trusted(D, {key: build(den, vector) for key, vector in sums.items()},
-                                     windows)
+        if self.D != other.D:
+            raise WorkspaceError("series mismatch")
+        den, sums, windows = _int_sum_of_products(
+            self.D, ((self, _int_form(other.coeffs, other.windows)),), bound)
+        build = next((c._from_int_view for c in other.coeffs.values()
+                      if type(c) is not int and type(c) is not Fraction), _scalar_from_vector)
+        return self._like({key: build(den, vector) for key, vector in sums.items()}, windows)
 
     def restrict(self, windows: tuple) -> "BiConeSeries":
         return self._like(
@@ -676,26 +658,34 @@ def _least_degrees(coeffs: Mapping) -> tuple:
     return z_low, w_low
 
 
-def _int_form(series: BiConeSeries) -> tuple:
-    """(den, {bi-mode: int vector}, windows) with each coefficient of ``series``
-    its vector over den, den least: a scalar c is {(): c * den}, a module
-    element the numerators of its ``_int_view``.  The form in which
+def _int_form(coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)) -> tuple:
+    """(den, {bi-mode: int vector}, windows) with each coefficient of
+    ``coeffs`` its vector over den, den least: a scalar c is {(): c * den}, a
+    module element the numerators of its ``_int_view``.  The form in which
     :func:`_int_sum_of_products` reads a right factor and returns a sum."""
     views = {key: (c.denominator, {(): c.numerator}) if type(c) is int or type(c) is Fraction
-             else c._int_view() for key, c in series.coeffs.items()}
+             else c._int_view() for key, c in coeffs.items()}
     den = lcm(*(d for d, _ in views.values()))
     return den, {key: vector if d == den else {coord: n * (den // d) for coord, n in vector.items()}
-                 for key, (d, vector) in views.items()}, series.windows
+                 for key, (d, vector) in views.items()}, windows
 
 
 def _int_sum_of_products(D: int, products, bound: Optional[tuple] = None) -> tuple:
-    """The integer kernel of :meth:`BiConeSeries.sum_of_products`: the sum of
-    left * right over the (left series, right int form) pairs of
-    ``products``, all of dimension D, as an int form (den, {bi-mode: int
-    vector}, windows) that holds only the bi-modes whose vector does not
-    cancel to 0.  Nothing is
-    built from the vectors, so a residual stays integer data until a report
-    formats it, and a sum can be a right factor again.
+    """The one bi-cone product kernel: the sum of left * right over the
+    (left series, right int form) pairs of ``products``, all of dimension D,
+    each left with scalar coefficients, each right finite, as an int form
+    (den, {bi-mode: int vector}, windows) that holds only the bi-modes whose
+    vector does not cancel to 0.  :meth:`BiConeSeries.mul_series` is it for
+    one pair; a sum whose signs encode a difference cancels in ints, and
+    nothing is built from the vectors, so a residual stays integer data until
+    a report formats it, and a sum can be a right factor again.
+
+    In each pair at least one factor is exactly known (full windows); two
+    windowed factors raise TruncationError.  The windowed factor's windows,
+    raised by the exact factor's least total degrees, bound what the product
+    knows: a product mode of degree W + c in a slot reads the windowed factor
+    only to degree W when the exact one starts at c.  The sum's windows are
+    the intersection of its products' windows.
 
     The left coefficients are cleared to int numerators, and the
     ``_times_harm`` tables are int numerators.  A first pass keeps the

@@ -716,15 +716,15 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
         key: _divergence(entry, factors).subst(unshift)
         for key, entry in table.entries.items()
     }
-    polys = list(composed.values()) + [p for x in basis for p in x.coords.values()]
-    packing = Packing(vs, max(p.total_degree() for p in polys), 2, len(basis))
-    _, cleared = _clear(*(packing.pack(p) for p in composed.values()))
-    composed = dict(zip(composed, cleared))
+    # Each polynomial's total degree is scanned once, to size the packing
+    # and to pack it.
+    scanned = [[(p, p.total_degree()) for p in polys]
+               for polys in [composed.values()] + [x.coords.values() for x in basis]]
+    packing = Packing(vs, max(d for polys in scanned for _, d in polys), 2, len(basis))
+    cleared = [_clear(*(packing.pack(p, d) for p, d in polys))[1] for polys in scanned]
+    composed = dict(zip(composed, cleared[0]))
     # Each basis element, packed and cleared once, gives its P_a and its Q_b.
-    packed = []
-    for x in basis:
-        _, coords = _clear(*map(packing.pack, x.coords.values()))
-        packed.append(list(zip(x.coords, coords)))
+    packed = [list(zip(x.coords, coords)) for x, coords in zip(basis, cleared[1:])]
     # Per generator a, the P_a tagged x and the Q_a tagged y of every basis
     # element; then per b, A_{x,b} of every x is one tagged sum over a, and
     # S of every pair is one product per b, split by tag.

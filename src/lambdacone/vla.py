@@ -17,11 +17,13 @@ difference of the iota expansions of each (z-w)-kernel of a(z-w)b in both
 regions, multiplied by the u-field of each coefficient acting on c evaluated
 at u = w (the locality factor ((u+z-w)^2)^L of the textbook derivation
 cancels there; see ``_borcherds_rhs``).  Both sides are lists of (scalar
-kernel, field) products, the u-fields negated, and each residual lhs - rhs
-is one signed integer sum of them (``cone._int_sum_of_products``), kept as
-int vectors over one denominator: no coefficient is built, only to cancel
-or at all, and a violation becomes text once, written straight from its
-vector (``pseudo._format_int_view``).  The
+kernel, field) products, every field kept as the int form (den, {bi-mode:
+int vector}, windows) of ``cone._int_form``, built once per structure from
+the coefficients of ``extend_action``, and the u-fields negated; each
+residual lhs - rhs is one signed integer sum of them
+(``cone._int_sum_of_products``), kept in the same form: no coefficient is
+built, only to cancel or at all, and a violation becomes text once, written
+straight from its vector (``pseudo._format_int_view``).  The
 two sides are compared on the part singular in both z and w (which is how
 the outermost singular-part operation has to be read for them to have the
 same mode support), and only that part is formed: every product here (by
@@ -103,6 +105,8 @@ class VLAStructure:
                     series = ConeSeries.zero(D, "z")
                 if series.D != D:
                     raise WorkspaceError("action series in a different dimension")
+                if series.var != "z":
+                    raise WorkspaceError("action series in a variable other than z")
                 if not series.window.is_full:
                     raise ValueError("action data must be exactly known (full window)")
                 for (n, _, _), coeff in series.coeffs.items():
@@ -124,10 +128,11 @@ class VLAStructure:
              for el in series.coeffs.values() for p in el.coords.values()),
             default=0,
         )
-        # ("pair", outer, inner, k), ("u-fields", i, j, k) -> the term; ("skew",
-        # i, j) -> (the deepest depth formed, the term); ("residual", i, j, k,
-        # F) -> (the deepest depth formed, its int form (den, {bi-mode: int
-        # vector}, windows)); ("report", F, depth) -> (failures, records).
+        # ("pair", outer, inner, k) -> the term's int form (den, {bi-mode:
+        # int vector}, windows); ("u-fields", i, j, k) -> [(mode, negated int
+        # form)]; ("skew", i, j) -> (the deepest depth formed, the term);
+        # ("residual", i, j, k, F) -> (the deepest depth formed, its int
+        # form); ("report", F, depth) -> (failures, records).
         self._memo: dict = {}
 
     @property
@@ -312,51 +317,45 @@ def _rhs_kernel(F: Kernel, n: int, m: int, sigma: int, depth: int, bound: tuple)
     return diff
 
 
-def _lhs_pair_term(S: VLAStructure, outer: int, inner: int, k: int) -> BiConeSeries:
-    """outer(z)(inner(w)k): the generator ``outer`` applied to each coefficient
-    of the w-mode series inner(w)k."""
+def _lhs_pair_term(S: VLAStructure, outer: int, inner: int, k: int) -> tuple:
+    """outer(z)(inner(w)k), the generator ``outer`` applied to each
+    coefficient of the w-mode series inner(w)k, as the int form (den,
+    {bi-mode: int vector}, windows) of ``cone._int_form``: built once per
+    structure, straight from the coefficients of ``extend_action``."""
     memo_key = ("pair", outer, inner, k)
     term = S._memo.get(memo_key)
-    if term is not None:
-        return term
-    out: dict = {}
-    gen = S.generator_element(outer)
-    for mode, element in S.action(inner, k).coeffs.items():
-        extended = extend_action(S, gen, element)
-        for emode, coeff in extended.coeffs.items():
-            key = (emode, mode)
-            total = out.get(key)
-            out[key] = coeff if total is None else total + coeff
-    term = S._memo[memo_key] = BiConeSeries._trusted(S.D, out)
+    if term is None:
+        gen = S.generator_element(outer)
+        term = S._memo[memo_key] = _int_form({
+            (emode, mode): coeff for mode, element in S.action(inner, k).coeffs.items()
+            for emode, coeff in extend_action(S, gen, element).coeffs.items()})
     return term
 
 
 def _borcherds_lhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> list:
-    """The (kernel, field) products whose sum is
-    a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout.
+    """The two (kernel, int form) products whose sum is
+    a(z)(b(w)c) iota_zw F  -  b(w)(a(z)c) iota_wz F, singular data throughout:
+    (iota_zw F, a(z)(b(w)c)) and (-iota_wz F, b(w)(a(z)c)), for every F.
 
     The term b(w)(a(z)c) is the pair term a(z)(b(w)c) of the triple
     (b, a, c) with its z and w modes swapped, so each pair term is formed
-    once per structure and serves both triples.  Without a (z-w) pole,
-    iota_zw F = iota_wz F, so the left-hand side is one product, of that
-    expansion and the difference of the two pair terms; with one, it is two
-    products, the second with -iota_wz F.  Only the part singular in both z
-    and w is formed: the kernel product raises n, and both field terms have
-    poles of order at most ``S.u_pole_bound`` in z and in w, so only the
-    kernel bi-modes below that bound are expanded.
+    once per structure and serves both triples.  Without a (z-w) pole the
+    two expansions are the same full-window series, so the products cancel
+    where the pair terms agree, in the ints of the residual's sum.  Only
+    the part singular in both z and w is formed: the kernel product raises
+    n, and both field terms have poles of order at most ``S.u_pole_bound``
+    in z and in w, so only the kernel bi-modes below that bound are
+    expanded.
     """
-    term1 = _lhs_pair_term(S, i, j, k)
-    swapped = _lhs_pair_term(S, j, i, k)
-    term2 = BiConeSeries._trusted(S.D, {(wm, zm): c for (zm, wm), c in swapped.coeffs.items()})
+    den, vectors, windows = _lhs_pair_term(S, j, i, k)
+    term2 = den, {(wm, zm): vector for (zm, wm), vector in vectors.items()}, windows
     bound = (S.u_pole_bound, S.u_pole_bound)
-    zw = iota_kernel(F, "zw", depth, bound)
-    if not F.zw_pole:
-        return [(zw, term1 - term2)]
-    return [(zw, term1), (-iota_kernel(F, "wz", depth, bound), term2)]
+    return [(iota_kernel(F, "zw", depth, bound), _lhs_pair_term(S, i, j, k)),
+            (-iota_kernel(F, "wz", depth, bound), term2)]
 
 
 def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> list:
-    """The (kernel, field) products whose sum is minus the right-hand side:
+    """The (kernel, int form) products whose sum is minus the right-hand side:
     the part singular in both z and w of the sum over the modes
     (n, m, sigma) of a(z-w)b, with coefficient x, of
     (iota_zw - iota_wz)(F ((z-w)^2)^n) h_{m,sigma}(z-w) x(w)c.
@@ -365,12 +364,13 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
     ((u+z-w)^2)^L, evaluates the u-field x(u)c at u = w and divides by
     (z^2)^L.  At u = w the factor is exactly (z^2)^L, and the u-fields here
     are finite and exactly known, so the two steps cancel: evaluating x(u)c
-    at u = w is the w-slot mode product that ``sum_of_products`` computes
-    once the u-field is lifted into the w slot at z-mode (0, 0, 1).  L is
-    thus only the precondition L >= max pole order (the identity is stated
-    for fields local of that order), checked by the caller.  The lifted
-    u-fields do not depend on F or the depth: they are formed, negated,
-    once per structure, so the products carry the sign of lhs - rhs.
+    at u = w is the w-slot mode product that ``cone._int_sum_of_products``
+    computes once the u-field is lifted into the w slot at z-mode (0, 0, 1).
+    L is thus only the precondition L >= max pole order (the identity is
+    stated for fields local of that order), checked by the caller.  The
+    lifted u-fields do not depend on F or the depth: they are formed once
+    per structure, as negated int forms, so the products carry the sign of
+    lhs - rhs.
 
     No term outside the singular joint region is formed.  Multiplying by
     h(z-w) and by the lifted u-field only raises n, and the lift leaves z
@@ -390,8 +390,8 @@ def _borcherds_rhs(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: in
         u_fields = []
         for mode, element in S.action(i, j).coeffs.items():
             u_field = extend_action(S, element, gen_k)
-            lifted = {((0, 0, 1), umode): -coeff for umode, coeff in u_field.coeffs.items()}
-            u_fields.append((mode, BiConeSeries._trusted(S.D, lifted)))
+            u_fields.append((mode, _int_form({((0, 0, 1), umode): -coeff
+                                              for umode, coeff in u_field.coeffs.items()})))
         S._memo[fields_key] = u_fields
     bound = (0, S.u_pole_bound)
     return [(_rhs_kernel(F, n, m, sigma, depth, bound), lifted)
@@ -429,8 +429,9 @@ def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) ->
     ``depth``, as the int form (den, {bi-mode: int vector}, windows) of
     ``cone._int_sum_of_products``: one integer sum over the products of
     ``_borcherds_lhs`` and ``_borcherds_rhs`` (whose signs encode the
-    difference), or over the one product of ``_times_polynomial`` for a
-    polynomial kernel.  Only bi-modes with n_z < 0 and n_w < 0 are formed,
+    difference; their fields are memoized int forms, so nothing is
+    converted here), or over the one product of ``_times_polynomial`` for
+    a polynomial kernel.  Only bi-modes with n_z < 0 and n_w < 0 are formed,
     and no coefficient is built: a violation stays int vectors until
     ``_run_identity`` formats it.
 
@@ -446,8 +447,7 @@ def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) ->
     stored, residual = S._memo.get(key, (-1, None))
     if stored < depth:
         if F == Kernel.one(S.D) or F.z_pole or F.w_pole or F.zw_pole:
-            products = [(kernel, _int_form(field)) for kernel, field
-                        in _borcherds_lhs(S, i, j, k, F, depth) + _borcherds_rhs(S, i, j, k, F, depth)]
+            products = _borcherds_lhs(S, i, j, k, F, depth) + _borcherds_rhs(S, i, j, k, F, depth)
         else:
             products = [_times_polynomial(S, i, j, k, F, depth)]
         residual = _int_sum_of_products(S.D, products, (0, 0))

@@ -21,6 +21,7 @@ from lambdacone import (
     LambdaPoly,
     LieStructure,
     ModuleElement,
+    Poly,
     WorkspaceError,
     bracket_extend,
     build_cur,
@@ -572,6 +573,23 @@ def test_closure_packing_degree_comes_from_the_packed_data(monkeypatch):
 
     _assert_broken_closure(monkeypatch, 3, (0, Fraction(1, 2), 0), 2, bad,
                            BROKEN_CLOSURE_HIGH_DEGREE)
+
+
+def test_closure_scans_each_total_degree_once(monkeypatch):
+    # The packing degree and each pack read one scan of every packed
+    # polynomial: the D^2 composed entries and the basis coordinates.
+    D, chi, degmax = 3, ChiVector.unit(3, 1), 3
+    packed = len(build_wd(D).entries) + sum(len(x.coords) for x in sd_basis(D, chi, degmax))
+    scans = []
+    total_degree = Poly.total_degree
+
+    def counting(self):
+        scans.append(self)
+        return total_degree(self)
+
+    monkeypatch.setattr(Poly, "total_degree", counting)
+    assert sd_closure_check(D, chi, degmax).passed
+    assert len(scans) == packed == 61
 
 
 # sha256 per D of the sd_basis output (coefficient types included) for

@@ -24,6 +24,7 @@ from lambdacone import (
     VarSpace,
     VLAStructure,
     Window,
+    WorkspaceError,
     apply_exp_zT,
     borcherds_check,
     build_cur,
@@ -117,6 +118,15 @@ def test_structure_rejects_regular_modes():
     c = ModuleElement(vs, 1, {0: vs.one})
     with pytest.raises(ValueError):
         VLAStructure(1, ("a",), {(0, 0): ConeSeries(1, "z", {(0, 0, 1): c})})
+
+
+def test_structure_rejects_an_action_series_in_another_variable():
+    # An action is a field in z: a series in w is refused at construction,
+    # not partway through a Jacobi check.
+    vs = pseudo_space(1)
+    a = ModuleElement(vs, 1, {0: vs.one})
+    with pytest.raises(WorkspaceError, match="variable other than z"):
+        VLAStructure(1, ("a",), {(0, 0): ConeSeries(1, "w", {(-1, 1, 1): a})})
 
 
 def test_structures_check_generator_names_alike():
@@ -493,16 +503,23 @@ def _checker_depth(S, window):
 
 
 def _summed(S, products):
-    """The series of a list of (kernel, field) products, summed as
-    ``vla._residual`` sums them.  The products of ``vla._borcherds_rhs``
-    sum to minus the right-hand side, with the same windows."""
-    return BiConeSeries.sum_of_products(S.D, products, (0, 0))
+    """The series of a list of (kernel, int form) products, summed as
+    ``vla._residual`` sums them (``cone._int_sum_of_products``) and read as
+    ``_residual_series`` reads a residual.  The products of
+    ``vla._borcherds_rhs`` sum to minus the right-hand side, with the same
+    windows."""
+    return _series(S, cone._int_sum_of_products(S.D, products, (0, 0)))
 
 
 def _residual_series(S, i, j, k, F, depth):
     """``vla._residual``, kept as int vectors over one denominator, read as the
     series ``_summed`` gives: each vector built into its module element."""
-    den, vectors, windows = vla._residual(S, i, j, k, F, depth)
+    return _series(S, vla._residual(S, i, j, k, F, depth))
+
+
+def _series(S, form):
+    """The series of an int form (den, {bi-mode: int vector}, windows)."""
+    den, vectors, windows = form
     element = S.generator_element(0)
     return BiConeSeries._trusted(S.D, {key: element._from_int_view(den, vector)
                                        for key, vector in vectors.items()}, windows)
@@ -624,6 +641,28 @@ def test_identity_builds_one_coefficient_per_violation(monkeypatch, name, window
     assert len(report.failures) == violations
     assert len(built) == 0
     assert len(formatted) == violations
+
+
+@pytest.mark.parametrize("name", ["D=2 fixture", "Cur(sl2)"])
+def test_identity_fields_are_converted_once_per_structure(monkeypatch, name):
+    # The pair terms and u-fields are kept as int forms from the first check
+    # on: a deeper Jacobi check, a (z-w) pole kernel and a polynomial kernel
+    # on the same structure convert no module element again.
+    S = _POLYNOMIAL_ORACLE_STRUCTURES[name]()
+    D, L = S.D, S.max_pole()
+    jacobi_check_vla(S, L, 0)
+    views = []
+    int_view = ModuleElement._int_view
+
+    def counting(self):
+        views.append(self)
+        return int_view(self)
+
+    monkeypatch.setattr(ModuleElement, "_int_view", counting)
+    jacobi_check_vla(S, L, 2)
+    borcherds_check(S, L, Kernel(D, zw_pole=1), 2)
+    borcherds_check(S, L, Kernel(D, z_exps=(1,) + (0,) * (D - 1)), 2)
+    assert views == []
 
 
 @pytest.mark.parametrize("name", list(_POLYNOMIAL_ORACLE_STRUCTURES))
