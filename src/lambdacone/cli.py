@@ -50,7 +50,7 @@ class CliError(Exception):
 def _parse_chi(text: str, D: int) -> ChiVector:
     try:
         values = tuple(Fraction(part) for part in text.split(",")) if text else ()
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad chi vector {text!r}: {exc}") from None
     if len(values) != D:
         raise CliError(f"chi must have {D} components, got {len(values)}")

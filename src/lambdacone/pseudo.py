@@ -22,8 +22,8 @@ from typing import Mapping
 from .errors import WorkspaceError
 from .linalg import kernel_basis
 from .report import CheckReport, Failure
-from .rings import (Packing, Poly, VarSpace, _clear, _dense_keys, _Memo, _mono_str, _mul_add,
-                    _no_float, dense_key)
+from .rings import (Poly, VarSpace, _clear, _dense_keys, _Memo, _mono_str, _mul_add, _no_float,
+                    dense_key, shared_packing)
 
 PSEUDO_FAMILIES = ("T", "lam", "mu")
 
@@ -495,31 +495,64 @@ def _bracket_of_images(table: BracketTable, x_images: list, y_images: list) -> L
 
 
 def _packed_entries(table: BracketTable, tags: int = 0) -> tuple:
-    """A packing for the table's entries and their pairwise products, with
-    ``tags`` tag fields, and each entry packed; each entry's total degree is
-    scanned once, to size the packing and to pack it."""
+    """The shared packing (``rings.shared_packing``) for the table's entries
+    and their pairwise products, with ``tags`` tag fields, and each entry
+    packed.  Tables of one shape (workspace, largest entry degree, r) get the
+    same packing, with its memo of monomial keys; each entry's total degree
+    is read once per polynomial (``Poly.total_degree``), to size the packing
+    and to pack it."""
     entries = {key: [(k, p, p.total_degree()) for k, p in entry.coords.items()]
                for key, entry in table.entries.items()}
     degree = max([1] + [d for coords in entries.values() for _, _, d in coords])
-    packing = Packing(table.vs, degree, tags, table.r)
+    packing = shared_packing(table.vs, degree, tags, table.r)
     return packing, {key: [(k, packing.pack(p, d)) for k, p, d in coords]
                      for key, coords in entries.items()}
+
+
+def _check_assignments(vs: VarSpace, check: str) -> tuple:
+    """The substitutions that ``check`` runs on packed terms."""
+    var, ids = vs.var, range(1, vs.D + 1)
+    if check == "skew":
+        return ({("lam", a): -var("T", a) - var("lam", a) for a in ids},)
+    if check == "closure":
+        return (_neg_lam(vs),)
+    # Jacobi: inner [a_i lam .], inner [a_j mu .], outer [. mu a_k] renamed,
+    # the composed bracket's first slot at -(lam+mu), its variable lam+mu.
+    rename_mu = {("lam", a): var("mu", a) for a in ids}
+    return ({**rename_mu, **_shift_T_by(vs, "lam")}, _shift_T_by(vs, "mu"), rename_mu,
+            {("T", a): -var("lam", a) - var("mu", a) for a in ids},
+            {("lam", a): var("lam", a) + var("mu", a) for a in ids})
+
+
+@lru_cache(maxsize=None)
+def _substitutions(vs: VarSpace, degree: int, check: str) -> tuple:
+    """``(images, cache)`` of each substitution of ``check``, for ``Packing.subst``.
+
+    Built on a check's first call per workspace and packing degree, then
+    shared: the images and the cache of substituted parts read only the
+    monomial fields, which every packing of ``(vs, degree)`` lays out alike,
+    whatever its tag fields.
+    """
+    packing = shared_packing(vs, degree)
+    return tuple((packing.images(assignment), {})
+                 for assignment in _check_assignments(vs, check))
 
 
 def skew_check(table: BracketTable) -> CheckReport:
     """Assert [a_i lam a_j] + [a_j (-T-lam) a_i] = 0 for all generator pairs.
 
     Runs on packed monomials (``rings.Packing``): each entry is packed and
-    substituted once; only failing residuals are unpacked, for witnesses.
+    substituted once, under the flip images shared by every check of the
+    same packing degree (``_substitutions``), and each flipped partner is
+    added straight into its pair's residual (``Packing.add_tagged`` with no
+    tag); only failing residuals are unpacked, for witnesses.  Tables of one
+    shape share the packing and its memo of monomial keys.
     """
     vs = table.vs
     packing, packed = _packed_entries(table)
-    ids = range(1, vs.D + 1)
-    flip = packing.images({("lam", a): -vs.var("T", a) - vs.var("lam", a) for a in ids})
-    cache: dict = {}
+    ((flip, cache),) = _substitutions(vs, packing.degree, "skew")
     flipped = {key: [(k, packing.subst(p, flip, cache)) for k, p in coords]
                for key, coords in packed.items()}
-    one = {0: 1}
     failures = []
     records = []
     for i in range(table.r):
@@ -527,7 +560,7 @@ def skew_check(table: BracketTable) -> CheckReport:
             label = f"({table.generators[i]},{table.generators[j]})"
             residual: dict = {}
             for k, p in packed[(i, j)] + flipped[(j, i)]:
-                _mul_add(residual.setdefault(k, {}), p, one, 1)
+                packing.add_tagged(residual.setdefault(k, {}), p, ())
             bad = any(any(terms.values()) for terms in residual.values())
             records.append((label, not bad))
             if bad:
@@ -547,27 +580,24 @@ def jacobi_check(table: BracketTable) -> CheckReport:
     generator indices (j, k, l) in three tag fields: per first generator i,
     each term is one product per contracted generator kp of two tagged sums,
     each setting the tags it knows, and those 3 * r products split by tag
-    into the residuals of all r^2 triples (i, j, k).  Each of the five
+    into the residuals of all r^2 triples (i, j, k).  Each packed entry is
+    added with its tags straight into the sums, and each of the five
     substitutions meets each packed entry once, inside a tagged sum; only
-    failing residuals are unpacked, for witnesses.
+    failing residuals are unpacked, for witnesses.  The packing and the
+    five substitution images are shared by every check of the same shape,
+    so a check of a known shape builds neither.
     """
     vs, r, names = table.vs, table.r, table.generators
     packing, packed = _packed_entries(table, 3)
-    var, ids = vs.var, range(1, vs.D + 1)
-    rename_mu = {("lam", a): var("mu", a) for a in ids}
-    neg_numu = {("T", a): -var("lam", a) - var("mu", a) for a in ids}
-    lam_plus_mu = {("lam", a): var("lam", a) + var("mu", a) for a in ids}
-
-    inner_lam, inner_mu, outer_mu, inner_sum, outer_sum = (
-        (packing.images(assignment), {}) for assignment in (
-            {**rename_mu, **_shift_T_by(vs, "lam")}, _shift_T_by(vs, "mu"),
-            rename_mu, neg_numu, lam_plus_mu))
+    inner_lam, inner_mu, outer_mu, inner_sum, outer_sum = _substitutions(
+        vs, packing.degree, "jacobi")
+    add_tagged = packing.add_tagged
 
     def sums(items, substitution=None):
         # Per kp, the sum of its (kp, tag values, p) items tagged, then substituted.
         out = [{} for _ in range(r)]
         for kp, values, p in items:
-            out[kp].update(packing.tag(p, values))
+            add_tagged(out[kp], p, values)
         return [packing.subst(p, *substitution) for p in out] if substitution else out
 
     # (a, b, c, p): p is coordinate c of [a_a lam a_b].  The factors tagged
@@ -692,8 +722,10 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     It runs on packed monomials (``rings.Packing``) with int coefficients:
     each basis element is packed once, cleared of denominators, and serves
     both as its P_a (before the substitution T -> -lam, a packed substitution
-    under one shared cache) and as its Q_b; the E_ab(T - lam, lam) are packed
-    once and cleared with one shared denominator.  A nonzero scale of x, y
+    whose images and cache every closure check of the same packing degree
+    shares) and as its Q_b, tagged straight into the sums; the
+    E_ab(T - lam, lam) are packed once and cleared with one shared
+    denominator.  A nonzero scale of x, y
     or E scales S and leaves its zero test unchanged.  The packing degree is
     the largest total degree m among the packed polynomials, not ``degmax``.
     That is enough although S multiplies three factors: P_a(-lam) has only
@@ -720,7 +752,8 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     # and to pack it.
     scanned = [[(p, p.total_degree()) for p in polys]
                for polys in [composed.values()] + [x.coords.values() for x in basis]]
-    packing = Packing(vs, max(d for polys in scanned for _, d in polys), 2, len(basis))
+    degree = max(d for polys in scanned for _, d in polys)
+    packing = shared_packing(vs, degree, 2, len(basis))
     cleared = [_clear(*(packing.pack(p, d) for p, d in polys))[1] for polys in scanned]
     composed = dict(zip(composed, cleared[0]))
     # Each basis element, packed and cleared once, gives its P_a and its Q_b.
@@ -731,9 +764,9 @@ def sd_closure_check(D: int, chi: ChiVector, degmax: int) -> CheckReport:
     lefts, rights = [{} for _ in range(D)], [{} for _ in range(D)]
     for x, x_packed in enumerate(packed):
         for a, P in x_packed:
-            lefts[a].update(packing.tag(P, (x, None)))
-            rights[a].update(packing.tag(P, (None, x)))
-    flip, cache = packing.images(neg_lam), {}
+            packing.add_tagged(lefts[a], P, (x, None))
+            packing.add_tagged(rights[a], P, (None, x))
+    ((flip, cache),) = _substitutions(vs, degree, "closure")
     lefts = [packing.subst(P, flip, cache) for P in lefts]
     total: dict = {}
     for b in range(D):

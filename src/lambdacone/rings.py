@@ -27,11 +27,12 @@ never copied or written again).  ``VarSpace.var`` returns one shared instance
 per variable; that is safe because nothing writes to a polynomial after it is
 built.
 
-``Packing`` is a second, private layout that lives inside one computation
-(the skew, Jacobi and S(D, chi) closure checks): a monomial is one int with a
-bit field per variable, and tag fields for generator indices above them.
-It is exact by its degree bound: the fields hold twice the packed degree,
-and only degree-preserving substitutions run on packed terms.
+``Packing`` is a second, private layout for the skew, Jacobi and S(D, chi)
+closure checks: a monomial is one int with a bit field per variable, and tag
+fields for generator indices above them.  It is exact by its degree bound:
+the fields hold twice the packed degree, and only degree-preserving
+substitutions run on packed terms.  Packed dicts live inside one check; the
+packing itself is shared by every check of its shape (``shared_packing``).
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ class VarSpace:
 class Poly:
     """Immutable sparse polynomial over a :class:`VarSpace`."""
 
-    __slots__ = ("vs", "terms", "_hash", "_dense")
+    __slots__ = ("vs", "terms", "_hash", "_dense", "_degree")
 
     def __init__(self, vs: VarSpace, terms: Mapping):
         clean = {}
@@ -248,6 +249,7 @@ class Poly:
         self.terms = clean
         self._hash = None
         self._dense = None
+        self._degree = None
 
     @classmethod
     def _trusted(cls, vs: VarSpace, terms: dict) -> "Poly":
@@ -257,6 +259,7 @@ class Poly:
         poly.terms = terms
         poly._hash = None
         poly._dense = None
+        poly._degree = None
         return poly
 
     # -- ring structure -------------------------------------------------
@@ -434,7 +437,11 @@ class Poly:
     # -- structure queries ------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
+        """The largest monomial degree (0 for zero), scanned once per polynomial."""
+        degree = self._degree
+        if degree is None:
+            degree = self._degree = max(map(mono_degree, self.terms), default=0)
+        return degree
 
     def families_used(self) -> set:
         return {fam for mono in self.terms for (fam, _), _ in mono}
@@ -543,7 +550,12 @@ def _clear(*raws: dict) -> tuple:
 
 
 def _mul_add(out: dict, a: dict, b: dict, sign: int) -> dict:
-    """``out[ma + mb] += sign * ca * cb`` over the packed terms of a and b; returns out."""
+    """``out[ma + mb] += sign * ca * cb`` over the packed terms of a and b; returns out.
+
+    The shorter factor runs in the outer loop, so each of its terms pays the
+    loop set-up once."""
+    if len(a) > len(b):
+        a, b = b, a
     get = out.get
     for ma, ca in a.items():
         ca *= sign
@@ -551,6 +563,13 @@ def _mul_add(out: dict, a: dict, b: dict, sign: int) -> dict:
             m = ma + mb
             out[m] = get(m, 0) + ca * cb
     return out
+
+
+@lru_cache(maxsize=None)
+def shared_packing(vs: VarSpace, degree: int, tags: int = 0, r: int = 1) -> "Packing":
+    """The one ``Packing(vs, degree, tags, r)`` of this process, built on
+    first use; sharing it shares its memo of monomial keys and tag offsets."""
+    return Packing(vs, degree, tags, r)
 
 
 class Packing:
@@ -566,9 +585,15 @@ class Packing:
     stays <= 2 * degree (``pseudo.sd_closure_check``).
 
     Above them sit ``tags`` tag fields, each wide enough for ``r - 1``.  When
-    each tag field of a product is set (:meth:`tag`) by one factor only, the
-    caller's to keep as the degree bound is, a product of tagged sums holds
-    every product of their summands, and :meth:`split` sorts it by tag.
+    each tag field of a product is set (:meth:`add_tagged`) by one factor
+    only, the caller's to keep as the degree bound is, a product of tagged
+    sums holds every product of their summands, and :meth:`split` sorts it
+    by tag.
+
+    A packing depends only on ``(vs, degree, tags, r)``; callers take the
+    shared one of :func:`shared_packing`.  It memoizes the key of every
+    monomial it packs and the offset of every tag tuple it sets, so checks
+    of one shape pay each only once per process.
     """
 
     def __init__(self, vs: VarSpace, degree: int, tags: int = 0, r: int = 1):
@@ -577,21 +602,22 @@ class Packing:
         self.mask = (1 << self.width) - 1
         families = sorted(vs.families, key=_FAMILY_POS.__getitem__)
         order = [(family, i) for family in families for i in range(1, vs.D + 1)]
-        self.shifts = {var: pos * self.width for pos, var in enumerate(order)}
+        self.shifts = shifts = {var: pos * self.width for pos, var in enumerate(order)}
         base, tag_width = len(order) * self.width, (r - 1).bit_length()
         self.tag_shifts = tuple(base + t * tag_width for t in range(tags))
         self.monomial_mask, self.tag_mask = (1 << base) - 1, (1 << tag_width) - 1
+        self.keys = _Memo(lambda mono: sum(e << shifts[v] for v, e in mono))
         self.offsets = _Memo(self._offset)
 
     def pack(self, poly: Poly, degree: Optional[int] = None) -> dict:
         """``poly`` packed; ``degree`` is its total degree when the caller has
-        already scanned it.  A degree above the packing's raises ValueError."""
+        already read it.  A degree above the packing's raises ValueError."""
         if degree is None:
             degree = poly.total_degree()
         if degree > self.degree:
             raise ValueError(f"total degree {degree} exceeds {self.degree}")
-        shifts = self.shifts
-        return {sum(e << shifts[v] for v, e in mono): c for mono, c in poly.terms.items()}
+        keys = self.keys
+        return {keys[mono]: c for mono, c in poly.terms.items()}
 
     def images(self, assignment: Mapping) -> tuple:
         """``(mask of the substituted fields, [(shift, packed image)])``, checked once."""
@@ -627,10 +653,15 @@ class Packing:
                 out[m] = get(m, 0) + coeff * c
         return {m: c for m, c in out.items() if c}
 
-    def tag(self, terms: dict, values: tuple) -> dict:
-        """``terms`` moved into the tag ``values``, one per tag field; None leaves a field 0."""
+    def add_tagged(self, out: dict, terms: dict, values: tuple) -> dict:
+        """``out[key + tag] += c`` over ``terms``, the tag setting one of
+        ``values`` per tag field (None leaves a field 0); returns out."""
         offset = self.offsets[values]
-        return {key + offset: c for key, c in terms.items()}
+        get = out.get
+        for key, c in terms.items():
+            key += offset
+            out[key] = get(key, 0) + c
+        return out
 
     def _offset(self, values: tuple) -> int:
         if len(values) != len(self.tag_shifts) or {*values} - {None, *range(self.r)}:

@@ -226,6 +226,18 @@ def test_emit_bad_degree_or_dimension_is_a_usage_error(args, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ("check", "S", "--dim", "2", "--chi", "1/0,0", "--axioms", "closure"),
+    ("builtin", "S", "--dim", "2", "--chi", "1/0,0"),
+    ("emit", "bracket", "S", "--dim", "2", "--chi", "0/0,1"),
+], ids=["check", "builtin", "emit"])
+def test_chi_with_a_zero_denominator_is_a_usage_error(args):
+    code, out, err = run_cli(*args)
+    assert code == 2 and not out
+    assert "error: bad chi vector" in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # serialization roundtrips
 # ----------------------------------------------------------------------

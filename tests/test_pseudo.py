@@ -35,7 +35,7 @@ from lambdacone import (
     sd_divergence,
     skew_check,
 )
-from lambdacone import pseudo
+from lambdacone import clear_caches, pseudo, rings
 from lambdacone.cli import main as cli_main
 
 
@@ -911,3 +911,125 @@ def test_checks_multiply_tagged_sums_not_single_pairs(monkeypatch):
     calls.clear()
     assert sd_closure_check(3, ChiVector.unit(3, 1), 3).passed
     assert len(calls) <= 3 ** 2 + 3
+
+
+# ----------------------------------------------------------------------
+# shared per-shape set-up: packings, substitution images, degrees
+# ----------------------------------------------------------------------
+
+def _fresh_copy(table):
+    """The same table over new polynomials, none of whose degrees is read yet."""
+    entries = {key: LambdaPoly(table.vs, table.r, {k: p.scale(1) for k, p in entry.coords.items()})
+               for key, entry in table.entries.items()}
+    return BracketTable(table.D, table.generators, entries)
+
+
+def _random_degree_one_table(D, seed):
+    """A random table of the shape of W(D): r = D, entries of degree <= 1."""
+    rng = random.Random(seed)
+    vs = pseudo_space(D)
+    entries = {}
+    for i in range(D):
+        for j in range(D):
+            coords = {k: _random_high_degree_poly(rng, vs, 1) for k in range(D)
+                      if rng.random() < 0.5}
+            entries[(i, j)] = LambdaPoly(vs, D, coords)
+    return BracketTable(D, tuple(f"g{i + 1}" for i in range(D)), entries)
+
+
+def test_cache_reuse_never_changes_a_report():
+    # The three tables share their packings; each check runs once on cold
+    # caches of its shape and again, in the other order, after clear_caches().
+    D = 3
+    tables = [build_wd(D), _mutated_wd(D, 3), _random_degree_one_table(D, 3)]
+    checks = [(check, table) for table in tables for check in (skew_check, jacobi_check)]
+    checks += [(lambda chi: sd_closure_check(D, chi, 2), chi)
+               for chi in (ChiVector.zero(D), ChiVector.unit(D, 1))]
+    clear_caches()
+    first = [str(check(arg)) for check, arg in checks]
+    caches = (rings.shared_packing, pseudo._substitutions)
+    assert all(cache.cache_info().currsize for cache in caches)
+    clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    again = [str(check(arg)) for check, arg in reversed(checks)]
+    assert again[::-1] == first
+    assert sum(report.startswith(("skew: FAIL", "jacobi: FAIL")) for report in first) == 4
+
+
+def test_checks_of_one_shape_pay_their_set_up_once(monkeypatch):
+    D = 4
+    clear_caches()
+    warm = build_wd(D)
+    assert skew_check(warm).passed and jacobi_check(warm).passed
+    # A second table of the same shape: the same packing, no new image.
+    images = []
+    build_images = rings.Packing.images
+
+    def counting(self, assignment):
+        images.append(assignment)
+        return build_images(self, assignment)
+
+    monkeypatch.setattr(rings.Packing, "images", counting)
+    misses = rings.shared_packing.cache_info().misses
+    table = _fresh_copy(warm)
+    # Each entry's total degree is scanned once over a skew and a Jacobi check.
+    scanned = []
+    mono_degree = rings.mono_degree
+
+    def scanning(mono):
+        scanned.append(mono)
+        return mono_degree(mono)
+
+    monkeypatch.setattr(rings, "mono_degree", scanning)
+    assert skew_check(table).passed and jacobi_check(table).passed
+    assert images == []
+    assert rings.shared_packing.cache_info().misses == misses
+    assert pseudo._packed_entries(table, 3)[0] is pseudo._packed_entries(warm, 3)[0]
+    terms = sum(len(p.dense("T", "lam")) for entry in table.entries.values()
+                for p in entry.coords.values())
+    assert len(scanned) == terms > 0
+
+
+def _skew_symmetric_table(D, r, seed):
+    """A seeded table that passes skew and, almost surely, fails Jacobi.
+
+    [a_i lam a_j] is random for i < j, [a_j lam a_i] = -[a_i (-T-lam) a_j],
+    and each diagonal entry is (p - p(T, -lam-T)) / 2 for a random p.
+    """
+    rng = random.Random(seed)
+    vs = pseudo_space(D)
+    flip = {("lam", a): -vs.var("T", a) - vs.var("lam", a) for a in range(1, D + 1)}
+
+    def random_entry():
+        return LambdaPoly(vs, r, {k: _random_high_degree_poly(rng, vs, 2)
+                                  for k in range(r) if rng.random() < 0.6})
+
+    entries = {}
+    for i in range(r):
+        p = random_entry()
+        entries[(i, i)] = (p - p.subst(flip)).scale(Fraction(1, 2))
+        for j in range(i + 1, r):
+            entries[(i, j)] = random_entry()
+            entries[(j, i)] = -entries[(i, j)].subst(flip)
+    return BracketTable(D, tuple(f"g{i + 1}" for i in range(r)), entries)
+
+
+# sha256 of (checked, records, (label, witness) failures, detail) per
+# Jacobi report of _skew_symmetric_table(D, r, seed = 10 * D + r): 15 of 27,
+# 63 of 64, 25 of 27 and 62 of 64 triples fail.
+GOLDEN_SKEW_SYMMETRIC_JACOBI = {
+    (1, 3): "5d1d01161dcb6789d9fcbc1e7f49c356356faad3139c14c3e826a20e8717b58d",
+    (1, 4): "202880272d52bd375d32c9a07d26a72172d8d118f7d198f05b364955192ed4f0",
+    (2, 3): "11a45462f3c8e33c3f7c0a0bfaa6db9432e5bf5c43d2a3bd84146fa04c9c2960",
+    (2, 4): "9ad5af35d6ed4ca3695888c2a1ed804a2e3f72fa6b59b86a0fbd0c0fb9f9a70d",
+}
+
+
+@pytest.mark.parametrize("D,r", list(GOLDEN_SKEW_SYMMETRIC_JACOBI),
+                         ids=[f"D{D}-r{r}" for D, r in GOLDEN_SKEW_SYMMETRIC_JACOBI])
+def test_skew_symmetric_jacobi_failure_golden_digest(D, r):
+    table = _skew_symmetric_table(D, r, 10 * D + r)
+    assert skew_check(table).passed
+    report = jacobi_check(table)
+    assert not report.passed and all(f.witness for f in report.failures)
+    assert _report_digest(report) == GOLDEN_SKEW_SYMMETRIC_JACOBI[(D, r)]

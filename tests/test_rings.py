@@ -9,7 +9,7 @@ import pytest
 
 from lambdacone import Poly, VarSpace, WorkspaceError
 from lambdacone.pseudo import pseudo_space
-from lambdacone.rings import Packing, _mul_add, dense_key
+from lambdacone.rings import Packing, _mul_add, dense_key, shared_packing
 
 
 @pytest.fixture
@@ -430,8 +430,8 @@ def test_tag_fields_are_exact(D, r):
     right = {b: _pseudo_poly(rng, vs, degree, False) - top for b in tags}
     left_sum, right_sum = {}, {}
     for a in tags:
-        left_sum.update(packing.tag(packing.pack(left[a]), (a, None)))
-        right_sum.update(packing.tag(packing.pack(right[a]), (None, a)))
+        packing.add_tagged(left_sum, packing.pack(left[a]), (a, None))
+        packing.add_tagged(right_sum, packing.pack(right[a]), (None, a))
     split = packing.split(_mul_add({}, left_sum, right_sum, 1))
     expected = {(a, b): left[a] * right[b] for a in tags for b in tags}
     assert set(split) == {key for key, product in expected.items() if product}
@@ -448,4 +448,16 @@ def test_tag_fields_are_exact(D, r):
             for a, p in left.items() if p}
     for bad in ((r, None), (None, -1), (0,), (0, 0, 0)):
         with pytest.raises(ValueError):
-            packing.tag({0: 1}, bad)
+            packing.add_tagged({}, {0: 1}, bad)
+
+
+def test_shared_packing_is_one_per_shape_and_add_tagged_sums():
+    vs = pseudo_space(2)
+    packing = shared_packing(vs, 3, 2, 4)
+    assert shared_packing(vs, 3, 2, 4) is packing
+    assert shared_packing(vs, 3, 2, 5) is not packing
+    p = vs.var("T", 1) + vs.var("lam", 2)
+    out = packing.add_tagged({}, packing.pack(p), (1, None))
+    assert packing.add_tagged(out, packing.pack(vs.var("T", 2) - p), (1, None)) is out
+    assert {tags: packing.unpack(terms) for tags, terms in packing.split(out).items()} == {
+        (1, 0): vs.var("T", 2)}
