@@ -6,6 +6,12 @@ the canonical basis of harmonic homogeneous polynomials of degree m: the
 harmonic extensions off x_D = 0 of the monomials with x_D exponent <= 1, a
 closed-form reduced echelon basis, so representatives are deterministic.
 
+The Gauss decomposition p = sum_j (x^2)^j p_j, p_j harmonic, underlies the
+calculus.  ``gauss_decompose`` takes each p_j straight out of the Laplacian
+chain Delta^k p by Horner's rule in x^2, as polynomials; the mode tables
+(h * x^e, h * h', the zonal harmonics) read the sigma-coordinates of the
+parts off the harmonic projector's pivot stencils (``_harmonic_parts``).
+
 Series over these modes carry an explicit truncation window; coefficients
 outside the window are unknown, not zero, and every operation computes the
 exact window it can still answer for.  Expansion of rational kernels
@@ -28,6 +34,12 @@ from .rings import (Poly, VarSpace, _clear, _exact, _Memo, _no_float, _quotient,
                     _require_int, dense_monomials)
 
 Mode = tuple  # (n: int, m: int >= 0, sigma: int >= 1)
+
+# The most machine words the build of one harmonic basis may form
+# (``_basis_words``); above it, ``harmonic_basis`` refuses the degree before
+# enumerating any pivot.  A 2-vCPU VM forms 0.5-3 million words a second, so
+# an admitted build takes seconds, where (3, 400) exhausts memory.
+MAX_BASIS_WORDS = 10**7
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +84,39 @@ def _raw_laplacian(raw: dict, D: int, m: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _laplacian_chain(D: int, m: int, raw: dict) -> list:
+    """[p, Delta p, Delta^2 p, ...] for a degree-m raw {exps: int} polynomial
+    p in D variables, down to the last nonzero Laplacian."""
+    chain = [raw] if raw else []
+    for degree in range(m, 1, -2):
+        raw = _raw_laplacian(raw, D, degree)
+        if not raw:
+            break
+        chain.append(raw)
+    return chain
+
+
+@lru_cache(maxsize=None)
+def _x2_table(D: int, m: int) -> _Memo:
+    """{exps: (raised exps, ...)}: the monomials of x^2 times each degree-m
+    monomial in D variables, all of weight 1, filled only for the monomials
+    asked for."""
+    return _Memo(lambda exps: tuple(exps[:a] + (e + 2,) + exps[a + 1:]
+                                    for a, e in enumerate(exps)))
+
+
+def _add_times_x2(out: dict, raw: dict, D: int, m: int) -> dict:
+    """``out`` plus x^2 times a degree-m raw {exps: int} polynomial in D
+    variables, added into ``out`` in place, each monomial's stencil read
+    from ``_x2_table``; returns out."""
+    table = _x2_table(D, m)
+    get = out.get
+    for exps, c in raw.items():
+        for up in table[exps]:
+            out[up] = get(up, 0) + c
+    return out
+
+
 @lru_cache(maxsize=None)
 def _pivots(D: int, m: int) -> tuple:
     """The pivots: degree-m monomials with x_D exponent <= 1, in canonical order."""
@@ -89,7 +134,10 @@ def _harmonic_raw(D: int, m: int) -> tuple:
     The coefficients are ints N over M = m!, c = M e!/(2j+e)!: exact while the
     chain is nonempty, as then 2j + e <= m and (2j+e)!/e! divides m!.  With
     g = gcd(M, N_1, ..., N_n), M / g is the least common denominator of the
-    N_i / M: any common denominator L has M | L N_i and M | L M, so M | L g."""
+    N_i / M: any common denominator L has M | L N_i and M | L M, so M | L g.
+    Without a pivot (D = 1, m >= 2) the basis is empty, and m! is not formed."""
+    if not h_dim(D, m):
+        return 1, ()
     M, basis = factorial(m), []
     for pivot in _pivots(D, m):
         e, c, term, h = pivot[-1], M, {pivot[:-1]: 1}, {}
@@ -101,6 +149,35 @@ def _harmonic_raw(D: int, m: int) -> tuple:
         basis.append(h)
     g = gcd(M, *(v for h in basis for v in h.values()))
     return M // g, tuple({exps: v // g for exps, v in h.items()} for h in basis)
+
+
+def _projector_weights(D: int, d: int) -> list:
+    """[c_0, ..., c_{d // 2}], ints with K_d[q] = sum_i c_i / c_0 (x^2)^i
+    Delta^i q the harmonic part of a degree-d polynomial q (``_projector``):
+    c_0 = prod_i 2i(D + 2d - 2i - 2) and c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)),
+    exact as each step divides the product of the steps after it."""
+    steps = [2 * i * (D + 2 * d - 2 * i - 2) for i in range(1, d // 2 + 1)]
+    return list(accumulate(steps, lambda c_i, step: -c_i // step, initial=prod(steps)))
+
+
+def _basis_words(D: int, m: int) -> int:
+    """A closed-form bound, capped at 2^64, on the machine words that
+    ``_harmonic_raw(D, m)`` forms: its terms, each an exponent vector of D
+    ints and a coefficient of at most m! < 2^(m bit_length(m)), plus m!;
+    0 without a pivot.
+
+    Pivot x'^a x_D^e forms the terms of Delta'^k x'^a for every k, prod_i
+    (a_i // 2 + 1) in all.  At most k = min(D - 1, m // 2) factors exceed 1,
+    so by the AM-GM inequality the product is at most (m / (2k) + 1)^k, and
+    there are h_dim(D, m) pivots.  With min(m, D - 2) >= 64 there are at
+    least binom(m + D - 2, m) >= 2^64 pivots, and the cap is returned before
+    any such binomial is formed.  D < 1 or m < 0 raises ValueError."""
+    cap = 2**64
+    if min(m, D - 2) >= 64:
+        return cap
+    k = min(D - 1, m // 2)
+    terms = h_dim(D, m) * ((m + 2 * k) ** k // (2 * k) ** k if k > 0 else 1)
+    return min(cap, (terms + 1) * (D + 1 + m * m.bit_length() // 64)) if terms else 0
 
 
 @lru_cache(maxsize=None)
@@ -118,8 +195,7 @@ def _projector(D: int, d: int) -> tuple:
     and one stencil per sigma: triples (i, exps, int weight) with that
     coordinate = sum weight * (Delta^i q)[exps] / den.
     """
-    steps = [2 * i * (D + 2 * d - 2 * i - 2) for i in range(1, d // 2 + 1)]
-    c = list(accumulate(steps, lambda c_i, step: -c_i // step, initial=prod(steps)))
+    c = _projector_weights(D, d)
     stencils = [[(sum(f), tuple(x - 2 * y for x, y in zip(p, f)),
                   c[sum(f)] * factorial(sum(f)) // prod(map(factorial, f)))
                  for f in product(*(range(x // 2 + 1) for x in p))] for p in _pivots(D, d)]
@@ -135,7 +211,10 @@ def _gauss_factor(D: int, d: int, j: int) -> int:
 def _harmonic_parts(D: int, m: int, raw: dict):
     """Yield (j, d, q, {sigma: N}) for a degree-m raw polynomial p with int
     coefficients: with p = sum_j (x^2)^j p_j and p_j harmonic of degree
-    d = m - 2j, coordinate sigma of p_j is N / q.
+    d = m - 2j, coordinate sigma of p_j is N / q.  The sigma-coordinates are
+    read off the ``_projector`` stencils; ``_decompose`` and ``_zonal`` use
+    them, and ``gauss_decompose``, which wants the parts as polynomials,
+    uses ``_gauss_numerators``.
 
     Delta^j p = ``_gauss_factor(D, d, j)`` p_j + (x^2)(...), so p_j is the
     harmonic part of Delta^j p divided by that factor.  In D = 1, where
@@ -144,13 +223,11 @@ def _harmonic_parts(D: int, m: int, raw: dict):
     if D == 1:
         yield from ((m // 2, m % 2, 1, {1: c}) for c in raw.values())
         return
-    laplacians = [raw]
-    for k in range(m // 2):
-        laplacians.append(_raw_laplacian(laplacians[-1], D, m - 2 * k))
-    gets = [laplacian.get for laplacian in laplacians]
-    for j in range(m // 2 + 1):
-        if not laplacians[j]:
-            break
+    laplacians = _laplacian_chain(D, m, raw)
+    # The stencils of level j read Delta^i p up to i = m // 2; past the
+    # chain's last nonzero Laplacian they read an empty one.
+    gets = [laplacian.get for laplacian in laplacians] + [{}.get] * (m // 2 + 1 - len(laplacians))
+    for j in range(len(laplacians)):
         d = m - 2 * j
         den, stencils = _projector(D, d)
         q = den * _gauss_factor(D, d, j)
@@ -163,6 +240,37 @@ def _harmonic_parts(D: int, m: int, raw: dict):
             if value:
                 coords[sigma] = value
         yield j, d, q, coords
+
+
+def _gauss_numerators(D: int, m: int, raw: dict):
+    """Yield (j, q, {exps: N}) for a degree-m raw polynomial p with int
+    coefficients: with p = sum_j (x^2)^j p_j and p_j harmonic of degree
+    d = m - 2j, p_j is {exps: N / q}, a part that may be 0.
+
+    p_j = K_d[L_j] / ``_gauss_factor(D, d, j)`` with L_k = Delta^k p, the
+    ``_laplacian_chain``, and K_d[L_j] = sum_i c_i / c_0 (x^2)^i L_{j+i}, the
+    c_i the ``_projector_weights``.  Horner's rule in x^2 sums it in ints:
+    r = c_top L_{j+top}, then r <- c_i L_{j+i} + x^2 r down to i = 0, each
+    x^2 r added from ``_x2_table``, so q = c_0 ``_gauss_factor(D, d, j)``.
+    Each level j repeats the Horner steps of the levels below it: in D = 2
+    the parts of a dense degree-m polynomial cost about m^3 / 12 terms, where
+    reading sigma-coordinates (``_harmonic_parts``) and expanding them in the
+    harmonic basis cost O(m^2); in D >= 3 that basis and the ``_projector``
+    stencils are the larger cost, and neither is read here.  In D = 1 the
+    closed form of ``_harmonic_parts`` holds: c x^m is (x^2)^(m // 2) c x^(m % 2).
+    """
+    if D == 1:
+        yield from ((m // 2, 1, {(m % 2,): c}) for c in raw.values())
+        return
+    chain = _laplacian_chain(D, m, raw)
+    for j in range(len(chain)):
+        d = m - 2 * j
+        c = _projector_weights(D, d)
+        r: dict = {}
+        for k in range(len(chain) - 1, j - 1, -1):
+            w = c[k - j]
+            r = _add_times_x2({exps: w * v for exps, v in chain[k].items()}, r, D, m - 2 * k - 2)
+        yield j, c[0] * _gauss_factor(D, d, j), r
 
 
 def _gauss_terms(D: int, c: int) -> int:
@@ -243,8 +351,18 @@ def _table_sum(entries) -> tuple:
 
 
 def harmonic_basis(D: int, m: int) -> tuple:
-    """The canonical harmonic basis at degree m, as polynomials in z."""
-    h_dim(D, m)  # rejects D < 1 and m < 0
+    """The canonical harmonic basis at degree m, as polynomials in z.
+
+    A degree whose build could form more than ``MAX_BASIS_WORDS`` machine
+    words (``_basis_words``) raises ValueError, with that bound, before any
+    table is built."""
+    words = _basis_words(D, m)  # rejects D < 1 and m < 0
+    if words > MAX_BASIS_WORDS:
+        estimate = words if words < 2**64 else "2^64 or more"
+        raise ValueError(
+            f"the harmonic basis of degree {m} in D = {D} would form an estimated {estimate} "
+            f"machine words, above the limit of {MAX_BASIS_WORDS}; lower the degree or the dimension"
+        )
     den, numerators = _harmonic_raw(D, m)
     vs = VarSpace(D, ("z",))
     return tuple(vs._from_numerators("z", den, h) for h in numerators)
@@ -270,11 +388,13 @@ def gauss_decompose(p: Poly) -> list:
 
     Returns [(j, p_j)] with nonzero p_j, sorted by j; exact reconstruction.
     A monomial of p_j has degree m - 2j, so it takes terms from the degree-m
-    part of p only: each (degree, j) part is one int sum over one
-    denominator, read from int tables filled once per monomial or degree (the
-    Laplacian stencils, the harmonic basis, the projector and the monomial
-    keys of ``rings``) and built as a polynomial without re-validation; the
-    parts of one j, on disjoint monomials, are added.
+    part of p only: each (degree, j) part comes straight out of the
+    Laplacian chain of that degree by Horner's rule in x^2
+    (``_gauss_numerators``), one int sum over one denominator read from
+    lazily filled tables (the Laplacian and x^2 stencils and the monomial
+    keys of ``rings``), and is built as a polynomial without re-validation;
+    the parts of one j, on disjoint monomials, are added.  No harmonic basis
+    and no ``_projector`` stencil is built.
     """
     family = _single_family(p)
     vs, D = p.vs, p.vs.D
@@ -284,14 +404,8 @@ def gauss_decompose(p: Poly) -> list:
     levels: dict = {}
     for degree, raw in by_degree.items():
         clear, (raw,) = _clear(raw)
-        for j, d, q, coords in _harmonic_parts(D, degree, raw):
-            den, numerators = _harmonic_raw(D, d)
-            sums: dict = {}
-            get = sums.get
-            for sigma, n in coords.items():
-                for exps, c in numerators[sigma - 1].items():
-                    sums[exps] = get(exps, 0) + n * c
-            part = vs._from_numerators(family, q * clear * den, sums)
+        for j, q, numerators in _gauss_numerators(D, degree, raw):
+            part = vs._from_numerators(family, q * clear, numerators)
             levels[j] = levels[j] + part if j in levels else part
     return [(j, levels[j]) for j in sorted(levels) if levels[j]]
 

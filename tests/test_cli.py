@@ -205,6 +205,22 @@ def test_high_degree_kernel_in_d2_is_a_usage_error(tmp_path, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("dim,m,words", [("3", "400", "490260120"), ("40", "6", "2631101241"),
+                                         ("2", "100000", "2656579695")])
+def test_oversized_harmonic_basis_is_a_usage_error(monkeypatch, dim, m, words):
+    # The bound is closed form: the shape is refused before any pivot is
+    # enumerated, where the build would exhaust memory or run for hours.
+    def no_pivots(*args):
+        raise AssertionError("a pivot was enumerated")
+
+    monkeypatch.setattr(cone, "_pivots", no_pivots)
+    code, out, err = run_cli("emit", "harmonic-basis", "--dim", dim, "--m", m)
+    assert code == 2 and not out
+    assert err == (f"error: the harmonic basis of degree {m} in D = {dim} would form an estimated "
+                   f"{words} machine words, above the limit of 10000000; lower the degree or "
+                   f"the dimension\n")
+
+
 def test_vla_skew_negative_window_is_a_usage_error(tmp_path):
     path = tmp_path / "w1.json"
     path.write_text(serialize_vla(d1_bridge(build_wd(1))))

@@ -29,6 +29,7 @@ from lambdacone import (
     WorkspaceError,
     basis_poly_in,
     bicone_from_poly,
+    clear_caches,
     cone_from_poly,
     gauss_decompose,
     h_dim,
@@ -38,9 +39,11 @@ from lambdacone import (
     iota_kernel,
 )
 from lambdacone.cone import (
+    _basis_words,
     _decompose,
     _dh_table,
     _gauss_terms,
+    _harmonic_parts,
     _harmonic_raw,
     _int_form,
     _int_sum_of_products,
@@ -52,6 +55,7 @@ from lambdacone.cone import (
     _raw_mul,
     _times_harm,
     _times_mono,
+    _x2_table,
     _zonal,
 )
 from lambdacone.linalg import kernel_basis, rref
@@ -102,6 +106,24 @@ def test_h_dim_matches_kernel_rank():
         for m in range(7):
             basis = harmonic_basis(D, m)
             assert h_dim(D, m) == brute_kernel_rank(D, m) == len(basis)
+
+
+def test_basis_words_bounds_the_basis_build():
+    # Every term of the build is counted, and a shape whose pivots alone
+    # exceed 2^64 returns the cap at once.
+    for D in range(1, 7):
+        for m in range(11 if D < 5 else 8):
+            den, numerators = _harmonic_raw(D, m)
+            terms = sum(map(len, numerators))
+            assert (terms + 1 if terms else 0) * (D + 1 + m * m.bit_length() // 64) <= _basis_words(D, m)
+    # D = 2, m = 10: 2 pivots of at most 10 / 2 + 1 terms, and 10!; 3 words a term.
+    assert _basis_words(2, 10) == (2 * 6 + 1) * 3
+    assert _basis_words(10 ** 6, 10 ** 6) == 2 ** 64
+    # D = 1 has no pivot past m = 1: an empty basis, formed without m!.
+    assert _basis_words(1, 99999999) == 0 and harmonic_basis(1, 99999999) == ()
+    for D, m in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            _basis_words(D, m)
 
 
 def test_harmonic_basis_representatives():
@@ -491,6 +513,71 @@ GOLDEN_GAUSS_WIDE = "1cfde246336182792dc9e630108ac5fc9e21733faf3066592843276b346
 def test_gauss_decompose_wide_golden_digest():
     digest = hashlib.sha256(_gauss_wide_golden_text().encode("utf-8")).hexdigest()
     assert digest == GOLDEN_GAUSS_WIDE
+
+
+def _coordinate_route(p):
+    """Reference gauss_decompose by sigma-coordinates: the parts of each
+    degree read off the projector stencils (``_harmonic_parts``), then
+    expanded in the canonical basis (``_harmonic_raw``)."""
+    vs, D = p.vs, p.vs.D
+    by_degree = {}
+    for exps, coeff in p.dense("z").items():
+        by_degree.setdefault(sum(exps), {})[exps] = coeff
+    levels = {}
+    for degree, raw in by_degree.items():
+        clear, (raw,) = _clear(raw)
+        for j, d, q, coords in _harmonic_parts(D, degree, raw):
+            den, numerators = _harmonic_raw(D, d)
+            sums = {}
+            for sigma, n in coords.items():
+                for exps, c in numerators[sigma - 1].items():
+                    sums[exps] = sums.get(exps, 0) + n * c
+            part = vs.from_dense("z", {e: Fraction(v, q * clear * den) for e, v in sums.items()})
+            levels[j] = levels.get(j, vs.zero) + part
+    return [(j, levels[j]) for j in sorted(levels) if levels[j]]
+
+
+def _typed(pieces):
+    return [(j, sorted((e, type(c), c) for e, c in pj.dense("z").items())) for j, pj in pieces]
+
+
+def test_gauss_decompose_matches_the_coordinate_route():
+    rng = random.Random(4242)
+    polys = []
+    for D in range(1, 7):
+        vs = _zspace(D)
+        for m in range(11):
+            picks = rng.sample(dense_monomials(D, m), min(comb(m + D - 1, D - 1), 5))
+            ints = sum((vs.from_exps("z", e, rng.randint(-99, 99) or 1) for e in picks), vs.zero)
+            fractions = sum((vs.from_exps("z", e, Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)))
+                             for e in picks), vs.zero)
+            polys += [ints, fractions, fractions + _random_zpoly(rng, D, degmax=10)]
+    polys += [_zspace(D).from_dense("z", {e: rng.randint(-10 ** 6, 10 ** 6) for e in dense_monomials(D, m)})
+              for D, m in ((3, 10), (4, 8), (5, 6))]
+    for p in polys:
+        assert _typed(gauss_decompose(p)) == _typed(_coordinate_route(p)), p
+
+
+def test_gauss_decompose_builds_no_basis_and_no_projector():
+    # The parts come straight out of the Laplacian chain by Horner's rule in
+    # x^2: only the Laplacian and x^2 stencil tables fill.
+    clear_caches()
+    rng = random.Random(8)
+    gauss_decompose(_zspace(4).from_dense("z", {e: rng.randint(1, 99) for e in dense_monomials(4, 8)}))
+    assert _harmonic_raw.cache_info().currsize == _projector.cache_info().currsize == 0
+    assert _x2_table.cache_info().currsize and _laplacian_table.cache_info().currsize
+    clear_caches()
+    assert _x2_table.cache_info().currsize == 0
+
+
+def test_gauss_decompose_in_d1_is_closed_form():
+    # In D = 1, c z^m is (z^2)^(m // 2) c z^(m % 2): no Laplacian chain, so
+    # z^99999999 returns at once.
+    vs = _zspace(1)
+    z = vs.var("z", 1)
+    assert gauss_decompose(vs.from_exps("z", (99999999,), 3)) == [(49999999, z * 3)]
+    assert gauss_decompose(vs.from_exps("z", (8,), Fraction(1, 2)) + z) == [
+        (0, z), (4, vs.const(Fraction(1, 2)))]
 
 
 def test_gauss_fills_the_laplacian_table_only_where_asked():
