@@ -7,10 +7,11 @@ harmonic extensions off x_D = 0 of the monomials with x_D exponent <= 1, a
 closed-form reduced echelon basis, so representatives are deterministic.
 
 The Gauss decomposition p = sum_j (x^2)^j p_j, p_j harmonic, underlies the
-calculus.  ``gauss_decompose`` takes each p_j straight out of the Laplacian
-chain Delta^k p by Horner's rule in x^2, as polynomials; the mode tables
-(h * x^e, h * h', the zonal harmonics) read the sigma-coordinates of the
-parts off the harmonic projector's pivot stencils (``_harmonic_parts``).
+calculus.  Each p_j comes straight out of the Laplacian chain Delta^k p by
+Horner's rule in x^2 (``_gauss_numerators``): ``gauss_decompose`` takes the
+parts as polynomials, and the mode tables (h * x^e, h * h', the zonal
+harmonics) read their sigma-coordinates as their values at the pivots
+(``_harmonic_parts``), the same sum restricted to the pivot monomials.
 
 Series over these modes carry an explicit truncation window; coefficients
 outside the window are unknown, not zero, and every operation computes the
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Mapping, Optional
 
@@ -97,24 +98,12 @@ def _laplacian_chain(D: int, m: int, raw: dict) -> list:
 
 
 @lru_cache(maxsize=None)
-def _x2_table(D: int, m: int) -> _Memo:
-    """{exps: (raised exps, ...)}: the monomials of x^2 times each degree-m
-    monomial in D variables, all of weight 1, filled only for the monomials
-    asked for."""
+def _x2_table(D: int, m: int, raised: int) -> _Memo:
+    """{exps: (raised exps, ...)}: the monomials of x_1^2 + ... + x_raised^2
+    times each degree-m monomial in D variables, all of weight 1, filled only
+    for the monomials asked for."""
     return _Memo(lambda exps: tuple(exps[:a] + (e + 2,) + exps[a + 1:]
-                                    for a, e in enumerate(exps)))
-
-
-def _add_times_x2(out: dict, raw: dict, D: int, m: int) -> dict:
-    """``out`` plus x^2 times a degree-m raw {exps: int} polynomial in D
-    variables, added into ``out`` in place, each monomial's stencil read
-    from ``_x2_table``; returns out."""
-    table = _x2_table(D, m)
-    get = out.get
-    for exps, c in raw.items():
-        for up in table[exps]:
-            out[up] = get(up, 0) + c
-    return out
+                                    for a, e in enumerate(exps[:raised])))
 
 
 @lru_cache(maxsize=None)
@@ -151,13 +140,16 @@ def _harmonic_raw(D: int, m: int) -> tuple:
     return M // g, tuple({exps: v // g for exps, v in h.items()} for h in basis)
 
 
-def _projector_weights(D: int, d: int) -> list:
-    """[c_0, ..., c_{d // 2}], ints with K_d[q] = sum_i c_i / c_0 (x^2)^i
-    Delta^i q the harmonic part of a degree-d polynomial q (``_projector``):
-    c_0 = prod_i 2i(D + 2d - 2i - 2) and c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)),
-    exact as each step divides the product of the steps after it."""
+@lru_cache(maxsize=None)
+def _projector_weights(D: int, d: int) -> tuple:
+    """(c_0, ..., c_{d // 2}), ints with K_d[q] = sum_i c_i / c_0 (x^2)^i
+    Delta^i q the harmonic part of a degree-d polynomial q (Axler, Bourdon
+    and Ramey, Harmonic Function Theory, ch. 5), the weights of the Horner
+    sum in ``_gauss_numerators``: c_0 = prod_i 2i(D + 2d - 2i - 2) and
+    c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)), exact as each step divides the
+    product of the steps after it."""
     steps = [2 * i * (D + 2 * d - 2 * i - 2) for i in range(1, d // 2 + 1)]
-    return list(accumulate(steps, lambda c_i, step: -c_i // step, initial=prod(steps)))
+    return tuple(accumulate(steps, lambda c_i, step: -c_i // step, initial=prod(steps)))
 
 
 def _basis_words(D: int, m: int) -> int:
@@ -180,103 +172,76 @@ def _basis_words(D: int, m: int) -> int:
     return min(cap, (terms + 1) * (D + 1 + m * m.bit_length() // 64)) if terms else 0
 
 
-@lru_cache(maxsize=None)
-def _projector(D: int, d: int) -> tuple:
-    """The sigma-coordinates of the harmonic part of a degree-d polynomial q.
-
-    That part is K_d[q] = sum_i c_i (x^2)^i Delta^i q, with c_0 = 1 and
-    c_i = -c_{i-1} / (2i(D + 2d - 2i - 2)) (Axler, Bourdon and Ramey,
-    Harmonic Function Theory, ch. 5).  Each canonical basis vector is 1 at
-    its own pivot and 0 at the others, so coordinate sigma is K_d[q] at the
-    pivot p of sigma (``_pivots``): as (x^2)^i = sum_{|f|=i} i!/f! x^(2f),
-    the sum over f <= p // 2 of c_|f| |f|!/f! (Delta^|f| q)[p - 2f].
-    Returns (den, stencils), den the least common denominator of the weights
-    (the c_i are ints over prod_i 2i(D + 2d - 2i - 2), reduced by one gcd),
-    and one stencil per sigma: triples (i, exps, int weight) with that
-    coordinate = sum weight * (Delta^i q)[exps] / den.
-    """
-    c = _projector_weights(D, d)
-    stencils = [[(sum(f), tuple(x - 2 * y for x, y in zip(p, f)),
-                  c[sum(f)] * factorial(sum(f)) // prod(map(factorial, f)))
-                 for f in product(*(range(x // 2 + 1) for x in p))] for p in _pivots(D, d)]
-    g = gcd(c[0], *(w for stencil in stencils for _, _, w in stencil))
-    return c[0] // g, tuple(tuple((i, e, w // g) for i, e, w in stencil) for stencil in stencils)
-
-
 def _gauss_factor(D: int, d: int, j: int) -> int:
     """N = prod_{k=1..j} 2k(2k + D - 2 + 2d): Delta^j (x^2)^j h = N h, h harmonic of degree d."""
     return prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
 
 
-def _harmonic_parts(D: int, m: int, raw: dict):
-    """Yield (j, d, q, {sigma: N}) for a degree-m raw polynomial p with int
-    coefficients: with p = sum_j (x^2)^j p_j and p_j harmonic of degree
-    d = m - 2j, coordinate sigma of p_j is N / q.  The sigma-coordinates are
-    read off the ``_projector`` stencils; ``_decompose`` and ``_zonal`` use
-    them, and ``gauss_decompose``, which wants the parts as polynomials,
-    uses ``_gauss_numerators``.
-
-    Delta^j p = ``_gauss_factor(D, d, j)`` p_j + (x^2)(...), so p_j is the
-    harmonic part of Delta^j p divided by that factor.  In D = 1, where
-    h_dim(1, d) = 0 for d >= 2, c x^m is (x^2)^(m // 2) c x^(m % 2) at once.
-    """
-    if D == 1:
-        yield from ((m // 2, m % 2, 1, {1: c}) for c in raw.values())
-        return
-    laplacians = _laplacian_chain(D, m, raw)
-    # The stencils of level j read Delta^i p up to i = m // 2; past the
-    # chain's last nonzero Laplacian they read an empty one.
-    gets = [laplacian.get for laplacian in laplacians] + [{}.get] * (m // 2 + 1 - len(laplacians))
-    for j in range(len(laplacians)):
-        d = m - 2 * j
-        den, stencils = _projector(D, d)
-        q = den * _gauss_factor(D, d, j)
-        coords = {}
-        for sigma, stencil in enumerate(stencils, start=1):
-            value = 0
-            for i, e, w in stencil:
-                if c := gets[j + i](e):
-                    value += w * c
-            if value:
-                coords[sigma] = value
-        yield j, d, q, coords
-
-
-def _gauss_numerators(D: int, m: int, raw: dict):
+def _gauss_numerators(D: int, m: int, raw: dict, raised: int):
     """Yield (j, q, {exps: N}) for a degree-m raw polynomial p with int
     coefficients: with p = sum_j (x^2)^j p_j and p_j harmonic of degree
-    d = m - 2j, p_j is {exps: N / q}, a part that may be 0.
+    d = m - 2j, p_j is {exps: N / q}, a part that may be 0.  With ``raised``
+    = D the part is whole; with ``raised`` = D - 1 it is restricted to the
+    pivots, the monomials with x_D exponent <= 1 (``_harmonic_parts``).
 
     p_j = K_d[L_j] / ``_gauss_factor(D, d, j)`` with L_k = Delta^k p, the
     ``_laplacian_chain``, and K_d[L_j] = sum_i c_i / c_0 (x^2)^i L_{j+i}, the
     c_i the ``_projector_weights``.  Horner's rule in x^2 sums it in ints:
     r = c_top L_{j+top}, then r <- c_i L_{j+i} + x^2 r down to i = 0, each
-    x^2 r added from ``_x2_table``, so q = c_0 ``_gauss_factor(D, d, j)``.
+    x^2 r read from the ``_x2_table`` stencils, so q = c_0
+    ``_gauss_factor(D, d, j)``.  x_D^2 raises the x_D exponent past 1, so a
+    pivot of (x^2)^i L is reached from the pivots of L through x_1^2 + ... +
+    x_{D-1}^2 alone: restricted, each level is cut to its pivots and only
+    the first D - 1 variables are raised, and the pivot values come out
+    exact.
+
     Each level j repeats the Horner steps of the levels below it: in D = 2
-    the parts of a dense degree-m polynomial cost about m^3 / 12 terms, where
-    reading sigma-coordinates (``_harmonic_parts``) and expanding them in the
-    harmonic basis cost O(m^2); in D >= 3 that basis and the ``_projector``
-    stencils are the larger cost, and neither is read here.  In D = 1 the
-    closed form of ``_harmonic_parts`` holds: c x^m is (x^2)^(m // 2) c x^(m % 2).
+    the whole parts of a dense degree-m polynomial cost about m^3 / 12 terms,
+    their pivot values O(m^2), 2 pivots a degree.  In D = 1, where
+    h_dim(1, d) = 0 for d >= 2, c x^m is (x^2)^(m // 2) c x^(m % 2) at once,
+    its own pivot.
     """
     if D == 1:
         yield from ((m // 2, 1, {(m % 2,): c}) for c in raw.values())
         return
     chain = _laplacian_chain(D, m, raw)
+    if raised < D:
+        chain = [{exps: v for exps, v in level.items() if exps[-1] <= 1} for level in chain]
+    top = len(chain) - 1
+    tables = [_x2_table(D, m - 2 * k - 2, raised) for k in range(top)]
     for j in range(len(chain)):
         d = m - 2 * j
         c = _projector_weights(D, d)
-        r: dict = {}
-        for k in range(len(chain) - 1, j - 1, -1):
-            w = c[k - j]
-            r = _add_times_x2({exps: w * v for exps, v in chain[k].items()}, r, D, m - 2 * k - 2)
+        r = {exps: c[top - j] * v for exps, v in chain[top].items()}
+        for k in range(top - 1, j - 1, -1):
+            w, table = c[k - j], tables[k]
+            out = {exps: w * v for exps, v in chain[k].items()}
+            get = out.get
+            for exps, v in r.items():
+                for up in table[exps]:
+                    out[up] = get(up, 0) + v
+            r = out
         yield j, c[0] * _gauss_factor(D, d, j), r
+
+
+def _harmonic_parts(D: int, m: int, raw: dict):
+    """Yield (j, d, q, {sigma: N}) for a degree-m raw polynomial p with int
+    coefficients: with p = sum_j (x^2)^j p_j and p_j harmonic of degree
+    d = m - 2j, coordinate sigma of p_j is N / q.  Each canonical basis
+    vector is 1 at its own pivot and 0 at the others, so coordinate sigma is
+    the value of p_j at pivot sigma (``_pivots``): the pivot-restricted
+    ``_gauss_numerators``.  ``_decompose`` and ``_zonal`` use them.
+    """
+    for j, q, values in _gauss_numerators(D, m, raw, D - 1):
+        d = m - 2 * j
+        yield j, d, q, {sigma: v for sigma, pivot in enumerate(_pivots(D, d), start=1)
+                        if (v := values.get(pivot))}
 
 
 def _gauss_terms(D: int, c: int) -> int:
     """S(c, D) = sum_k binom(c - 2k + D - 1, D - 1): the monomials of the
     degrees c, c - 2, ... that the Laplacian chain of a degree-c polynomial
-    can reach in ``_harmonic_parts``, a bound on the terms its Gauss
+    can reach (``_laplacian_chain``), a bound on the terms its Gauss
     decomposition forms.  Closed form, O(D): S(c, D) + S(c - 1, D) =
     binom(c + D, D) counts every degree <= c, and S(c, D) - S(c - 1, D), the
     alternating sum, is S(c, D - 1); S(c, 0) is 1 for even c, else 0."""
@@ -394,7 +359,7 @@ def gauss_decompose(p: Poly) -> list:
     lazily filled tables (the Laplacian and x^2 stencils and the monomial
     keys of ``rings``), and is built as a polynomial without re-validation;
     the parts of one j, on disjoint monomials, are added.  No harmonic basis
-    and no ``_projector`` stencil is built.
+    is built.
     """
     family = _single_family(p)
     vs, D = p.vs, p.vs.D
@@ -404,7 +369,7 @@ def gauss_decompose(p: Poly) -> list:
     levels: dict = {}
     for degree, raw in by_degree.items():
         clear, (raw,) = _clear(raw)
-        for j, q, numerators in _gauss_numerators(D, degree, raw):
+        for j, q, numerators in _gauss_numerators(D, degree, raw, D):
             part = vs._from_numerators(family, q * clear, numerators)
             levels[j] = levels[j] + part if j in levels else part
     return [(j, levels[j]) for j in sorted(levels) if levels[j]]
@@ -446,10 +411,21 @@ FULL_WINDOW = Window()
 
 
 def _validate_mode(D: int, mode: Mode) -> None:
+    """Refuse m < 0 and sigma outside 1..h_dim(D, m).
+
+    For D >= 2 the degree-m monomials in x_1..x_{i+1}, binom(m + i, i) of
+    them for i = 0..D - 2, are pivots, so a sigma up to one of these counts
+    is in range.  The walk stops once a count reaches sigma, and h_dim is
+    formed only for a sigma above them all: binom(2 * 10^6, 10^6) alone
+    takes 37 s on a 2-vCPU VM."""
     n, m, sigma = mode
     if m < 0:
         raise ValueError(f"mode degree m must be >= 0, got {m}")
-    if not 1 <= sigma <= h_dim(D, m):
+    count, i = (1 if D >= 2 else 0), 0
+    while count < sigma and i < D - 2:
+        i += 1
+        count = count * (m + i) // i
+    if not 1 <= sigma <= (count if count >= sigma else h_dim(D, m)):
         raise ValueError(f"sigma {sigma} out of range for (D={D}, m={m})")
 
 
@@ -931,7 +907,8 @@ def _zonal(D: int, d: int) -> tuple:
     K_d[(z.w)^d] is harmonic in w, so its coordinate s' is its coefficient
     at the pivot p of s' (``_pivots``), d!/p! K_d[z^p]; and K_d[z^p] is the
     j = 0 part of the Gauss decomposition of z^p (``_harmonic_parts``), over
-    the one denominator q of ``_projector(D, d)`` for every pivot.
+    the one denominator q = c_0 of ``_projector_weights(D, d)`` for every
+    pivot.
     """
     out, q = [], 1
     for s2, pivot in enumerate(_pivots(D, d), start=1):

@@ -196,7 +196,7 @@ def test_high_degree_kernel_in_d2_is_a_usage_error(tmp_path, monkeypatch):
         (-1, 1, 2): el(vs.var("T", 2))})})
     path = tmp_path / "d2.json"
     path.write_text(serialize_vla(S))
-    monkeypatch.setattr(cone, "_harmonic_parts", no_tables)
+    monkeypatch.setattr(cone, "_laplacian_chain", no_tables)
     code, out, err = run_cli("check", str(path), "--axioms", "borcherds",
                              "--F-zexp", "99999999,0", "--window", "0")
     assert code == 2 and not out

@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from collections import Counter
+import time
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, gcd, lcm, prod
+from operator import ge, sub
 
 import pytest
 
@@ -50,7 +52,7 @@ from lambdacone.cone import (
     _laplacian_table,
     _neg_binom,
     _pivots,
-    _projector,
+    _projector_weights,
     _raw_laplacian,
     _raw_mul,
     _times_harm,
@@ -163,6 +165,24 @@ def test_basis_poly_in_rejects_a_mode_outside_the_basis():
                               (2, 3, "sigma 3 out of range"), (-1, 1, "m must be >= 0")):
         with pytest.raises(ValueError, match=message):
             basis_poly_in(2, m, sigma, vs)
+
+
+def test_mode_validation_forms_no_binomial_it_does_not_need():
+    # A sigma up to the pivots with x_D exponent 0 is in range without
+    # forming h_dim, which takes seconds at D = m = 2 * 10^5; the range is
+    # still exactly 1..h_dim(D, m).
+    start = time.perf_counter()
+    ConeSeries(2 * 10**5, "z", {(0, 2 * 10**5, 1): 1})
+    assert time.perf_counter() - start < 1
+    for D in range(1, 8):
+        for m in range(9):
+            top = h_dim(D, m)
+            for sigma in range(-1, top + 2):
+                if 1 <= sigma <= top:
+                    ConeSeries(D, "z", {(0, m, sigma): 1})
+                else:
+                    with pytest.raises(ValueError, match=f"sigma {sigma} out of range"):
+                        ConeSeries(D, "z", {(0, m, sigma): 1})
 
 
 def _rref_harmonic_basis(D, m):
@@ -352,18 +372,19 @@ def test_series_constructors_reject_a_float_and_store_exact_values_as_given():
 def test_cone_tables_are_integer_over_least_denominator():
     for D in range(1, 6):
         for m in range(9):
-            hden, numerators = _harmonic_raw(D, m)
-            pden, stencils = _projector(D, m)
-            for den, entries in ((hden, [c for h in numerators for c in h.values()]),
-                                 (pden, [w for stencil in stencils for _, _, w in stencil])):
-                assert type(den) is int and all(type(c) is int for c in entries)
-                assert gcd(den, *entries) == 1
+            den, numerators = _harmonic_raw(D, m)
+            entries = [c for h in numerators for c in h.values()]
+            assert type(den) is int and all(type(c) is int for c in entries)
+            assert gcd(den, *entries) == 1
+            weights = _projector_weights(D, m)
+            assert all(type(c) is int for c in weights) and gcd(*weights) == 1
     # h_{2,1} = z1^2 - z2^2 needs no denominator; the D = 3 projector at d = 2
     # is q - (x^2) Delta q / 6, so its weights are over 6.
     assert _harmonic_raw(2, 2) == (1, ({(2, 0): 1, (0, 2): -1}, {(1, 1): 1}))
-    assert _projector(3, 2)[0] == 6
+    assert _projector_weights(3, 2) == (6, -1)
 
 
+@lru_cache(maxsize=None)
 def _filtered_projector(D, d):
     """Reference projector stencils: every term of (x^2)^i built in Fraction,
     paired with every pivot, and kept where it divides the pivot."""
@@ -377,8 +398,8 @@ def _filtered_projector(D, d):
         terms.extend((i, exps, c * a) for exps, a in power.items())
     stencils = []
     for pivot in _pivots(D, d):
-        lows = ((i, tuple(x - y for x, y in zip(pivot, e)), w) for i, e, w in terms)
-        stencils.append([t for t in lows if min(t[1]) >= 0])
+        stencils.append([(i, tuple(map(sub, pivot, e)), w) for i, e, w in terms
+                         if all(map(ge, pivot, e))])
     den = lcm(*(w.denominator for stencil in stencils for _, _, w in stencil))
     return den, [[(i, e, w.numerator * (den // w.denominator)) for i, e, w in stencil]
                  for stencil in stencils]
@@ -409,13 +430,43 @@ def _multinomial_zonal(D, d):
 _TABLE_RANGE = [(D, d) for D in range(1, 5) for d in range(9)] + [(5, d) for d in range(7)]
 
 
-def test_projector_stencils_match_the_filtered_build():
+def _stencil_coordinates(D, m, raw):
+    """Reference sigma-coordinates of the Gauss parts of the degree-m
+    polynomial raw, int or Fraction: the ``_filtered_projector`` stencils
+    applied to its Laplacian chain, built by ``Poly.laplacian``.  Yields
+    (j, d, {sigma: exact value}) for every level of the chain."""
+    level, chain = _zspace(D).from_dense("z", raw), []
+    while level:
+        chain.append(level.dense("z"))
+        level = level.laplacian("z")
+    for j in range(len(chain)):
+        d = m - 2 * j
+        den, stencils = _filtered_projector(D, d)
+        factor = prod(2 * k * (2 * k + D - 2 + 2 * d) for k in range(1, j + 1))
+        coords = {}
+        for sigma, stencil in enumerate(stencils, start=1):
+            value = sum(w * chain[j + i].get(e, 0) for i, e, w in stencil if j + i < len(chain))
+            if value:
+                coords[sigma] = Fraction(value, den * factor)
+        yield j, d, coords
+
+
+def test_harmonic_parts_match_the_filtered_stencils():
+    # The sigma-coordinates are the pivot values of the restricted Horner
+    # sum; the reference reads them through stencils built in Fraction.  In
+    # D = 1 the closed form yields only the part with a pivot.
+    rng = random.Random(35)
     for D, d in _TABLE_RANGE:
-        den, stencils = _projector(D, d)
-        ref_den, ref_stencils = _filtered_projector(D, d)
-        assert den == ref_den and len(stencils) == len(ref_stencils) == h_dim(D, d)
-        for stencil, ref in zip(stencils, ref_stencils):
-            assert Counter(stencil) == Counter(ref)
+        monos = dense_monomials(D, d)
+        picks = rng.sample(monos, min(len(monos), 6))
+        for raw in ({e: rng.randint(-99, 99) or 1 for e in picks},
+                    {e: Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 9)) for e in picks}):
+            clear, (ints,) = _clear(raw)
+            parts = {(j, m): {s: Fraction(n, q * clear) for s, n in coords.items()}
+                     for j, m, q, coords in _harmonic_parts(D, d, ints)}
+            reference = {(j, m): coords for j, m, coords in _stencil_coordinates(D, d, raw)}
+            assert {k: v for k, v in parts.items() if v} == {k: v for k, v in reference.items() if v}
+            assert len(parts) == (1 if D == 1 else len(reference)), (D, d, raw)
 
 
 def test_zonal_matches_the_multinomial_count_and_is_symmetric():
@@ -517,22 +568,21 @@ def test_gauss_decompose_wide_golden_digest():
 
 def _coordinate_route(p):
     """Reference gauss_decompose by sigma-coordinates: the parts of each
-    degree read off the projector stencils (``_harmonic_parts``), then
-    expanded in the canonical basis (``_harmonic_raw``)."""
+    degree read through the reference stencils (``_stencil_coordinates``),
+    then expanded in the canonical basis (``_harmonic_raw``)."""
     vs, D = p.vs, p.vs.D
     by_degree = {}
     for exps, coeff in p.dense("z").items():
         by_degree.setdefault(sum(exps), {})[exps] = coeff
     levels = {}
     for degree, raw in by_degree.items():
-        clear, (raw,) = _clear(raw)
-        for j, d, q, coords in _harmonic_parts(D, degree, raw):
+        for j, d, coords in _stencil_coordinates(D, degree, raw):
             den, numerators = _harmonic_raw(D, d)
             sums = {}
-            for sigma, n in coords.items():
+            for sigma, value in coords.items():
                 for exps, c in numerators[sigma - 1].items():
-                    sums[exps] = sums.get(exps, 0) + n * c
-            part = vs.from_dense("z", {e: Fraction(v, q * clear * den) for e, v in sums.items()})
+                    sums[exps] = sums.get(exps, 0) + value * c
+            part = vs.from_dense("z", {e: v / den for e, v in sums.items()})
             levels[j] = levels.get(j, vs.zero) + part
     return [(j, levels[j]) for j in sorted(levels) if levels[j]]
 
@@ -564,7 +614,7 @@ def test_gauss_decompose_builds_no_basis_and_no_projector():
     clear_caches()
     rng = random.Random(8)
     gauss_decompose(_zspace(4).from_dense("z", {e: rng.randint(1, 99) for e in dense_monomials(4, 8)}))
-    assert _harmonic_raw.cache_info().currsize == _projector.cache_info().currsize == 0
+    assert _harmonic_raw.cache_info().currsize == 0
     assert _x2_table.cache_info().currsize and _laplacian_table.cache_info().currsize
     clear_caches()
     assert _x2_table.cache_info().currsize == 0

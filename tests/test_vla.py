@@ -710,7 +710,7 @@ def test_borcherds_refuses_a_kernel_too_large_to_decompose(monkeypatch):
 
     huge = Kernel(2, z_exps=(99999999, 0))
     with monkeypatch.context() as patch:
-        patch.setattr(cone, "_harmonic_parts", no_tables)
+        patch.setattr(cone, "_laplacian_chain", no_tables)
         with pytest.raises(ValueError, match="up to 2500000050000001 terms"):
             borcherds_check(_d2_fixture(), 1, huge, 0)
     # z1^2 z2 reaches 6 monomials and w^0 one: the limit is inclusive.
