@@ -1,8 +1,9 @@
 """Command-line front end: load or build algebras, run axiom suites, emit data.
 
-Exit codes: 0 all requested checks pass, 1 at least one violation (the first
-witness is printed), 2 usage, parse or invariant errors, 141 standard output
-closed early (the shell's code for SIGPIPE, as in ``lambdacone ... | head -1``).
+Exit codes: 0 all requested checks pass, 1 at least one violation (every
+violation is printed, one ``  violation at ...`` line each), 2 usage, parse or
+invariant errors, 141 standard output closed early (the shell's code for
+SIGPIPE, as in ``lambdacone ... | head -1``).
 """
 
 from __future__ import annotations

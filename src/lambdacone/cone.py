@@ -411,14 +411,19 @@ FULL_WINDOW = Window()
 
 
 def _validate_mode(D: int, mode: Mode) -> None:
-    """Refuse m < 0 and sigma outside 1..h_dim(D, m).
+    """Refuse a mode that is not a 3-tuple of ints, m < 0 and sigma outside
+    1..h_dim(D, m).
 
     For D >= 2 the degree-m monomials in x_1..x_{i+1}, binom(m + i, i) of
     them for i = 0..D - 2, are pivots, so a sigma up to one of these counts
     is in range.  The walk stops once a count reaches sigma, and h_dim is
     formed only for a sigma above them all: binom(2 * 10^6, 10^6) alone
     takes 37 s on a 2-vCPU VM."""
+    if not isinstance(mode, tuple) or len(mode) != 3:
+        raise ValueError(f"a mode is a 3-tuple (n, m, sigma), got {mode!r}")
     n, m, sigma = mode
+    for name, index in zip(("n", "m", "sigma"), mode):
+        _require_int(name, index)
     if m < 0:
         raise ValueError(f"mode degree m must be >= 0, got {m}")
     count, i = (1 if D >= 2 else 0), 0
@@ -430,95 +435,136 @@ def _validate_mode(D: int, mode: Mode) -> None:
 
 
 # ----------------------------------------------------------------------
-# one-variable cone series
+# windowed series core and one-variable cone series
 # ----------------------------------------------------------------------
 
-class ConeSeries:
-    """Windowed series sum a_{n,m,sigma} (x^2)^n h_{m,sigma}(x).
+class _WindowedSeries:
+    """What the one- and two-variable cone series share: dimension ``D``,
+    series variable ``var`` (None for the two-slot series), ``coeffs`` keyed
+    by one mode per slot, and ``windows``, one :class:`Window` per slot.
 
-    Coefficients are exact rationals (int or Fraction) or module elements;
-    anything with +, scalar * and truthiness works, except a float.
+    A mode outside its slot's window is unknown, not zero: the constructor
+    drops such keys (and zero coefficients), sums and differences keep the
+    slot-by-slot intersection of the windows, and ``_lookup`` raises
+    TruncationError there.  A subclass gives the window rule as
+    ``_kept(coeffs, windows)``, one comprehension per class, and the slot
+    modes of a key as ``_modes(key)``.
     """
 
-    __slots__ = ("D", "var", "coeffs", "window")
+    __slots__ = ("D", "var", "coeffs", "windows")
 
-    def __init__(self, D: int, var: str, coeffs: Mapping, window: Window = FULL_WINDOW):
-        for mode, c in coeffs.items():
-            _validate_mode(D, mode)
+    def __init__(self, D: int, var: Optional[str], coeffs: Mapping, windows: tuple):
+        for key, c in coeffs.items():
+            for mode in self._modes(key):
+                _validate_mode(D, mode)
             _no_float(c)
-        self._fill(D, var, coeffs, window)
+        self._fill(D, var, coeffs, windows)
 
-    def _fill(self, D: int, var: str, coeffs: Mapping, window: Window) -> None:
+    def _fill(self, D: int, var: Optional[str], coeffs: Mapping, windows: tuple) -> None:
         self.D = D
         self.var = var
-        self.coeffs = {
-            mode: c for mode, c in coeffs.items() if c and window.contains(mode[0], mode[1])
-        }
-        self.window = window
+        self.coeffs = self._kept(coeffs, windows)
+        self.windows = windows
 
-    @classmethod
-    def zero(cls, D: int, var: str = "z", window: Window = FULL_WINDOW) -> "ConeSeries":
-        return cls(D, var, {}, window)
-
-    def _like(self, coeffs, window) -> "ConeSeries":
+    def _like(self, coeffs, windows):
         # Series operations only form valid modes, so results skip validation.
-        series = object.__new__(ConeSeries)
-        series._fill(self.D, self.var, coeffs, window)
+        series = object.__new__(type(self))
+        series._fill(self.D, self.var, coeffs, windows)
         return series
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if not isinstance(other, ConeSeries):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (
             self.D == other.D
             and self.var == other.var
             and self.coeffs == other.coeffs
-            and self.window == other.window
+            and self.windows == other.windows
         )
 
     def items(self) -> list:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
-    def get(self, mode: Mode):
-        """Coefficient at a mode; TruncationError outside the window."""
-        _validate_mode(self.D, mode)
-        if not self.window.contains(mode[0], mode[1]):
-            raise TruncationError(f"mode {mode} lies outside the window {self.window}")
-        return self.coeffs.get(mode, 0)
+    def _lookup(self, key):
+        """Coefficient at a key; TruncationError where the window rule
+        ``_kept`` would drop the key."""
+        for mode in self._modes(key):
+            _validate_mode(self.D, mode)
+        if not self._kept({key: 1}, self.windows):
+            raise TruncationError(f"mode {key} lies outside the windows {self.windows}")
+        return self.coeffs.get(key, 0)
 
     def __add__(self, other):
         if self.D != other.D or self.var != other.var:
             raise WorkspaceError("series mismatch")
-        window = self.window.intersect(other.window)
+        windows = tuple(map(Window.intersect, self.windows, other.windows))
         out = dict(self.coeffs)
-        for mode, coeff in other.coeffs.items():
-            total = out.get(mode)
-            out[mode] = coeff if total is None else total + coeff
-        return self._like(out, window)
+        for key, coeff in other.coeffs.items():
+            total = out.get(key)
+            out[key] = coeff if total is None else total + coeff
+        return self._like(out, windows)
 
     def __neg__(self):
-        return self._like({mode: -c for mode, c in self.coeffs.items()}, self.window)
+        return self._like({key: -c for key, c in self.coeffs.items()}, self.windows)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor) -> "ConeSeries":
+    def scale(self, factor):
         factor = _exact(factor)  # rejects a float
         return self._like(
-            {mode: coeff * factor for mode, coeff in self.coeffs.items()}, self.window
+            {key: coeff * factor for key, coeff in self.coeffs.items()}, self.windows
         )
 
+    def _restrict(self, windows: tuple):
+        return self._like(self.coeffs, tuple(map(Window.intersect, self.windows, windows)))
+
+
+class ConeSeries(_WindowedSeries):
+    """Windowed series sum a_{n,m,sigma} (x^2)^n h_{m,sigma}(x).
+
+    Coefficients are exact rationals (int or Fraction) or module elements;
+    anything with +, scalar * and truthiness works, except a float.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, D: int, var: str, coeffs: Mapping, window: Window = FULL_WINDOW):
+        super().__init__(D, var, coeffs, (window,))
+
+    @staticmethod
+    def _modes(mode: Mode) -> tuple:
+        return (mode,)
+
+    @staticmethod
+    def _kept(coeffs: Mapping, windows: tuple) -> dict:
+        (window,) = windows
+        return {mode: c for mode, c in coeffs.items() if c and window.contains(mode[0], mode[1])}
+
+    @property
+    def window(self) -> Window:
+        return self.windows[0]
+
+    @classmethod
+    def zero(cls, D: int, var: str = "z", window: Window = FULL_WINDOW) -> "ConeSeries":
+        return cls(D, var, {}, window)
+
+    def get(self, mode: Mode):
+        """Coefficient at a mode; TruncationError outside the window."""
+        return self._lookup(mode)
+
     def map_coeffs(self, fn) -> "ConeSeries":
-        return self._like({mode: fn(coeff) for mode, coeff in self.coeffs.items()}, self.window)
+        return self._like({mode: fn(coeff) for mode, coeff in self.coeffs.items()}, self.windows)
 
     def mul_x2(self, k: int) -> "ConeSeries":
         """Multiply by (x^2)^k: a pure mode shift."""
+        _require_int("k", k)
         return self._like(
             {(n + k, m, s): c for (n, m, s), c in self.coeffs.items()},
-            self.window.shift(2 * k),
+            (self.window.shift(2 * k),),
         )
 
     def mul_poly(self, p: Poly) -> "ConeSeries":
@@ -533,7 +579,7 @@ class ConeSeries:
         den, out = _table_sum((coeff, n, pc, _times_mono(self.D, m, s, exps))
                               for exps, pc in terms.items()
                               for (n, m, s), coeff in self.coeffs.items())
-        return self._like(_divided(out, den * p_den), window)
+        return self._like(_divided(out, den * p_den), (window,))
 
     def diff(self, alpha: int) -> "ConeSeries":
         """Formal d/dx_alpha, alpha in 1..D.  d/dx_alpha (x^2)^n h is
@@ -550,22 +596,22 @@ class ConeSeries:
                 entries.append((coeff, n - 1, 2 * n, _times_mono(self.D, m, s, x_alpha)))
             entries.append((coeff, n, 1, _dh_table(self.D, m, s, alpha)))
         den, out = _table_sum(entries)
-        return self._like(_divided(out, den), self.window.shift(-1))
+        return self._like(_divided(out, den), (self.window.shift(-1),))
 
     def singular_part(self) -> "ConeSeries":
         return self._like(
-            {mode: c for mode, c in self.coeffs.items() if mode[0] < 0}, self.window
+            {mode: c for mode, c in self.coeffs.items() if mode[0] < 0}, self.windows
         )
 
     def parity_flip(self) -> "ConeSeries":
         """x -> -x: each mode picks up (-1)^m."""
         return self._like(
             {mode: (c if mode[1] % 2 == 0 else -c) for mode, c in self.coeffs.items()},
-            self.window,
+            self.windows,
         )
 
     def restrict(self, window: Window) -> "ConeSeries":
-        return self._like(self.coeffs, self.window.intersect(window))
+        return self._restrict((window,))
 
     def pole_order(self) -> int:
         """Least N with (x^2)^N * series regular: max(0, -min n)."""
@@ -611,7 +657,7 @@ def cone_from_poly(p: Poly, var: Optional[str] = None) -> ConeSeries:
 # two-variable cone series
 # ----------------------------------------------------------------------
 
-class BiConeSeries:
+class BiConeSeries(_WindowedSeries):
     """Windowed series over pairs of cone modes, the first in z, the second in w.
 
     The one product is :meth:`mul_series`, the integer kernel
@@ -619,23 +665,24 @@ class BiConeSeries:
     as its exact expansion :func:`bicone_from_poly`.
     """
 
-    __slots__ = ("D", "coeffs", "windows")
+    __slots__ = ()
 
     def __init__(self, D: int, coeffs: Mapping, windows: tuple = (FULL_WINDOW, FULL_WINDOW)):
-        for (m1, m2), c in coeffs.items():
-            _validate_mode(D, m1)
-            _validate_mode(D, m2)
-            _no_float(c)
-        self._fill(D, coeffs, tuple(windows))
+        super().__init__(D, None, coeffs, tuple(windows))
 
-    def _fill(self, D: int, coeffs: Mapping, windows: tuple) -> None:
+    @staticmethod
+    def _modes(key: tuple) -> tuple:
+        return key
+
+    @staticmethod
+    def _kept(coeffs: Mapping, windows: tuple) -> dict:
+        """The bi-mode rule: the keys of ``coeffs`` with a nonzero value whose
+        z mode lies in the first window and w mode in the second."""
         wz, ww = windows
-        self.D = D
-        self.coeffs = {
+        return {
             (m1, m2): c for (m1, m2), c in coeffs.items()
             if c and wz.contains(m1[0], m1[1]) and ww.contains(m2[0], m2[1])
         }
-        self.windows = windows
 
     @classmethod
     def zero(cls, D: int):
@@ -646,62 +693,11 @@ class BiConeSeries:
         """A series without validation: every mode comes from a validated
         series or from the cone tables."""
         series = object.__new__(cls)
-        series._fill(D, coeffs, tuple(windows))
+        series._fill(D, None, coeffs, tuple(windows))
         return series
 
-    def _like(self, coeffs, windows) -> "BiConeSeries":
-        # Series operations only form valid modes, so results skip validation.
-        return BiConeSeries._trusted(self.D, coeffs, windows)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiConeSeries):
-            return NotImplemented
-        return (
-            self.D == other.D
-            and self.coeffs == other.coeffs
-            and self.windows == other.windows
-        )
-
-    def items(self) -> list:
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0])
-
     def get(self, mode1: Mode, mode2: Mode):
-        _validate_mode(self.D, mode1)
-        _validate_mode(self.D, mode2)
-        if not (
-            self.windows[0].contains(mode1[0], mode1[1])
-            and self.windows[1].contains(mode2[0], mode2[1])
-        ):
-            raise TruncationError(f"mode {(mode1, mode2)} outside windows {self.windows}")
-        return self.coeffs.get((mode1, mode2), 0)
-
-    def __add__(self, other):
-        if self.D != other.D:
-            raise WorkspaceError("series mismatch")
-        windows = (
-            self.windows[0].intersect(other.windows[0]),
-            self.windows[1].intersect(other.windows[1]),
-        )
-        out = dict(self.coeffs)
-        for key, coeff in other.coeffs.items():
-            total = out.get(key)
-            out[key] = coeff if total is None else total + coeff
-        return self._like(out, windows)
-
-    def __neg__(self):
-        return self._like({key: -c for key, c in self.coeffs.items()}, self.windows)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor) -> "BiConeSeries":
-        factor = _exact(factor)  # rejects a float
-        return self._like(
-            {key: coeff * factor for key, coeff in self.coeffs.items()}, self.windows
-        )
+        return self._lookup((mode1, mode2))
 
     def mul_series(self, other: "BiConeSeries", bound: Optional[tuple] = None) -> "BiConeSeries":
         """Product of a series with scalar coefficients and a finite series,
@@ -724,10 +720,7 @@ class BiConeSeries:
         return self._like({key: build(den, vector) for key, vector in sums.items()}, windows)
 
     def restrict(self, windows: tuple) -> "BiConeSeries":
-        return self._like(
-            self.coeffs,
-            (self.windows[0].intersect(windows[0]), self.windows[1].intersect(windows[1])),
-        )
+        return self._restrict(windows)
 
     def __repr__(self):
         inner = ", ".join(f"{key}: {c}" for key, c in self.items())

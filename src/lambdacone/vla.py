@@ -233,7 +233,7 @@ def apply_exp_zT(series: ConeSeries, zdeg: int) -> ConeSeries:
         step_den, step = _table_sum((coeff.mul_T(a + 1), n, 1, _times_mono(D, m, s, z[a]))
                                     for a in range(D) for (n, m, s), coeff in term.coeffs.items())
         den *= step_den * t
-        term = term._like(step, window).singular_part()
+        term = term._like(step, (window,)).singular_part()
         out = out + term.scale(Fraction(1, den))
     return out
 
@@ -417,11 +417,10 @@ def _times_polynomial(S: VLAStructure, i: int, j: int, k: int, F: Kernel,
 
 def _restricted(form: tuple, windows: tuple) -> tuple:
     """An int form (den, {bi-mode: int vector}, windows) restricted to
-    ``windows``, as ``BiConeSeries.restrict`` restricts a series."""
+    ``windows`` by the ``BiConeSeries`` bi-mode rule."""
     den, vectors, own = form
-    wz, ww = windows = tuple(a.intersect(b) for a, b in zip(own, windows))
-    return den, {(m1, m2): vector for (m1, m2), vector in vectors.items()
-                 if wz.contains(m1[0], m1[1]) and ww.contains(m2[0], m2[1])}, windows
+    windows = tuple(map(Window.intersect, own, windows))
+    return den, BiConeSeries._kept(vectors, windows), windows
 
 
 def _residual(S: VLAStructure, i: int, j: int, k: int, F: Kernel, depth: int) -> tuple:

@@ -10,12 +10,16 @@ from lambdacone import (
     BiConeSeries,
     ConeSeries,
     Kernel,
+    ModuleElement,
     TruncationError,
     VarSpace,
+    VLAStructure,
     Window,
+    WorkspaceError,
     bicone_from_poly,
     iota_expand,
     iota_kernel,
+    pseudo_space,
 )
 from lambdacone import cone
 from lambdacone.cone import FULL_WINDOW
@@ -63,6 +67,59 @@ def test_add_intersects_windows():
     total = a + b
     assert total.window == Window(2)
     assert total.coeffs == {(0, 0, 1): 1, (1, 0, 1): 2}
+
+
+_NOT_INT_MODES = {
+    "float n": (lambda: ConeSeries(2, "z", {(0.5, 0, 1): 1}), TypeError, "n must be an int"),
+    "float m": (lambda: ConeSeries(2, "z", {(0, 1.0, 1): 1}), TypeError, "m must be an int"),
+    "float sigma": (lambda: ConeSeries(2, "z", {(0, 1, 1.0): 1}), TypeError,
+                    "sigma must be an int"),
+    "bool n and sigma": (lambda: ConeSeries(2, "z", {(True, 1, True): 1}), TypeError,
+                         "n must be an int"),
+    "2-tuple": (lambda: ConeSeries(2, "z", {(0, 1): 1}), ValueError, "3-tuple"),
+    "2-tuple get": (lambda: ConeSeries(2, "z", {}).get((0, 0)), ValueError, "3-tuple"),
+    "float get": (lambda: ConeSeries(2, "z", {}).get((0.0, 0, 1)), TypeError, "n must be an int"),
+    "bi float n": (lambda: BiConeSeries(2, {((0.5, 0, 1), (0, 0, 1)): 1}), TypeError,
+                   "n must be an int"),
+    "bi float sigma": (lambda: BiConeSeries(2, {((0, 0, 1), (0, 0, 1.0)): 1}), TypeError,
+                       "sigma must be an int"),
+    "vla action": (lambda: VLAStructure(2, ("L",), {(0, 0): ConeSeries(
+        2, "z", {(-1.5, 1, 1): ModuleElement(pseudo_space(2), 1, {0: pseudo_space(2).one})})}),
+        TypeError, "n must be an int"),
+    "float x^2 power": (lambda: ConeSeries(2, "z", {(0, 0, 1): 1}).mul_x2(0.5), TypeError,
+                        "k must be an int"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_INT_MODES))
+def test_mode_indices_must_be_ints(case):
+    # A float or bool index is no mode: a series holding (0.5, 0, 1) would
+    # carry it into products and pole bounds.
+    make, error, match = _NOT_INT_MODES[case]
+    with pytest.raises(error, match=match):
+        make()
+
+
+def test_one_and_two_variable_series_do_not_add():
+    one = ConeSeries(1, "z", {(0, 0, 1): 1})
+    two = BiConeSeries(1, {((0, 0, 1), (0, 0, 1)): 1})
+    with pytest.raises(WorkspaceError, match="series mismatch"):
+        one + two
+    with pytest.raises(WorkspaceError, match="series mismatch"):
+        two + one
+
+
+def test_negation_scale_and_difference_keep_the_windows():
+    # Negation and scaling keep the windows, a difference meets them slot by
+    # slot, and equal coefficients on different windows make different
+    # series, the zero series included.
+    one = ConeSeries(1, "z", {(0, 0, 1): 1}, Window(4))
+    two = BiConeSeries(1, {((0, 0, 1), (0, 0, 1)): 1}, (Window(4), FULL_WINDOW))
+    for series, narrower in ((one, Window(2)), (two, (FULL_WINDOW, Window(3)))):
+        narrow = series.restrict(narrower)
+        assert narrow.coeffs == series.coeffs and narrow != series
+        assert (-series).scale(-1) == series == series.scale(3) - series.scale(2)
+        assert series - narrow == narrow - series == narrow.scale(0) != series.scale(0)
 
 
 def test_iota_kernel_single_variable_poles_exact():
